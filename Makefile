@@ -21,7 +21,7 @@ bench:
 # One pattern rule cuts every benchmark family's artifact from the same
 # bench.txt: BENCH_pipeline.json carries the full run, the named families
 # filter by benchmark name prefix. Adding a family is one variable line.
-BENCH_FAMILIES        = pipeline stream gateway fxp flight health
+BENCH_FAMILIES        = pipeline stream gateway fxp flight health render
 BENCH_FILTER_pipeline = Benchmark
 BENCH_FILTER_stream   = BenchmarkStream
 BENCH_FILTER_gateway  = BenchmarkGateway
@@ -37,6 +37,10 @@ BENCH_FILTER_flight   = BenchmarkFlight
 # store-level BenchmarkHealthOn/Off pair (identical 0 allocs/op — the
 # plane's marginal epoch cost) plus the gateway-loop throughput context.
 BENCH_FILTER_health   = BenchmarkHealth
+# BENCH_render.json tracks the render layer (stage sim.render):
+# BenchmarkRenderTimeline's ns/frame and allocs/frame over one 16-tag x
+# 8-frame ModeFull capture.
+BENCH_FILTER_render   = BenchmarkRender
 
 # Redirect instead of piping through tee so a bench failure stops make.
 # -benchmem keeps B/op and allocs/op in the archived JSON, which is what
@@ -61,14 +65,17 @@ golden:
 fuzz:
 	$(GO) test -run FuzzTraceRoundTrip -fuzz FuzzTraceRoundTrip -fuzztime 30s ./internal/trace
 
-# Scheduled CI fuzz sweep: ~5 minutes split across the four codec/datapath
-# fuzzers (go test allows one -fuzz target per invocation).
+# Scheduled CI fuzz sweep: ~6 minutes split across the five codec/datapath
+# fuzzers (go test allows one -fuzz target per invocation). FuzzFIRApply
+# holds the interleaved FIR kernel bit-exact to the one-output-at-a-time
+# reference loop.
 FUZZ_TIME ?= 75s
 fuzz-sweep:
 	$(GO) test -run FuzzTraceRoundTrip -fuzz FuzzTraceRoundTrip -fuzztime $(FUZZ_TIME) ./internal/trace
 	$(GO) test -run FuzzWireFrame -fuzz FuzzWireFrame -fuzztime $(FUZZ_TIME) ./internal/server
 	$(GO) test -run FuzzCommandRoundTrip -fuzz FuzzCommandRoundTrip -fuzztime $(FUZZ_TIME) ./internal/mac
 	$(GO) test -run FuzzFxpOps -fuzz FuzzFxpOps -fuzztime $(FUZZ_TIME) ./internal/fxp
+	$(GO) test -run FuzzFIRApply -fuzz FuzzFIRApply -fuzztime $(FUZZ_TIME) ./internal/dsp
 
 fmt:
 	gofmt -w .

@@ -128,7 +128,8 @@
 //	// snap.DeliveryRatio(): unique frames delivered error-free / scheduled
 //
 // Each epoch renders every channel's population into a continuous capture
-// (grouped by commanded rate K, which sets the PHY alphabet), demodulates
+// (grouped by commanded rate K, which sets the PHY alphabet; groups render
+// concurrently, up to Workers at a time, with bit-identical results), demodulates
 // all captures through a shared worker pool, and folds the decode results
 // into a per-tag session registry: frame dedup by payload sequence
 // number, sliding-window PRR/SNR/offset accounting. The control loop then

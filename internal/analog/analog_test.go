@@ -138,7 +138,7 @@ func TestAddBasebandImpairments(t *testing.T) {
 	e := DefaultEnvelopeDetector()
 	rng := dsp.NewRand(3, 9)
 	y := make([]float64, 4096)
-	e.AddBasebandImpairments(y, 400e3, rng)
+	e.AddBasebandImpairments(y, nil, 400e3, rng)
 	// 1/f noise converges slowly, so the sample mean can sit a sizable
 	// fraction of FlickerSigma away from the DC offset.
 	if m := dsp.Mean(y); math.Abs(m-e.DCOffset) > e.FlickerSigma {
@@ -314,6 +314,18 @@ func TestSamplerDecimation(t *testing.T) {
 	bs := s.SampleBits(nil, b)
 	if len(bs) != 4 || !bs[1] {
 		t.Errorf("SampleBits = %v, want index 1 true", bs)
+	}
+	// SampleFiltered reads a filter's output on the same grid.
+	f := dsp.NewFIR([]float64{0.25, 0.5, 0.25})
+	want = s.SampleFloats(nil, f.Apply(nil, x))
+	got := s.SampleFiltered(nil, x, f)
+	if len(got) != len(want) {
+		t.Fatalf("SampleFiltered len = %d, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Errorf("SampleFiltered[%d] = %g, want %g", i, got[i], want[i])
+		}
 	}
 }
 

@@ -72,9 +72,16 @@ func (e EnvelopeDetector) Detect(dst []float64, x []complex128) []float64 {
 // Call it after Detect; the super-Saiyan chain applies it before the IF
 // band-pass filter, which then strips most of it — exactly the mechanism of
 // Figure 9.
-func (e EnvelopeDetector) AddBasebandImpairments(y []float64, sampleRateHz float64, rng *rand.Rand) {
+//
+// The flicker noise is generated into scratch, which is grown to len(y) if
+// needed and returned so callers rendering many series can keep one buffer
+// (pass nil to let it allocate). scratch must not overlap y.
+func (e EnvelopeDetector) AddBasebandImpairments(y, scratch []float64, sampleRateHz float64, rng *rand.Rand) []float64 {
 	if e.FlickerSigma > 0 {
-		pink := dsp.PinkNoise(make([]float64, len(y)), rng)
+		if cap(scratch) < len(y) {
+			scratch = make([]float64, len(y))
+		}
+		pink := dsp.PinkNoise(scratch[:len(y)], rng)
 		if e.FlickerCornerHz > 0 && sampleRateHz > 2*e.FlickerCornerHz {
 			// One-pole roll-off above the flicker corner, renormalized so
 			// the total sigma stays at the configured value (the corner
@@ -104,4 +111,5 @@ func (e EnvelopeDetector) AddBasebandImpairments(y []float64, sampleRateHz float
 			y[i] += e.DCOffset
 		}
 	}
+	return scratch
 }

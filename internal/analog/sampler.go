@@ -25,17 +25,26 @@ func NewSampler(oversample int) (Sampler, error) {
 	return Sampler{Oversample: oversample}, nil
 }
 
-// SampleFloats decimates an analog series down to the sampler rate. The
-// sample point sits mid-way through each oversampling window, modeling a
-// sample-and-hold triggered at the window center.
+// Phase is the index of the first sample point. Sample points sit mid-way
+// through each oversampling window, modeling a sample-and-hold triggered at
+// the window center.
+func (s Sampler) Phase() int { return s.Oversample / 2 }
+
+// SampleFloats decimates an analog series down to the sampler rate.
 func (s Sampler) SampleFloats(dst, x []float64) []float64 {
-	return dsp.Decimate(dst, x, s.Oversample, s.Oversample/2)
+	return dsp.Decimate(dst, x, s.Oversample, s.Phase())
+}
+
+// SampleFiltered is SampleFloats of f.Apply(x), computing only the filter
+// outputs the sampler reads. dst must not overlap x.
+func (s Sampler) SampleFiltered(dst, x []float64, f *dsp.FIR) []float64 {
+	return f.ApplyDecimated(dst, x, s.Oversample, s.Phase())
 }
 
 // SampleBits decimates a binary comparator stream down to the sampler rate.
 func (s Sampler) SampleBits(dst []bool, b []bool) []bool {
 	n := 0
-	off := s.Oversample / 2
+	off := s.Phase()
 	if off < len(b) {
 		n = (len(b) - off + s.Oversample - 1) / s.Oversample
 	}
@@ -52,7 +61,7 @@ func (s Sampler) SampleBits(dst []bool, b []bool) []bool {
 // OutputLen reports how many sampler-rate points an analog series of n
 // simulation samples produces.
 func (s Sampler) OutputLen(n int) int {
-	off := s.Oversample / 2
+	off := s.Phase()
 	if off >= n {
 		return 0
 	}

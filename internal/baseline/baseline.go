@@ -72,7 +72,7 @@ func (c ConventionalReceiver) RenderEnvelope(n int, on []bool, rssDBm float64, r
 	}
 	dsp.AddComplexNoise(x, 1, rng)
 	y := c.Envelope.Detect(nil, x)
-	c.Envelope.AddBasebandImpairments(y, c.SampleRateHz, rng)
+	c.Envelope.AddBasebandImpairments(y, nil, c.SampleRateHz, rng)
 	return y
 }
 

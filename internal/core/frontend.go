@@ -31,7 +31,8 @@ type Demodulator struct {
 	bpf  *dsp.FIR // IF band-pass (cyclic-frequency shifting)
 	ifHz float64  // intermediate frequency (2x the clock, from cos^2)
 
-	sampler analog.Sampler
+	// gains memoizes SAW gains across renders (see sawMemo).
+	gains sawMemo
 
 	// Calibration state.
 	calibrated bool
@@ -55,6 +56,9 @@ type Demodulator struct {
 	fx *fxp.Decoder
 
 	// Scratch buffers to keep the per-frame hot path allocation-free.
+	// chainEnvelope detects into scratchEnv, draws flicker noise into
+	// scratchBuf, then band-passes scratchEnv into scratchBuf: the two
+	// never share an array, so a filter never reads its own output.
 	scratchIQ  []complex128
 	scratchEnv []float64
 	scratchBuf []float64
@@ -83,7 +87,7 @@ func New(cfg Config) (*Demodulator, error) {
 	d.spbSamp = cfg.Params.SymbolDuration() * d.fsSamp
 	d.spbSim = cfg.Params.SymbolDuration() * d.fsSim
 	d.spbSimInt = cfg.Params.SamplesPerSymbol(d.fsSim)
-	d.sampler = analog.Sampler{Oversample: cfg.Oversample}
+	d.gains = newSAWMemo(cfg, d.spbSimInt)
 
 	cutoff := cfg.VideoCutoffFrac * d.fsSamp
 	d.lpf, err = dsp.NewLowPass(cutoff, d.fsSim, 63, dsp.Hamming)
@@ -147,8 +151,7 @@ func (d *Demodulator) snrAmplitude(rssDBm float64) float64 {
 // are clipped.
 func (d *Demodulator) ComposeSignal(x []complex128, at int, trajHz []float64, rssDBm float64) {
 	amp := d.snrAmplitude(rssDBm)
-	carrier := d.cfg.Params.CarrierHz
-	saw := d.cfg.SAW
+	d.gains.sync(d.cfg.SAW)
 	for i, f := range trajHz {
 		j := at + i
 		if j < 0 {
@@ -157,55 +160,52 @@ func (d *Demodulator) ComposeSignal(x []complex128, at int, trajHz []float64, rs
 		if j >= len(x) {
 			break
 		}
-		x[j] += complex(amp*saw.Gain(carrier+f), 0)
+		x[j] += complex(amp*d.gains.gain(f), 0)
 	}
 }
 
 // chainEnvelope pushes an antenna-level IQ series through the configured
-// analog chain — envelope detection, optionally cyclic-frequency shifting,
-// and the post-detection video filter — and returns the filtered envelope
-// at the simulation rate. The returned slice aliases the demodulator's
-// scratch buffers and is only valid until the next render; x is mutated in
-// place by the mixers.
+// analog chain — envelope detection and optionally cyclic-frequency
+// shifting — and returns the envelope at the simulation rate, ready for
+// the post-detection video filter. Every consumer only reads that filter
+// at sampler instants, so the filter itself runs decimated in videoSample.
+// The returned slice aliases the demodulator's scratch buffers and is only
+// valid until the next render; x is mutated in place by the mixers.
 func (d *Demodulator) chainEnvelope(x []complex128, rng *rand.Rand) []float64 {
-	n := len(x)
 	env := d.cfg.Envelope
-	if cap(d.scratchEnv) < n {
-		d.scratchEnv = make([]float64, n)
-	}
-	y := d.scratchEnv[:n]
-
-	switch d.cfg.Mode {
-	case ModeVanilla:
-		y = env.Detect(y, x)
-		if rng != nil {
-			env.AddBasebandImpairments(y, d.fsSim, rng)
-		}
-	default:
+	if d.cfg.Mode != ModeVanilla {
 		// Cyclic-frequency shifting (Figure 9): mix up, square, band-pass
 		// at the IF, amplify, mix down, low-pass.
 		clock := analog.Oscillator{FreqHz: d.ifHz / 2}
 		clock.MixComplex(x, d.fsSim, 0)
-		y = env.Detect(y, x)
-		if rng != nil {
-			env.AddBasebandImpairments(y, d.fsSim, rng)
-		}
-		d.scratchBuf = d.bpf.Apply(d.scratchBuf, y)
-		y, d.scratchBuf = d.scratchBuf, y[:0]
-		d.cfg.IFAmp.Apply(y)
-		out := analog.Oscillator{FreqHz: d.ifHz}
-		out.MixReal(y, d.fsSim, d.cfg.ClockPhaseError)
-		// Makeup gain: cos^2 halves the signal twice (up-mix and
-		// down-mix); restore the vanilla scale so thresholds compare.
-		g := 4 / math.Pow(10, d.cfg.IFAmp.GainDB/20)
-		for i := range y {
-			y[i] *= g
-		}
 	}
-
-	d.scratchBuf = d.lpf.Apply(d.scratchBuf, y)
-	y, d.scratchBuf = d.scratchBuf, y
+	y := env.Detect(d.scratchEnv, x)
+	d.scratchEnv = y
+	if rng != nil {
+		d.scratchBuf = env.AddBasebandImpairments(y, d.scratchBuf, d.fsSim, rng)
+	}
+	if d.cfg.Mode == ModeVanilla {
+		return y
+	}
+	y = d.bpf.Apply(d.scratchBuf, y)
+	d.scratchBuf = y
+	d.cfg.IFAmp.Apply(y)
+	out := analog.Oscillator{FreqHz: d.ifHz}
+	out.MixReal(y, d.fsSim, d.cfg.ClockPhaseError)
+	// Makeup gain: cos^2 halves the signal twice (up-mix and
+	// down-mix); restore the vanilla scale so thresholds compare.
+	g := 4 / math.Pow(10, d.cfg.IFAmp.GainDB/20)
+	for i := range y {
+		y[i] *= g
+	}
 	return y
+}
+
+// videoSample runs the post-detection video low-pass over the simulation-
+// rate envelope y and reads it with a sampler decimating by decim. Only the
+// sampled outputs are computed.
+func (d *Demodulator) videoSample(dst, y []float64, decim int) []float64 {
+	return analog.Sampler{Oversample: decim}.SampleFiltered(dst, y, d.lpf)
 }
 
 // RenderEnvelope pushes an instantaneous-frequency trajectory (Hz offsets
@@ -214,23 +214,25 @@ func (d *Demodulator) chainEnvelope(x []complex128, rng *rand.Rand) []float64 {
 // sampler rate. Pass rng=nil for a noise-free reference render (used for
 // calibration and correlation templates).
 func (d *Demodulator) RenderEnvelope(dst []float64, trajHz []float64, rssDBm float64, rng *rand.Rand) []float64 {
+	return d.renderEnvelope(dst, trajHz, rssDBm, rng, d.cfg.Oversample)
+}
+
+// renderEnvelope is RenderEnvelope for a sampler decimating by decim.
+func (d *Demodulator) renderEnvelope(dst []float64, trajHz []float64, rssDBm float64, rng *rand.Rand, decim int) []float64 {
 	n := len(trajHz)
 	amp := d.snrAmplitude(rssDBm)
-	carrier := d.cfg.Params.CarrierHz
-
 	if cap(d.scratchIQ) < n {
 		d.scratchIQ = make([]complex128, n)
 	}
 	x := d.scratchIQ[:n]
-	saw := d.cfg.SAW
+	d.gains.sync(d.cfg.SAW)
 	for i, f := range trajHz {
-		x[i] = complex(amp*saw.Gain(carrier+f), 0)
+		x[i] = complex(amp*d.gains.gain(f), 0)
 	}
 	if rng != nil {
 		dsp.AddComplexNoise(x, 1, rng)
 	}
-	y := d.chainEnvelope(x, rng)
-	return d.sampler.SampleFloats(dst, y)
+	return d.videoSample(dst, d.chainEnvelope(x, rng), decim)
 }
 
 // RenderStream pushes a pre-composed antenna signal (see ComposeSignal)
@@ -246,10 +248,9 @@ func (d *Demodulator) RenderStream(x []complex128, rng *rand.Rand) (env, envC []
 		dsp.AddComplexNoise(x, 1, rng)
 	}
 	y := d.chainEnvelope(x, rng)
-	env = d.sampler.SampleFloats(nil, y)
+	env = d.videoSample(nil, y, d.cfg.Oversample)
 	if d.cfg.Mode == ModeFull {
-		cs := analog.Sampler{Oversample: d.cfg.Oversample / d.cfg.CorrOversample}
-		envC = cs.SampleFloats(nil, y)
+		envC = d.videoSample(nil, y, d.cfg.Oversample/d.cfg.CorrOversample)
 	}
 	return env, envC
 }
@@ -257,10 +258,5 @@ func (d *Demodulator) RenderStream(x []complex128, rng *rand.Rand) (env, envC []
 // RenderCorrEnvelope is RenderEnvelope at the correlator's higher sampling
 // rate (ModeFull decodes from this stream).
 func (d *Demodulator) RenderCorrEnvelope(dst []float64, trajHz []float64, rssDBm float64, rng *rand.Rand) []float64 {
-	// Render through the same chain but decimate less aggressively.
-	saved := d.sampler
-	d.sampler = analog.Sampler{Oversample: d.cfg.Oversample / d.cfg.CorrOversample}
-	out := d.RenderEnvelope(dst, trajHz, rssDBm, rng)
-	d.sampler = saved
-	return out
+	return d.renderEnvelope(dst, trajHz, rssDBm, rng, d.cfg.Oversample/d.cfg.CorrOversample)
 }

@@ -3,6 +3,7 @@ package dsp
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // FIR is a finite-impulse-response filter. The zero value is unusable; build
@@ -10,13 +11,26 @@ import (
 // concurrent use because filtering via Apply is stateless.
 type FIR struct {
 	taps []float64
+	rev  []float64 // taps in reverse order, for dot4's bounds-check-free walk
 }
 
 // NewFIR wraps an explicit tap vector as a filter. The taps are copied.
 func NewFIR(taps []float64) *FIR {
-	t := make([]float64, len(taps))
+	t := make([]float64, len(taps), 2*len(taps))
 	copy(t, taps)
-	return &FIR{taps: t}
+	return newFIR(t)
+}
+
+// newFIR adopts taps (without copying) and stores their reversed copy in
+// the slice's spare capacity, so a caller that allocated 2*len(taps) pays
+// no second allocation.
+func newFIR(taps []float64) *FIR {
+	n := len(taps)
+	both := slices.Grow(taps, n)[:2*n]
+	for i, t := range both[:n] {
+		both[2*n-1-i] = t
+	}
+	return &FIR{taps: both[:n:n], rev: both[n:]}
 }
 
 // NewLowPass designs a windowed-sinc low-pass filter with the given cutoff
@@ -32,7 +46,7 @@ func NewLowPass(cutoffHz, sampleRateHz float64, taps int, w Window) (*FIR, error
 	fc := cutoffHz / sampleRateHz // normalized cutoff in cycles/sample
 	mid := taps / 2
 	win := w.Make(taps)
-	h := make([]float64, taps)
+	h := make([]float64, taps, 2*taps) // spare half for newFIR's reversed taps
 	sum := 0.0
 	for i := range h {
 		h[i] = 2 * fc * Sinc(2*fc*float64(i-mid)) * win[i]
@@ -42,7 +56,7 @@ func NewLowPass(cutoffHz, sampleRateHz float64, taps int, w Window) (*FIR, error
 	for i := range h {
 		h[i] /= sum
 	}
-	return &FIR{taps: h}, nil
+	return newFIR(h), nil
 }
 
 // NewBandPass designs a windowed-sinc band-pass filter passing
@@ -58,7 +72,7 @@ func NewBandPass(lowHz, highHz, sampleRateHz float64, taps int, w Window) (*FIR,
 	fh := highHz / sampleRateHz
 	mid := taps / 2
 	win := w.Make(taps)
-	h := make([]float64, taps)
+	h := make([]float64, taps, 2*taps) // spare half for newFIR's reversed taps
 	for i := range h {
 		k := float64(i - mid)
 		h[i] = (2*fh*Sinc(2*fh*k) - 2*fl*Sinc(2*fl*k)) * win[i]
@@ -78,7 +92,7 @@ func NewBandPass(lowHz, highHz, sampleRateHz float64, taps int, w Window) (*FIR,
 	for i := range h {
 		h[i] /= g
 	}
-	return &FIR{taps: h}, nil
+	return newFIR(h), nil
 }
 
 // Taps returns a copy of the filter coefficients.
@@ -94,27 +108,92 @@ func (f *FIR) Len() int { return len(f.taps) }
 // Apply convolves x with the filter and writes the "same"-length result into
 // dst (allocated or grown as needed), compensating for the filter's group
 // delay so features in the output stay aligned with the input. It returns
-// dst.
+// dst, which must not overlap x.
+//
+// Output i is y[i] = sum_k h[k] * x[i + half - k], summed into one
+// accumulator that starts at zero and adds the terms in tap order
+// k = 0..L-1, skipping taps that fall outside x. That order is a contract:
+// float addition is not associative, so the bits of every output depend on
+// it, and the golden trace and determinism pins hash those bits. The kernel
+// may therefore interleave independent outputs — interior outputs (whose
+// taps all land inside x) are computed four at a time, each in its own
+// accumulator, which hides the add latency and drops the per-tap bounds
+// test — but it must never reorder, split or fold (symmetric-tap) the sum
+// within one output. Edge outputs keep the per-tap bounds test.
 func (f *FIR) Apply(dst, x []float64) []float64 {
+	return f.ApplyDecimated(dst, x, 1, 0)
+}
+
+// ApplyDecimated is Apply followed by Decimate(dst, y, factor, offset), but
+// computes only the outputs the decimator keeps: dst[m] is bit-identical to
+// Apply's output at offset + m*factor. factor < 1 counts as 1 and offset < 0
+// as 0, as in Decimate. It returns dst, which must not overlap x.
+func (f *FIR) ApplyDecimated(dst, x []float64, factor, offset int) []float64 {
+	factor = max(factor, 1)
+	offset = max(offset, 0)
 	n := len(x)
-	if cap(dst) < n {
-		dst = make([]float64, n)
+	count := 0
+	if offset < n {
+		count = (n - offset + factor - 1) / factor
 	}
-	dst = dst[:n]
-	half := len(f.taps) / 2
-	for i := 0; i < n; i++ {
-		acc := 0.0
-		// y[i] = sum_k h[k] * x[i + half - k]
-		for k, tap := range f.taps {
-			j := i + half - k
-			if j < 0 || j >= n {
-				continue
-			}
-			acc += tap * x[j]
-		}
-		dst[i] = acc
+	if cap(dst) < count {
+		dst = make([]float64, count)
+	}
+	dst = dst[:count]
+	taps := f.taps
+	half := len(taps) / 2
+	// Outputs in [first, last] read only in-range samples.
+	first, last := len(taps)-1-half, n-1-half
+	m := 0
+	for ; m < count && offset+m*factor < first; m++ {
+		dst[m] = f.edgeOutput(x, offset+m*factor)
+	}
+	for ; m+3 < count && offset+(m+3)*factor <= last; m += 4 {
+		dst[m], dst[m+1], dst[m+2], dst[m+3] = dot4(f.rev, x, offset+m*factor+half, factor)
+	}
+	for ; m < count; m++ {
+		dst[m] = f.edgeOutput(x, offset+m*factor)
 	}
 	return dst
+}
+
+// edgeOutput computes output i with a bounds test per tap, for outputs
+// whose window hangs over either end of x.
+func (f *FIR) edgeOutput(x []float64, i int) float64 {
+	half := len(f.taps) / 2
+	acc := 0.0
+	for k, tap := range f.taps {
+		j := i + half - k
+		if j < 0 || j >= len(x) {
+			continue
+		}
+		acc += tap * x[j]
+	}
+	return acc
+}
+
+// dot4 computes four interior outputs whose k = 0 samples sit at x[j0],
+// x[j0+stride], x[j0+2*stride] and x[j0+3*stride]. Each output has its own
+// accumulator and sums its taps in order k = 0..L-1, exactly as
+// edgeOutput does, so the results are bit-identical to it.
+func dot4(rev, x []float64, j0, stride int) (a0, a1, a2, a3 float64) {
+	// Window u of output u holds its samples in ascending index order, so
+	// tap k multiplies w[L-1-k]; walking i = L-1-k downward keeps the
+	// k = 0..L-1 order and lets the compiler drop the bounds tests.
+	n := len(rev)
+	lo := j0 - n + 1
+	w0 := x[lo:][:n]
+	w1 := x[lo+stride:][:n]
+	w2 := x[lo+2*stride:][:n]
+	w3 := x[lo+3*stride:][:n]
+	for i := n - 1; i >= 0; i-- {
+		tap := rev[i]
+		a0 += tap * w0[i]
+		a1 += tap * w1[i]
+		a2 += tap * w2[i]
+		a3 += tap * w3[i]
+	}
+	return a0, a1, a2, a3
 }
 
 // ApplyComplex is Apply for complex-valued series.

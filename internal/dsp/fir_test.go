@@ -107,6 +107,121 @@ func TestApplyPreservesAlignment(t *testing.T) {
 	}
 }
 
+// referenceApply is the straightforward one-output-at-a-time convolution
+// with a bounds test on every tap: the oracle FIR.Apply and
+// FIR.ApplyDecimated must reproduce bit for bit.
+func referenceApply(taps, x []float64) []float64 {
+	n := len(x)
+	dst := make([]float64, n)
+	half := len(taps) / 2
+	for i := 0; i < n; i++ {
+		acc := 0.0
+		// y[i] = sum_k h[k] * x[i + half - k]
+		for k, tap := range taps {
+			j := i + half - k
+			if j < 0 || j >= n {
+				continue
+			}
+			acc += tap * x[j]
+		}
+		dst[i] = acc
+	}
+	return dst
+}
+
+// checkBitExact fails unless got[m] has the same bits as want[offset+m*factor]
+// for every decimated output.
+func checkBitExact(t *testing.T, got, want []float64, factor, offset int) {
+	t.Helper()
+	ref := Decimate(nil, want, factor, offset)
+	if len(got) != len(ref) {
+		t.Fatalf("factor %d offset %d: %d outputs, want %d", factor, offset, len(got), len(ref))
+	}
+	for m := range ref {
+		if math.Float64bits(got[m]) != math.Float64bits(ref[m]) {
+			t.Fatalf("factor %d offset %d: output %d = %v, oracle %v", factor, offset, m, got[m], ref[m])
+		}
+	}
+}
+
+// firFixture draws a filter of the given odd tap count and an input series
+// of length n. A mix of magnitudes, signs and exact zeros makes the sums
+// sensitive to any change of summation order.
+func firFixture(seed uint64, taps, n int) (*FIR, []float64) {
+	rng := NewRand(seed, 0x5eed)
+	draw := func() float64 {
+		switch rng.IntN(8) {
+		case 0:
+			return 0
+		case 1:
+			return math.Copysign(0, -1)
+		case 2:
+			return rng.NormFloat64() * 1e8
+		case 3:
+			return rng.NormFloat64() * 1e-8
+		}
+		return rng.NormFloat64()
+	}
+	h := make([]float64, taps)
+	for i := range h {
+		h[i] = draw()
+	}
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = draw()
+	}
+	return NewFIR(h), x
+}
+
+func TestApplyMatchesReference(t *testing.T) {
+	for _, taps := range []int{3, 5, 31, 63, 101} {
+		for _, n := range []int{0, 1, 2, 3, taps - 1, taps, taps + 1, 2*taps + 3, 257} {
+			f, x := firFixture(uint64(taps*1000+n), taps, n)
+			want := referenceApply(f.taps, x)
+			checkBitExact(t, f.Apply(nil, x), want, 1, 0)
+			for _, dec := range [][2]int{{4, 2}, {16, 8}, {3, 0}, {5, 4}, {1, 7}} {
+				checkBitExact(t, f.ApplyDecimated(nil, x, dec[0], dec[1]), want, dec[0], dec[1])
+			}
+		}
+	}
+}
+
+// FuzzFIRApply checks the interleaved FIR kernel against referenceApply over
+// tap counts 3..101 (odd), input lengths 0..400 (including n < taps and
+// n not a multiple of 4), and decimation factors and offsets: every output
+// must be bit-identical to the oracle.
+func FuzzFIRApply(f *testing.F) {
+	f.Add(uint64(1), uint8(30), uint16(400), uint8(16), uint8(8))
+	f.Add(uint64(2), uint8(0), uint16(0), uint8(1), uint8(0))
+	f.Add(uint64(3), uint8(49), uint16(50), uint8(4), uint8(2))
+	f.Add(uint64(4), uint8(3), uint16(7), uint8(3), uint8(9))
+	f.Fuzz(func(t *testing.T, seed uint64, halfTaps uint8, n uint16, factor, offset uint8) {
+		taps := 2*int(halfTaps%50) + 3
+		fir, x := firFixture(seed, taps, int(n%401))
+		want := referenceApply(fir.taps, x)
+		checkBitExact(t, fir.Apply(nil, x), want, 1, 0)
+		fac, off := 1+int(factor%32), int(offset%40)
+		checkBitExact(t, fir.ApplyDecimated(nil, x, fac, off), want, fac, off)
+	})
+}
+
+func BenchmarkFIRApply(b *testing.B) {
+	f, x := firFixture(1, 63, 1<<16)
+	dst := make([]float64, len(x))
+	b.SetBytes(int64(8 * len(x)))
+	for b.Loop() {
+		dst = f.Apply(dst, x)
+	}
+}
+
+func BenchmarkFIRApplyReference(b *testing.B) {
+	f, x := firFixture(1, 63, 1<<16)
+	b.SetBytes(int64(8 * len(x)))
+	for b.Loop() {
+		referenceApply(f.taps, x)
+	}
+}
+
 func TestApplyComplexMatchesReal(t *testing.T) {
 	f, err := NewLowPass(2000, 16000, 21, Hann)
 	if err != nil {

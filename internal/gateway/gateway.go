@@ -472,6 +472,10 @@ func (g *Gateway) applyChurn(epoch int) {
 		s := g.sessions[oldest]
 		s.active = false
 		s.lastChannel, s.lastRateK = t.channel, t.rateK
+		// A departed tag schedules no more frames, so nothing reads or
+		// writes its dedup set again; dropping it keeps a long-running
+		// gateway's memory from growing with every frame ever delivered.
+		s.delivered = nil
 		delete(g.tags, oldest)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 	"time"
 
 	"saiyan/internal/pipeline"
@@ -110,8 +111,9 @@ func (g *Gateway) huntRSS(grp *ingestGroup) float64 {
 	return sum / float64(len(grp.set.Tags))
 }
 
-// ingest renders every group's capture and demodulates all groups of each
-// rate through one shared worker pool, interleaving submission round-robin
+// ingest renders every group's capture (concurrently, see renderGroups),
+// segments each in group order, and demodulates all groups of each rate
+// through one shared worker pool, interleaving submission round-robin
 // across that rate's channels. Decode results are folded back into each
 // group's per-event outcomes in schedule order, so the fold is independent
 // of worker scheduling.
@@ -123,18 +125,16 @@ func (g *Gateway) ingest(ctx context.Context, plan *epochPlan) error {
 	if g.met != nil {
 		renderStart = time.Now()
 	}
+	if err := g.renderGroups(plan.groups); err != nil {
+		return err
+	}
 	for _, grp := range plan.groups {
 		demod := g.cfg.Demod
 		demod.Params = g.params(grp.k)
-		capture, err := grp.set.RenderTimeline(demod, grp.tl)
-		if err != nil {
-			return fmt.Errorf("rendering K=%d channel %d: %w", grp.k, grp.channel, err)
-		}
-		grp.capture = capture
-		grp.outcomes = make([]eventOutcome, len(capture.Events))
+		grp.outcomes = make([]eventOutcome, len(grp.capture.Events))
 		scfg := stream.Config{
 			Demod:          demod,
-			PayloadSymbols: capture.PayloadSymbols,
+			PayloadSymbols: grp.capture.PayloadSymbols,
 			HuntRSSDBm:     g.huntRSS(grp),
 			Seed:           g.cfg.Seed,
 			Metrics:        g.cfg.Metrics,
@@ -144,7 +144,7 @@ func (g *Gateway) ingest(ctx context.Context, plan *epochPlan) error {
 			FlightEpoch:   plan.epoch,
 			FlightChannel: grp.channel,
 		}
-		src, err := stream.NewSource(scfg, capture.Chunks(g.cfg.ChunkSamples), grp.matcher())
+		src, err := stream.NewSource(scfg, grp.capture.Chunks(g.cfg.ChunkSamples), grp.matcher())
 		if err != nil {
 			return fmt.Errorf("segmenting K=%d channel %d: %w", grp.k, grp.channel, err)
 		}
@@ -179,6 +179,38 @@ func (g *Gateway) ingest(ctx context.Context, plan *epochPlan) error {
 		g.agg.windowsUnmatched += uint64(grp.unmatched)
 		baseline, sigma := grp.src.NoiseStats()
 		g.chanNoise[grp.channel] = noiseStats{baseline: baseline, sigma: sigma}
+	}
+	return nil
+}
+
+// renderGroups renders every group's capture, at most Config.Workers at a
+// time. RenderTimeline is a pure function of the tag set, the timeline and
+// the demodulator configuration, so the captures are the same whatever the
+// concurrency; everything order-sensitive (segmentation, flight shard 0,
+// metrics) runs afterwards on the epoch goroutine, in group order. On
+// failure it reports the first failing group in that order.
+func (g *Gateway) renderGroups(groups []*ingestGroup) error {
+	errs := make([]error, len(groups))
+	sem := make(chan struct{}, g.cfg.Workers)
+	var wg sync.WaitGroup
+	for i, grp := range groups {
+		demod := g.cfg.Demod
+		demod.Params = g.params(grp.k)
+		sem <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer func() {
+				<-sem
+				wg.Done()
+			}()
+			grp.capture, errs[i] = grp.set.RenderTimeline(demod, grp.tl)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("rendering K=%d channel %d: %w", groups[i].k, groups[i].channel, err)
+		}
 	}
 	return nil
 }

@@ -94,7 +94,7 @@ func (f *Frame) FreqTrajectory(dst []float64, sampleRate float64) []float64 {
 	p := f.Params
 	spb := p.SamplesPerSymbol(sampleRate)
 	syncSamples := int(math.Round(SyncSymbols * float64(spb)))
-	total := (PreambleUpchirps+len(f.Payload))*spb + syncSamples
+	total := f.TrajectoryLen(sampleRate)
 	if cap(dst) < total {
 		dst = make([]float64, total)
 	}
@@ -118,6 +118,12 @@ func (f *Frame) FreqTrajectory(dst []float64, sampleRate float64) []float64 {
 	return dst
 }
 
+// TrajectoryLen returns the length of the frame's trajectory (and IQ
+// waveform) rendered at sampleRate: preamble, sync gap and payload.
+func (f *Frame) TrajectoryLen(sampleRate float64) int {
+	return f.PayloadOffsetSamples(sampleRate) + len(f.Payload)*f.Params.SamplesPerSymbol(sampleRate)
+}
+
 // PayloadOffsetSamples returns the sample index at which the payload begins
 // for a trajectory rendered at sampleRate.
 func (f *Frame) PayloadOffsetSamples(sampleRate float64) int {
@@ -131,7 +137,7 @@ func (f *Frame) IQ(dst []complex128, sampleRate float64) []complex128 {
 	p := f.Params
 	spb := p.SamplesPerSymbol(sampleRate)
 	syncSamples := int(math.Round(SyncSymbols * float64(spb)))
-	total := (PreambleUpchirps+len(f.Payload))*spb + syncSamples
+	total := f.TrajectoryLen(sampleRate)
 	if cap(dst) < total {
 		dst = make([]complex128, total)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"saiyan/internal/core"
 	"saiyan/internal/dsp"
+	"saiyan/internal/lora"
 )
 
 // Timeline generation: where TagSet.NewTraffic delivers pre-cut frames with
@@ -162,7 +163,7 @@ func (ts *TagSet) RenderTimeline(cfg core.Config, tl TimelineConfig) (*Stream, e
 	regular := len(ts.Tags) * tl.FramesPerTag
 	total := regular + len(tl.Retransmits)
 	events := make([]StreamFrame, 0, total)
-	trajs := make([][]float64, 0, total)
+	frames := make([]*lora.Frame, 0, total)
 	at := symSamples(tl.LeadSymbols)
 	prevEnd := at
 	for i := 0; i < total; i++ {
@@ -186,7 +187,9 @@ func (ts *TagSet) RenderTimeline(cfg core.Config, tl TimelineConfig) (*Stream, e
 		if err != nil {
 			return nil, err
 		}
-		traj := frame.FreqTrajectory(nil, fsSim)
+		// The trajectory itself is generated at compose time, one frame at
+		// a time, into a reused buffer.
+		trajLen := frame.TrajectoryLen(fsSim)
 		gap := tl.MinGapSymbols + rng.Float64()*(tl.MaxGapSymbols-tl.MinGapSymbols)
 		start := prevEnd + symSamples(gap)
 		collides := false
@@ -206,8 +209,8 @@ func (ts *TagSet) RenderTimeline(cfg core.Config, tl TimelineConfig) (*Stream, e
 			Collides:      collides,
 			Retransmitted: retx,
 		})
-		trajs = append(trajs, traj)
-		if end := start + len(traj); end > prevEnd {
+		frames = append(frames, frame)
+		if end := start + trajLen; end > prevEnd {
 			prevEnd = end
 		}
 	}
@@ -215,8 +218,10 @@ func (ts *TagSet) RenderTimeline(cfg core.Config, tl TimelineConfig) (*Stream, e
 	// Compose the superposed antenna signal and render the whole capture
 	// through the chain once.
 	x := make([]complex128, prevEnd+symSamples(tl.LeadSymbols))
+	var traj []float64
 	for i, ev := range events {
-		d.ComposeSignal(x, ev.StartSim, trajs[i], ev.RSSDBm)
+		traj = frames[i].FreqTrajectory(traj[:0], fsSim)
+		d.ComposeSignal(x, ev.StartSim, traj, ev.RSSDBm)
 	}
 	env, envC := d.RenderStream(x, dsp.NewRand(tagStreamSeed(ts.Seed, noiseStream), 0))
 
