@@ -65,12 +65,15 @@ golden:
 fuzz:
 	$(GO) test -run FuzzTraceRoundTrip -fuzz FuzzTraceRoundTrip -fuzztime 30s ./internal/trace
 
-# Scheduled CI fuzz sweep: ~6 minutes split across the five codec/datapath
-# fuzzers (go test allows one -fuzz target per invocation). FuzzFIRApply
-# holds the interleaved FIR kernel bit-exact to the one-output-at-a-time
-# reference loop.
+# Scheduled CI fuzz sweep: ~7.5 minutes split across the six codec/datapath
+# fuzzers (go test allows one -fuzz target per invocation). FuzzChunkRead
+# covers the framing shared by traces, the wire and flight dumps; the trace
+# and wire fuzzers cover their payload codecs. FuzzFIRApply holds the
+# interleaved FIR kernel bit-exact to the one-output-at-a-time reference
+# loop.
 FUZZ_TIME ?= 75s
 fuzz-sweep:
+	$(GO) test -run FuzzChunkRead -fuzz FuzzChunkRead -fuzztime $(FUZZ_TIME) ./internal/chunk
 	$(GO) test -run FuzzTraceRoundTrip -fuzz FuzzTraceRoundTrip -fuzztime $(FUZZ_TIME) ./internal/trace
 	$(GO) test -run FuzzWireFrame -fuzz FuzzWireFrame -fuzztime $(FUZZ_TIME) ./internal/server
 	$(GO) test -run FuzzCommandRoundTrip -fuzz FuzzCommandRoundTrip -fuzztime $(FUZZ_TIME) ./internal/mac

@@ -286,9 +286,10 @@
 //
 // # Trace format and compatibility
 //
-// Traces are format version 1 (internal/trace has the byte-level
-// specification): a magic string and version, then CRC32-framed chunks —
-// a JSON header, one binary chunk per frame, and a trailing frame count —
+// Traces are format version 1: a chunk stream (internal/chunk specifies
+// the prelude and the CRC32 framing shared with the wire protocol and
+// flight dumps; internal/trace specifies the chunks) holding a JSON
+// header, one binary chunk per frame, and a trailing frame count —
 // optionally gzip-compressed (".gz" paths; readers sniff the content).
 // Compatibility policy: readers skip unknown chunk types whose CRC
 // verifies, so new chunk kinds can be added without a version bump;

@@ -2,6 +2,7 @@ package analog
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -285,39 +286,21 @@ func TestIFAmplifierGain(t *testing.T) {
 }
 
 func TestSamplerDecimation(t *testing.T) {
-	s, err := NewSampler(4)
-	if err != nil {
-		t.Fatal(err)
+	s := Sampler{Oversample: 4}
+	if s.Phase() != 2 {
+		t.Fatalf("Phase = %d, want 2 (mid-window)", s.Phase())
 	}
 	x := make([]float64, 16)
 	for i := range x {
 		x[i] = float64(i)
 	}
-	y := s.SampleFloats(nil, x)
-	want := []float64{2, 6, 10, 14}
-	if len(y) != len(want) {
-		t.Fatalf("len = %d, want %d", len(y), len(want))
-	}
-	for i := range want {
-		if y[i] != want[i] {
-			t.Errorf("y[%d] = %g, want %g", i, y[i], want[i])
-		}
-	}
-	if s.OutputLen(16) != 4 {
-		t.Errorf("OutputLen(16) = %d, want 4", s.OutputLen(16))
-	}
-	if s.OutputLen(1) != 0 {
-		t.Errorf("OutputLen(1) = %d, want 0", s.OutputLen(1))
-	}
-	b := make([]bool, 16)
-	b[6] = true
-	bs := s.SampleBits(nil, b)
-	if len(bs) != 4 || !bs[1] {
-		t.Errorf("SampleBits = %v, want index 1 true", bs)
+	// A one-tap unit filter exposes the grid itself.
+	if got := s.SampleFiltered(nil, x, dsp.NewFIR([]float64{1})); !slices.Equal(got, []float64{2, 6, 10, 14}) {
+		t.Errorf("grid = %v, want [2 6 10 14]", got)
 	}
 	// SampleFiltered reads a filter's output on the same grid.
 	f := dsp.NewFIR([]float64{0.25, 0.5, 0.25})
-	want = s.SampleFloats(nil, f.Apply(nil, x))
+	want := dsp.Decimate(nil, f.Apply(nil, x), 4, 2)
 	got := s.SampleFiltered(nil, x, f)
 	if len(got) != len(want) {
 		t.Fatalf("SampleFiltered len = %d, want %d", len(got), len(want))
@@ -326,12 +309,6 @@ func TestSamplerDecimation(t *testing.T) {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Errorf("SampleFiltered[%d] = %g, want %g", i, got[i], want[i])
 		}
-	}
-}
-
-func TestNewSamplerRejectsZero(t *testing.T) {
-	if _, err := NewSampler(0); err == nil {
-		t.Error("zero oversample accepted")
 	}
 }
 

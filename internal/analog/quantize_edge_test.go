@@ -59,77 +59,7 @@ func TestComparatorQuantizeReusesBuffer(t *testing.T) {
 	}
 }
 
-func TestSamplerEdges(t *testing.T) {
-	s := Sampler{Oversample: 4}
-
-	if got := s.SampleFloats(nil, nil); len(got) != 0 {
-		t.Errorf("empty input produced %d samples", len(got))
-	}
-	// Inputs shorter than the first sample point (mid-window trigger at
-	// Oversample/2) produce nothing — and OutputLen agrees.
-	for n := 0; n < 2; n++ {
-		in := make([]float64, n)
-		if got := s.SampleFloats(nil, in); len(got) != 0 {
-			t.Errorf("%d-sample input produced %v", n, got)
-		}
-		if got := s.OutputLen(n); got != 0 {
-			t.Errorf("OutputLen(%d) = %d, want 0", n, got)
-		}
-	}
-	// A single sample at the trigger point is captured.
-	in := []float64{0, 0, 7}
-	if got := s.SampleFloats(nil, in); len(got) != 1 || got[0] != 7 {
-		t.Errorf("trigger-point capture = %v, want [7]", got)
-	}
-
-	// Unity oversampling is the identity.
-	id := Sampler{Oversample: 1}
-	in = []float64{1, 2, 3}
-	got := id.SampleFloats(nil, in)
-	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
-		t.Errorf("unity sampler = %v, want input back", got)
-	}
-	if id.OutputLen(1) != 1 {
-		t.Errorf("unity OutputLen(1) = %d", id.OutputLen(1))
-	}
-
-	// Saturating values pass through untouched: the sampler is a switch,
-	// not a converter — clipping is the downstream ADC's job.
-	in = []float64{0, 0, math.Inf(1), 0, 0, 0, -1e308, 0}
-	got = s.SampleFloats(nil, in)
-	if len(got) != 2 || !math.IsInf(got[0], 1) || got[1] != -1e308 {
-		t.Errorf("full-scale passthrough = %v", got)
-	}
-}
-
-// TestSamplerLengthConsistency cross-checks the three length contracts —
-// OutputLen, SampleFloats, SampleBits — over every small input size and a
-// spread of oversampling factors, so window-extraction arithmetic
-// downstream can rely on one answer.
-func TestSamplerLengthConsistency(t *testing.T) {
-	for _, over := range []int{1, 2, 3, 4, 16} {
-		s := Sampler{Oversample: over}
-		for n := 0; n <= 64; n++ {
-			floats := make([]float64, n)
-			bits := make([]bool, n)
-			want := s.OutputLen(n)
-			if got := len(s.SampleFloats(nil, floats)); got != want {
-				t.Fatalf("over=%d n=%d: SampleFloats len %d, OutputLen %d", over, n, got, want)
-			}
-			if got := len(s.SampleBits(nil, bits)); got != want {
-				t.Fatalf("over=%d n=%d: SampleBits len %d, OutputLen %d", over, n, got, want)
-			}
-		}
-	}
-}
-
 func TestNewSamplerAndComparatorValidation(t *testing.T) {
-	if _, err := NewSampler(0); err == nil {
-		t.Error("NewSampler(0) accepted")
-	}
-	if _, err := NewSampler(-3); err == nil {
-		t.Error("NewSampler(-3) accepted")
-	}
 	if _, err := NewComparator(1, 2); err == nil {
 		t.Error("NewComparator with U_L > U_H accepted")
 	}

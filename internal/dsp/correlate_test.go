@@ -1,63 +1,9 @@
 package dsp
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
-
-func TestCrossCorrelateFindsTemplate(t *testing.T) {
-	rng := NewRand(10, 20)
-	h := make([]float64, 32)
-	for i := range h {
-		h[i] = rng.NormFloat64()
-	}
-	x := make([]float64, 256)
-	const at = 100
-	copy(x[at:], h)
-	c := CrossCorrelate(nil, x, h)
-	i, _ := Argmax(c)
-	if i != at {
-		t.Fatalf("peak at lag %d, want %d", i, at)
-	}
-}
-
-func TestCrossCorrelateShortInput(t *testing.T) {
-	if c := CrossCorrelate(nil, []float64{1, 2}, []float64{1, 2, 3}); len(c) != 0 {
-		t.Fatalf("len = %d, want 0", len(c))
-	}
-}
-
-func TestFFTCorrelateMatchesDirect(t *testing.T) {
-	// Property: FFT-based and direct correlation agree for random inputs.
-	f := func(seed uint64) bool {
-		rng := NewRand(seed, 11)
-		nx := 16 + rng.IntN(200)
-		nh := 1 + rng.IntN(nx)
-		x := make([]float64, nx)
-		h := make([]float64, nh)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		for i := range h {
-			h[i] = rng.NormFloat64()
-		}
-		direct := CrossCorrelate(nil, x, h)
-		viaFFT := FFTCorrelate(nil, x, h)
-		if len(direct) != len(viaFFT) {
-			return false
-		}
-		for i := range direct {
-			if math.Abs(direct[i]-viaFFT[i]) > 1e-6*(1+math.Abs(direct[i])) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestNormalizedCrossCorrelateBounds(t *testing.T) {
 	// Property: NCC values always lie in [-1, 1], and a perfect match
@@ -113,13 +59,7 @@ func TestArgmaxArgmin(t *testing.T) {
 	if i, v := Argmax(x); i != 1 || v != 9 {
 		t.Errorf("Argmax = (%d,%g), want (1,9) with earliest-tie rule", i, v)
 	}
-	if i, v := Argmin(x); i != 2 || v != -2 {
-		t.Errorf("Argmin = (%d,%g), want (2,-2)", i, v)
-	}
 	if i, _ := Argmax(nil); i != -1 {
 		t.Errorf("Argmax(nil) = %d, want -1", i)
-	}
-	if i, _ := Argmin(nil); i != -1 {
-		t.Errorf("Argmin(nil) = %d, want -1", i)
 	}
 }

@@ -64,20 +64,6 @@ func fftInPlace(x []complex128, inverse bool) {
 	}
 }
 
-// FFTMagnitude returns |X[k]| for the FFT of x without modifying x.
-// The input is zero-padded to the next power of two.
-func FFTMagnitude(x []complex128) []float64 {
-	n := NextPow2(len(x))
-	buf := make([]complex128, n)
-	copy(buf, x)
-	FFT(buf)
-	mag := make([]float64, n)
-	for i, v := range buf {
-		mag[i] = cmplx.Abs(v)
-	}
-	return mag
-}
-
 // PowerSpectrum returns |X[k]|^2 / N for the FFT of the real series x,
 // zero-padded to the next power of two. The result has the full N bins
 // (two-sided spectrum).

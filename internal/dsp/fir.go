@@ -255,3 +255,28 @@ func MovingAverage(dst, x []float64, w int) []float64 {
 	}
 	return dst
 }
+
+// Decimate keeps every factor-th sample of x starting at offset, writing
+// into dst and returning it. Callers that need anti-aliasing should low-pass
+// filter first; the demodulation chain always does (the LPF stage precedes
+// the voltage sampler).
+func Decimate(dst, x []float64, factor, offset int) []float64 {
+	if factor < 1 {
+		factor = 1
+	}
+	if offset < 0 {
+		offset = 0
+	}
+	n := 0
+	if offset < len(x) {
+		n = (len(x) - offset + factor - 1) / factor
+	}
+	if cap(dst) < n {
+		dst = make([]float64, n)
+	}
+	dst = dst[:n]
+	for i := 0; i < n; i++ {
+		dst[i] = x[offset+i*factor]
+	}
+	return dst
+}

@@ -293,3 +293,30 @@ func TestNewFIRCopiesTaps(t *testing.T) {
 		t.Errorf("Len = %d, want 3", f.Len())
 	}
 }
+
+func TestDecimate(t *testing.T) {
+	x := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	y := Decimate(nil, x, 3, 1)
+	want := []float64{1, 4, 7}
+	if len(y) != len(want) {
+		t.Fatalf("len = %d, want %d", len(y), len(want))
+	}
+	for i := range want {
+		if y[i] != want[i] {
+			t.Errorf("y[%d] = %g, want %g", i, y[i], want[i])
+		}
+	}
+}
+
+func TestDecimateDegenerate(t *testing.T) {
+	x := []float64{1, 2, 3}
+	if y := Decimate(nil, x, 0, 0); len(y) != 3 { // factor clamps to 1
+		t.Errorf("factor 0: len = %d, want 3", len(y))
+	}
+	if y := Decimate(nil, x, 2, 10); len(y) != 0 {
+		t.Errorf("offset beyond end: len = %d, want 0", len(y))
+	}
+	if y := Decimate(nil, x, 2, -1); len(y) != 2 { // offset clamps to 0
+		t.Errorf("negative offset: len = %d, want 2", len(y))
+	}
+}

@@ -92,34 +92,3 @@ func Percentile(x []float64, p float64) float64 {
 func Median(x []float64) float64 {
 	return Percentile(x, 50)
 }
-
-// CDFPoint holds one point of an empirical cumulative distribution.
-type CDFPoint struct {
-	Value float64 // sample value
-	P     float64 // cumulative probability in (0, 1]
-}
-
-// EmpiricalCDF returns the empirical CDF of x as sorted (value, probability)
-// points.
-func EmpiricalCDF(x []float64) []CDFPoint {
-	sorted := make([]float64, len(x))
-	copy(sorted, x)
-	sort.Float64s(sorted)
-	pts := make([]CDFPoint, len(sorted))
-	n := float64(len(sorted))
-	for i, v := range sorted {
-		pts[i] = CDFPoint{Value: v, P: float64(i+1) / n}
-	}
-	return pts
-}
-
-// Clamp limits v to the closed interval [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}

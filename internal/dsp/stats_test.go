@@ -70,31 +70,6 @@ func TestPercentileMonotone(t *testing.T) {
 	}
 }
 
-func TestEmpiricalCDF(t *testing.T) {
-	pts := EmpiricalCDF([]float64{3, 1, 2})
-	if len(pts) != 3 {
-		t.Fatalf("len = %d, want 3", len(pts))
-	}
-	wantV := []float64{1, 2, 3}
-	for i, pt := range pts {
-		if pt.Value != wantV[i] {
-			t.Errorf("pts[%d].Value = %g, want %g", i, pt.Value, wantV[i])
-		}
-	}
-	if pts[2].P != 1 {
-		t.Errorf("last P = %g, want 1", pts[2].P)
-	}
-	if pts[0].P <= 0 {
-		t.Errorf("first P = %g, want > 0", pts[0].P)
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 3) != 3 || Clamp(-1, 0, 3) != 0 || Clamp(2, 0, 3) != 2 {
-		t.Error("Clamp misbehaves")
-	}
-}
-
 func TestDBConversionsRoundTrip(t *testing.T) {
 	f := func(db float64) bool {
 		if math.Abs(db) > 200 {

@@ -5,8 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
+
+	"saiyan/internal/chunk"
 )
 
 // Dump is one black-box snapshot: the anomaly that triggered it plus
@@ -23,37 +24,28 @@ type Dump struct {
 	Spans   []Span   // content-sorted causal chain
 }
 
-// Binary dump format, mirroring the internal/trace chunk framing:
-//
-//	dump    := magic(8) version(u32) chunk*
-//	magic   := "SAIYFLT\x00"
-//	chunk   := type(u8) length(u32) payload(length bytes) crc32(u32)
-//
-// All integers little-endian; the CRC-32 (IEEE) covers type, length,
-// and payload. Chunk types: 1 header (JSON dumpHeader, first), 2 span
-// (one fixed-size binary span), 3 trailer (u64 span count, last).
-const (
-	dumpMagic   = "SAIYFLT\x00"
-	dumpVersion = 1
+// An encoded dump is a chunk stream (see internal/chunk for the prelude,
+// the framing and the CRC) with magic "SAIYFLT\x00". Chunk types: 1
+// header (JSON dumpHeader, first), 2 span (one fixed-size binary span),
+// 3 trailer (u64 span count, last). Dumps are small and the header is the
+// only variable-size chunk, so decoding caps a payload at 1 MiB.
+var dumpFormat = chunk.Format{Name: "flight", Magic: "SAIYFLT\x00", Version: 1, MaxPayload: 1 << 20}
 
+const (
 	chunkHeader  = 1
 	chunkSpan    = 2
 	chunkTrailer = 3
 
 	// spanWire is the encoded size of one span record.
 	spanWire = 8 + 4 + 4 + 2 + 2 + 1 + 1 + 8 + 8
-
-	// maxDumpChunk bounds one chunk payload when decoding (1 MiB —
-	// dumps are small; the header is the only variable-size chunk).
-	maxDumpChunk = 1 << 20
 )
 
-// Sentinel errors; test with errors.Is.
+// Sentinel errors, shared with internal/chunk; test with errors.Is.
 var (
 	// ErrCorrupt marks structural damage in an encoded dump.
-	ErrCorrupt = errors.New("flight: corrupt dump")
+	ErrCorrupt = chunk.ErrCorrupt
 	// ErrVersion marks a dump version this package does not know.
-	ErrVersion = errors.New("flight: unsupported dump version")
+	ErrVersion = chunk.ErrVersion
 )
 
 // dumpHeader is the JSON metadata chunk of an encoded dump.
@@ -65,16 +57,6 @@ type dumpHeader struct {
 	Tag     int      `json:"tag"`
 	Seq     uint64   `json:"seq,omitempty"`
 	Traces  []string `json:"traces"`
-}
-
-// appendChunk frames one payload with the type/length/CRC envelope.
-func appendChunk(dst []byte, typ byte, payload []byte) []byte {
-	at := len(dst)
-	dst = append(dst, typ)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = append(dst, payload...)
-	crc := crc32.ChecksumIEEE(dst[at:])
-	return binary.LittleEndian.AppendUint32(dst, crc)
 }
 
 // EncodeDump serializes d into the chunked binary form, appending to
@@ -94,17 +76,16 @@ func EncodeDump(dst []byte, d Dump) []byte {
 		// infallible like trace record encoding.
 		panic("flight: header marshal: " + err.Error())
 	}
-	dst = append(dst, dumpMagic...)
-	dst = binary.LittleEndian.AppendUint32(dst, dumpVersion)
-	dst = appendChunk(dst, chunkHeader, hdr)
+	dst = dumpFormat.AppendPrelude(dst)
+	dst = chunk.Append(dst, chunkHeader, hdr)
 	var buf [spanWire]byte
 	for _, s := range d.Spans {
 		encodeSpan(buf[:0], s)
-		dst = appendChunk(dst, chunkSpan, buf[:spanWire])
+		dst = chunk.Append(dst, chunkSpan, buf[:spanWire])
 	}
 	var trailer [8]byte
 	binary.LittleEndian.PutUint64(trailer[:], uint64(len(d.Spans)))
-	return appendChunk(dst, chunkTrailer, trailer[:])
+	return chunk.Append(dst, chunkTrailer, trailer[:])
 }
 
 // encodeSpan writes the fixed-size binary form of s into dst[:spanWire].
@@ -146,39 +127,21 @@ func decodeSpan(buf []byte) (Span, error) {
 // stay backward compatible.
 func DecodeDump(buf []byte) (Dump, error) {
 	var d Dump
-	if len(buf) < len(dumpMagic)+4 {
-		return d, fmt.Errorf("%w: short prelude", ErrCorrupt)
+	if err := dumpFormat.CheckPrelude(buf); err != nil {
+		return d, cutIsCorrupt(err)
 	}
-	if string(buf[:len(dumpMagic)]) != dumpMagic {
-		return d, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	if v := binary.LittleEndian.Uint32(buf[len(dumpMagic):]); v != dumpVersion {
-		return d, fmt.Errorf("%w: %d", ErrVersion, v)
-	}
-	at := len(dumpMagic) + 4
+	rest := buf[chunk.PreludeBytes:]
 	sawHeader, sawTrailer := false, false
 	var count uint64
-	for at < len(buf) {
+	for len(rest) > 0 {
 		if sawTrailer {
-			return d, fmt.Errorf("%w: %d stray bytes after trailer", ErrCorrupt, len(buf)-at)
+			return d, fmt.Errorf("%w: %d stray bytes after trailer", ErrCorrupt, len(rest))
 		}
-		if len(buf)-at < 5 {
-			return d, fmt.Errorf("%w: truncated chunk frame", ErrCorrupt)
+		typ, payload, next, err := dumpFormat.Cut(rest)
+		if err != nil {
+			return d, cutIsCorrupt(err)
 		}
-		typ := buf[at]
-		n := binary.LittleEndian.Uint32(buf[at+1:])
-		if n > maxDumpChunk {
-			return d, fmt.Errorf("%w: chunk length %d exceeds limit", ErrCorrupt, n)
-		}
-		end := at + 5 + int(n)
-		if end+4 > len(buf) {
-			return d, fmt.Errorf("%w: chunk overruns dump", ErrCorrupt)
-		}
-		if got, want := crc32.ChecksumIEEE(buf[at:end]), binary.LittleEndian.Uint32(buf[end:]); got != want {
-			return d, fmt.Errorf("%w: chunk CRC mismatch", ErrCorrupt)
-		}
-		payload := buf[at+5 : end]
-		at = end + 4
+		rest = next
 		switch typ {
 		case chunkHeader:
 			if sawHeader {
@@ -225,6 +188,15 @@ func DecodeDump(buf []byte) (Dump, error) {
 		return d, fmt.Errorf("%w: trailer count %d != %d spans", ErrCorrupt, count, len(d.Spans))
 	}
 	return d, nil
+}
+
+// cutIsCorrupt reports a dump cut short as ErrCorrupt: unlike a trace or
+// a wire stream, a dump has no partial form worth keeping.
+func cutIsCorrupt(err error) error {
+	if errors.Is(err, chunk.ErrTruncated) {
+		return fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return err
 }
 
 // spanJSON is the rendered form of one span for /flight and watch.

@@ -31,7 +31,7 @@ func newCaptureWriter(path string) (*captureWriter, error) {
 		return nil, err
 	}
 	w := bufio.NewWriter(f)
-	if err := writePrelude(w); err != nil {
+	if _, err := w.Write(wire.AppendPrelude(nil)); err != nil {
 		f.Close()
 		os.Remove(path)
 		return nil, err
@@ -74,12 +74,12 @@ func ReadCapture(path string) ([]gateway.FrameEvent, error) {
 	}
 	defer f.Close()
 	r := bufio.NewReader(f)
-	if err := readPrelude(r); err != nil {
+	if err := wire.ReadPrelude(r); err != nil {
 		return nil, fmt.Errorf("server: capture %s: %w", path, err)
 	}
 	var events []gateway.FrameEvent
 	for {
-		typ, payload, err := readMsg(r)
+		typ, payload, err := wire.Read(r)
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return events, nil

@@ -115,15 +115,15 @@ func Dial(addr string) (*Client, error) {
 func handshake(conn net.Conn) (*Client, error) {
 	c := &Client{conn: conn, r: bufio.NewReader(conn)}
 	conn.SetDeadline(time.Now().Add(clientIOTimeout))
-	if err := writePrelude(conn); err != nil {
+	if _, err := conn.Write(wire.AppendPrelude(nil)); err != nil {
 		conn.Close()
 		return nil, err
 	}
-	if err := readPrelude(c.r); err != nil {
+	if err := wire.ReadPrelude(c.r); err != nil {
 		conn.Close()
 		return nil, err
 	}
-	typ, payload, err := readMsg(c.r)
+	typ, payload, err := wire.Read(c.r)
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -231,7 +231,7 @@ func (c *Client) StopCapture() error { return c.write(msgCaptureStop, nil) }
 // EventError instead of a bye, then closes.
 func (c *Client) Next() (Event, error) {
 	for {
-		typ, payload, err := readMsg(c.r)
+		typ, payload, err := wire.Read(c.r)
 		if err != nil {
 			return Event{}, err
 		}

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"saiyan/internal/chunk"
 	"saiyan/internal/flight"
 	"saiyan/internal/gateway"
 	"saiyan/internal/health"
@@ -394,11 +395,11 @@ func (s *Server) admit(conn net.Conn) {
 	}
 	deadline := time.Now().Add(s.cfg.WriteTimeout)
 	conn.SetDeadline(deadline)
-	if err := writePrelude(conn); err != nil {
+	if _, err := conn.Write(wire.AppendPrelude(nil)); err != nil {
 		conn.Close()
 		return
 	}
-	if err := readPrelude(conn); err != nil {
+	if err := wire.ReadPrelude(conn); err != nil {
 		s.cfg.Logf("server: %s rejected: %v", conn.RemoteAddr(), err)
 		conn.Close()
 		return
@@ -460,15 +461,15 @@ func (s *Server) readLoop(c *client) {
 	defer s.wg.Done()
 	defer s.drop(c)
 	for {
-		typ, payload, err := readMsg(c.conn)
+		typ, payload, err := wire.Read(c.conn)
 		if err != nil {
 			return
 		}
 		switch typ {
 		case msgSubscribe:
-			d := &decoder{buf: payload}
-			mask := d.u8()
-			if d.done() != nil {
+			d := chunk.NewCursor(payload)
+			mask := d.U8()
+			if d.Done() != nil {
 				s.reject(c, fmt.Errorf("%w: malformed subscribe", ErrCorrupt))
 				continue
 			}
@@ -525,7 +526,7 @@ func (s *Server) reject(c *client, err error) {
 	if merr != nil {
 		return
 	}
-	s.send(c, c.metrics, appendMsg(nil, msgError, payload), &c.metricsSent, &c.metricsDropped)
+	s.send(c, c.metrics, chunk.Append(nil, msgError, payload), &c.metricsSent, &c.metricsDropped)
 }
 
 // send enqueues one framed message without blocking: a full queue counts a
@@ -593,7 +594,7 @@ func (s *Server) writeLoop(c *client) {
 				case msg := <-c.metrics:
 					if !write(msg) {
 						// A drain failure must still drop the client:
-						// readLoop is blocked in readMsg until the conn
+						// readLoop is blocked in wire.Read until the conn
 						// closes, and shutdown's wg.Wait needs it back.
 						s.evict(c)
 						return
@@ -611,7 +612,7 @@ func (s *Server) writeLoop(c *client) {
 			farewell := s.farewell
 			s.mu.Unlock()
 			if farewell == nil {
-				farewell = appendMsg(nil, msgBye, nil)
+				farewell = chunk.Append(nil, msgBye, nil)
 			}
 			write(farewell)
 			c.conn.Close()
@@ -635,7 +636,7 @@ func (s *Server) onFrame(ev gateway.FrameEvent) {
 			continue
 		}
 		if msg == nil {
-			msg = appendMsg(nil, msgFrame, encodeFrameEvent(make([]byte, 0, frameEventBytes), ev))
+			msg = chunk.Append(nil, msgFrame, encodeFrameEvent(make([]byte, 0, frameEventBytes), ev))
 		}
 		before := c.framesDropped.Load()
 		s.send(c, c.frames, msg, &c.framesSent, &c.framesDropped)
@@ -676,7 +677,7 @@ func (s *Server) onDump(d flight.Dump) {
 			continue
 		}
 		if msg == nil {
-			msg = appendMsg(nil, msgFlight, flight.EncodeDump(nil, d))
+			msg = chunk.Append(nil, msgFlight, flight.EncodeDump(nil, d))
 		}
 		s.send(c, c.metrics, msg, &c.metricsSent, &c.metricsDropped)
 	}
@@ -698,7 +699,7 @@ func (s *Server) publishEpoch(rep gateway.EpochReport) {
 		// one-epoch lag for server-plane series), then marshal the delta
 		// the seal built — these bytes are the 0x19 payload.
 		s.healthDrops.Append(rep.Epoch, float64(s.fanoutDrops.Load()))
-		healthMsg = appendMsg(nil, msgHealth, s.cfg.Health.DeltaJSON())
+		healthMsg = chunk.Append(nil, msgHealth, s.cfg.Health.DeltaJSON())
 	}
 	repJSON, err := json.Marshal(rep)
 	if err != nil {
@@ -711,12 +712,12 @@ func (s *Server) publishEpoch(rep gateway.EpochReport) {
 		return
 	}
 	s.snapJSON.Store(snapJSON)
-	repMsg := appendMsg(nil, msgEpoch, repJSON)
-	snapMsg := appendMsg(nil, msgSnapshot, snapJSON)
+	repMsg := chunk.Append(nil, msgEpoch, repJSON)
+	snapMsg := chunk.Append(nil, msgSnapshot, snapJSON)
 	var obsMsg []byte
 	if s.cfg.Metrics != nil {
 		if dump, err := json.Marshal(s.cfg.Metrics.Snapshot()); err == nil {
-			obsMsg = appendMsg(nil, msgObs, dump)
+			obsMsg = chunk.Append(nil, msgObs, dump)
 		} else {
 			s.cfg.Logf("server: obs dump marshal: %v", err)
 		}
@@ -751,7 +752,7 @@ func (s *Server) publishEpoch(rep gateway.EpochReport) {
 			BytesWritten:   c.bytesWritten.Load(),
 		}
 		if payload, err := json.Marshal(stats); err == nil {
-			s.send(c, c.metrics, appendMsg(nil, msgClientStats, payload), &c.metricsSent, &c.metricsDropped)
+			s.send(c, c.metrics, chunk.Append(nil, msgClientStats, payload), &c.metricsSent, &c.metricsDropped)
 		}
 	}
 	s.mu.Unlock()
@@ -857,7 +858,7 @@ func (s *Server) shutdown(serveErr error) {
 	s.closing = true
 	if serveErr != nil {
 		if payload, err := json.Marshal(map[string]string{"error": serveErr.Error()}); err == nil {
-			s.farewell = appendMsg(nil, msgError, payload)
+			s.farewell = chunk.Append(nil, msgError, payload)
 		}
 	}
 	clients := make([]*client, 0, len(s.clients))

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"saiyan/internal/chunk"
 	"saiyan/internal/gateway"
 	"saiyan/internal/health"
 )
@@ -456,7 +457,7 @@ func TestWriteLoopDrainFailureUnblocksShutdown(t *testing.T) {
 		stop:    make(chan struct{}),
 	}
 	s.clients[c] = struct{}{}
-	c.frames <- appendMsg(nil, msgFrame, make([]byte, frameEventBytes))
+	c.frames <- chunk.Append(nil, msgFrame, make([]byte, frameEventBytes))
 	c.stopOnce.Do(func() { close(c.stop) })
 
 	s.wg.Add(2)
@@ -489,20 +490,20 @@ func TestServeErrorFarewell(t *testing.T) {
 	}
 	s.clients[c] = struct{}{}
 	s.mu.Lock()
-	s.farewell = appendMsg(nil, msgError, []byte(`{"error":"gateway exploded"}`))
+	s.farewell = chunk.Append(nil, msgError, []byte(`{"error":"gateway exploded"}`))
 	s.mu.Unlock()
 	c.stopOnce.Do(func() { close(c.stop) })
 	s.wg.Add(1)
 	go s.writeLoop(c)
 
-	typ, payload, err := readMsg(peer)
+	typ, payload, err := wire.Read(peer)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if typ != msgError || !strings.Contains(string(payload), "gateway exploded") {
 		t.Fatalf("farewell message type=0x%02x payload=%q, want the serve error", typ, payload)
 	}
-	if _, _, err := readMsg(peer); err == nil {
+	if _, _, err := wire.Read(peer); err == nil {
 		t.Fatal("a bye followed the error farewell; the stream should just end")
 	}
 	peer.Close()

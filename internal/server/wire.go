@@ -19,15 +19,10 @@
 // streamed to health subscribers of servers running with a health store
 // attached.
 //
-// Both directions open with a 12-byte prelude and then exchange CRC-framed
-// messages, reusing the chunk idiom of internal/trace:
-//
-//	stream  := magic(8) version(u32) message*
-//	magic   := "SAIYWIR\x00"
-//	message := type(u8) length(u32) payload(length bytes) crc32(u32)
-//
-// All integers are little-endian; the CRC-32 (IEEE) covers the type byte,
-// the length field, and the payload. Client-to-server message types:
+// Both directions are a chunk stream (see internal/chunk for the prelude,
+// the framing and the CRC) with magic "SAIYWIR\x00"; each chunk is one
+// message and its type byte is the message type. Client-to-server message
+// types:
 //
 //	0x01 subscribe    — u8 bitmask: 1 = frame events, 2 = epoch metrics,
 //	                    4 = flight anomaly dumps, 8 = health deltas
@@ -82,18 +77,20 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 
+	"saiyan/internal/chunk"
 	"saiyan/internal/gateway"
 )
 
 // Version is the wire protocol version this package speaks.
 const Version = 4
 
-// wireMagic opens every protocol stream (and every capture file).
-const wireMagic = "SAIYWIR\x00"
+// wire frames every protocol stream and every capture file. Protocol
+// messages are small — the largest is a Snapshot of a big deployment — so
+// a payload beyond 16 MiB is corruption, not load.
+var wire = chunk.Format{Name: "server", Magic: "SAIYWIR\x00", Version: Version, MaxPayload: 16 << 20}
 
 // Message types, client to server.
 const (
@@ -128,103 +125,25 @@ const (
 	subHealth  = 1 << 3
 )
 
-// maxMsgBytes bounds a single message payload (16 MiB). Protocol messages
-// are small — the largest is a Snapshot of a big deployment — so anything
-// beyond this is corruption, not load.
-const maxMsgBytes = 16 << 20
-
-// Sentinel errors; test with errors.Is.
+// Sentinel errors; test with errors.Is. The first three are shared with
+// internal/chunk.
 var (
 	// ErrCorrupt marks structural damage on the wire: bad magic, a CRC
 	// mismatch, an impossible length, or a malformed payload.
-	ErrCorrupt = errors.New("server: corrupt message")
+	ErrCorrupt = chunk.ErrCorrupt
 	// ErrTruncated marks a stream that ended mid-message.
-	ErrTruncated = errors.New("server: truncated stream")
+	ErrTruncated = chunk.ErrTruncated
 	// ErrVersion marks a peer speaking a protocol version this build does
 	// not understand.
-	ErrVersion = errors.New("server: unsupported protocol version")
+	ErrVersion = chunk.ErrVersion
 	// ErrUnknownType marks a message type outside the protocol.
 	ErrUnknownType = errors.New("server: unknown message type")
 )
 
-// writePrelude sends the protocol magic and version.
-func writePrelude(w io.Writer) error {
-	buf := make([]byte, 0, len(wireMagic)+4)
-	buf = append(buf, wireMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, Version)
-	_, err := w.Write(buf)
-	return err
-}
-
-// readPrelude validates the peer's magic and version.
-func readPrelude(r io.Reader) error {
-	buf := make([]byte, len(wireMagic)+4)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return fmt.Errorf("%w: stream ended inside the prelude", ErrTruncated)
-		}
-		return err
-	}
-	if string(buf[:len(wireMagic)]) != wireMagic {
-		return fmt.Errorf("%w: bad protocol magic", ErrCorrupt)
-	}
-	if v := binary.LittleEndian.Uint32(buf[len(wireMagic):]); v != Version {
-		return fmt.Errorf("%w: peer speaks version %d, this build speaks %d", ErrVersion, v, Version)
-	}
-	return nil
-}
-
-// appendMsg appends one fully framed message (type, length, payload, CRC)
-// to dst. Fanout encodes once and shares the bytes across every client.
-func appendMsg(dst []byte, typ byte, payload []byte) []byte {
-	start := len(dst)
-	dst = append(dst, typ)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = append(dst, payload...)
-	crc := crc32.ChecksumIEEE(dst[start:])
-	return binary.LittleEndian.AppendUint32(dst, crc)
-}
-
 // writeMsg frames and writes one message.
 func writeMsg(w io.Writer, typ byte, payload []byte) error {
-	_, err := w.Write(appendMsg(nil, typ, payload))
+	_, err := w.Write(chunk.Append(nil, typ, payload))
 	return err
-}
-
-// readMsg reads and verifies one framed message. A stream that ends cleanly
-// between messages returns io.EOF; one that ends inside a message returns
-// ErrTruncated.
-func readMsg(r io.Reader) (typ byte, payload []byte, err error) {
-	head := make([]byte, 5)
-	if _, err := io.ReadFull(r, head); err != nil {
-		if err == io.EOF {
-			return 0, nil, io.EOF
-		}
-		if err == io.ErrUnexpectedEOF {
-			return 0, nil, fmt.Errorf("%w: stream ended inside a message header", ErrTruncated)
-		}
-		return 0, nil, err
-	}
-	typ = head[0]
-	n := binary.LittleEndian.Uint32(head[1:])
-	if n > maxMsgBytes {
-		return 0, nil, fmt.Errorf("%w: message claims %d bytes (max %d)", ErrCorrupt, n, maxMsgBytes)
-	}
-	body := make([]byte, int(n)+4)
-	if _, err := io.ReadFull(r, body); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return 0, nil, fmt.Errorf("%w: stream ended inside a message body", ErrTruncated)
-		}
-		return 0, nil, err
-	}
-	payload = body[:n]
-	want := binary.LittleEndian.Uint32(body[n:])
-	crc := crc32.ChecksumIEEE(head)
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	if crc != want {
-		return 0, nil, fmt.Errorf("%w: message CRC mismatch", ErrCorrupt)
-	}
-	return typ, payload, nil
 }
 
 // Frame-event flag bits.
@@ -271,89 +190,25 @@ func encodeFrameEvent(dst []byte, ev gateway.FrameEvent) []byte {
 	return dst
 }
 
-// decoder is a bounds-checked cursor over one message payload (the
-// internal/trace idiom: the first overrun latches ErrCorrupt).
-type decoder struct {
-	buf []byte
-	at  int
-	err error
-}
-
-func (d *decoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || d.at+n > len(d.buf) {
-		d.err = fmt.Errorf("%w: field overruns payload (%d+%d > %d)", ErrCorrupt, d.at, n, len(d.buf))
-		return nil
-	}
-	b := d.buf[d.at : d.at+n]
-	d.at += n
-	return b
-}
-
-func (d *decoder) u8() byte {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *decoder) u16() uint16 {
-	b := d.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-func (d *decoder) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (d *decoder) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-// done requires the cursor to have consumed the whole payload.
-func (d *decoder) done() error {
-	if d.err != nil {
-		return d.err
-	}
-	if d.at != len(d.buf) {
-		return fmt.Errorf("%w: %d stray bytes after payload", ErrCorrupt, len(d.buf)-d.at)
-	}
-	return nil
-}
-
 // decodeFrameEvent parses one frame-message payload.
 func decodeFrameEvent(buf []byte) (gateway.FrameEvent, error) {
-	d := &decoder{buf: buf}
+	d := chunk.NewCursor(buf)
 	ev := gateway.FrameEvent{
-		Epoch:   int(int32(d.u32())),
-		Channel: int(d.u8()),
-		Tag:     int(int32(d.u32())),
-		RateK:   int(d.u8()),
-		Seq:     d.u64(),
+		Epoch:   int(int32(d.U32())),
+		Channel: int(d.U8()),
+		Tag:     int(int32(d.U32())),
+		RateK:   int(d.U8()),
+		Seq:     d.U64(),
 	}
-	flags := d.u8()
+	flags := d.U8()
 	ev.Retransmit = flags&evRetransmit != 0
 	ev.Detected = flags&evDetected != 0
 	ev.Correct = flags&evCorrect != 0
 	ev.Fresh = flags&evFresh != 0
-	ev.SymbolErrs = int(int32(d.u32()))
-	ev.OffsetSamples = int64(d.u64())
-	ev.RSSDBm = math.Float64frombits(d.u64())
-	if err := d.done(); err != nil {
+	ev.SymbolErrs = int(int32(d.U32()))
+	ev.OffsetSamples = int64(d.U64())
+	ev.RSSDBm = math.Float64frombits(d.U64())
+	if err := d.Done(); err != nil {
 		return gateway.FrameEvent{}, err
 	}
 	return ev, nil
@@ -372,10 +227,10 @@ func encodeRateOverride(tag, k int) []byte {
 }
 
 func decodeRateOverride(buf []byte) (tag, k int, err error) {
-	d := &decoder{buf: buf}
-	tag = int(int32(d.u32()))
-	k = int(d.u8())
-	if err := d.done(); err != nil {
+	d := chunk.NewCursor(buf)
+	tag = int(int32(d.U32()))
+	k = int(d.U8())
+	if err := d.Done(); err != nil {
 		return 0, 0, err
 	}
 	return tag, k, nil
@@ -399,19 +254,15 @@ func encodeChannelPlan(moves []TagMove) ([]byte, error) {
 }
 
 func decodeChannelPlan(buf []byte) ([]TagMove, error) {
-	d := &decoder{buf: buf}
-	n := int(d.u16())
-	if d.err == nil && n*5 > len(buf)-d.at {
-		return nil, fmt.Errorf("%w: %d moves overrun payload (%d bytes left)", ErrCorrupt, n, len(buf)-d.at)
-	}
-	moves := make([]TagMove, 0, n)
-	for i := 0; i < n; i++ {
-		tag := int(int32(d.u32()))
-		ch := int(d.u8())
-		moves = append(moves, TagMove{Tag: tag, Channel: ch})
-	}
-	if err := d.done(); err != nil {
+	d := chunk.NewCursor(buf)
+	n := int(d.U16())
+	entries := chunk.NewCursor(d.Bytes(5 * n))
+	if err := d.Done(); err != nil {
 		return nil, err
+	}
+	moves := make([]TagMove, n)
+	for i := range moves {
+		moves[i] = TagMove{Tag: int(int32(entries.U32())), Channel: int(entries.U8())}
 	}
 	return moves, nil
 }
@@ -426,10 +277,10 @@ func encodeString(s string) ([]byte, error) {
 }
 
 func decodeString(buf []byte) (string, error) {
-	d := &decoder{buf: buf}
-	n := int(d.u16())
-	b := d.take(n)
-	if err := d.done(); err != nil {
+	d := chunk.NewCursor(buf)
+	n := int(d.U16())
+	b := d.Bytes(n)
+	if err := d.Done(); err != nil {
 		return "", err
 	}
 	return string(b), nil

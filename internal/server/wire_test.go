@@ -6,86 +6,29 @@ import (
 	"io"
 	"testing"
 
+	"saiyan/internal/chunk"
 	"saiyan/internal/gateway"
 )
 
-func TestMsgRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeMsg(&buf, msgEpoch, []byte(`{"epoch":1}`)); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeMsg(&buf, msgBye, nil); err != nil {
-		t.Fatal(err)
-	}
-	r := bytes.NewReader(buf.Bytes())
-	typ, payload, err := readMsg(r)
-	if err != nil || typ != msgEpoch || string(payload) != `{"epoch":1}` {
-		t.Fatalf("first message: typ=0x%02x payload=%q err=%v", typ, payload, err)
-	}
-	typ, payload, err = readMsg(r)
-	if err != nil || typ != msgBye || len(payload) != 0 {
-		t.Fatalf("second message: typ=0x%02x payload=%q err=%v", typ, payload, err)
-	}
-	if _, _, err := readMsg(r); err != io.EOF {
-		t.Fatalf("after last message: %v, want io.EOF", err)
-	}
-}
-
-func TestMsgCorruption(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeMsg(&buf, msgFrame, []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-
-	// Every truncation point inside the message is ErrTruncated.
-	for cut := 1; cut < len(full); cut++ {
-		_, _, err := readMsg(bytes.NewReader(full[:cut]))
-		if !errors.Is(err, ErrTruncated) {
-			t.Fatalf("cut at %d: %v, want ErrTruncated", cut, err)
-		}
-	}
-	// Every single-bit flip is ErrCorrupt (or an implausible-length
-	// ErrCorrupt — same sentinel either way).
-	for i := range full {
-		for bit := 0; bit < 8; bit++ {
-			mut := append([]byte(nil), full...)
-			mut[i] ^= 1 << bit
-			_, _, err := readMsg(bytes.NewReader(mut))
-			if err == nil {
-				// A flip inside the length field can make the message
-				// longer than the buffer — that reads as truncated.
-				t.Fatalf("flip byte %d bit %d: no error", i, bit)
-			}
-			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTruncated) {
-				t.Fatalf("flip byte %d bit %d: %v, want ErrCorrupt/ErrTruncated", i, bit, err)
-			}
-		}
-	}
-}
-
 func TestPreludeVersion(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writePrelude(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := readPrelude(bytes.NewReader(buf.Bytes())); err != nil {
+	buf := wire.AppendPrelude(nil)
+	if err := wire.ReadPrelude(bytes.NewReader(buf)); err != nil {
 		t.Fatalf("round trip: %v", err)
 	}
 	// Wrong version.
-	mut := append([]byte(nil), buf.Bytes()...)
+	mut := append([]byte(nil), buf...)
 	mut[len(mut)-4] ^= 0xFF
-	if err := readPrelude(bytes.NewReader(mut)); !errors.Is(err, ErrVersion) {
+	if err := wire.ReadPrelude(bytes.NewReader(mut)); !errors.Is(err, ErrVersion) {
 		t.Fatalf("bad version: %v, want ErrVersion", err)
 	}
 	// Wrong magic.
-	mut = append([]byte(nil), buf.Bytes()...)
+	mut = append([]byte(nil), buf...)
 	mut[0] ^= 0xFF
-	if err := readPrelude(bytes.NewReader(mut)); !errors.Is(err, ErrCorrupt) {
+	if err := wire.ReadPrelude(bytes.NewReader(mut)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bad magic: %v, want ErrCorrupt", err)
 	}
 	// Short prelude.
-	if err := readPrelude(bytes.NewReader(mut[:5])); !errors.Is(err, ErrTruncated) {
+	if err := wire.ReadPrelude(bytes.NewReader(mut[:5])); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("short prelude: %v, want ErrTruncated", err)
 	}
 }
@@ -169,9 +112,9 @@ func mustEncodeString(t *testing.T, s string) []byte {
 func decodeAny(typ byte, payload []byte) error {
 	switch typ {
 	case msgSubscribe:
-		d := &decoder{buf: payload}
-		d.u8()
-		return d.done()
+		d := chunk.NewCursor(payload)
+		d.U8()
+		return d.Done()
 	case msgPause, msgResume, msgCaptureStop, msgBye:
 		return nil
 	case msgRateOverride:
@@ -199,7 +142,7 @@ func decodeAny(typ byte, payload []byte) error {
 // errors; nothing may panic.
 func FuzzWireFrame(f *testing.F) {
 	var seed bytes.Buffer
-	writePrelude(&seed)
+	seed.Write(wire.AppendPrelude(nil))
 	writeMsg(&seed, msgSubscribe, []byte{subFrames | subMetrics})
 	writeMsg(&seed, msgRateOverride, encodeRateOverride(2, 3))
 	plan, _ := encodeChannelPlan([]TagMove{{Tag: 1, Channel: 1}})
@@ -211,7 +154,7 @@ func FuzzWireFrame(f *testing.F) {
 	full := seed.Bytes()
 	f.Add(full)
 	f.Add(full[:len(full)-3])
-	f.Add([]byte(wireMagic))
+	f.Add([]byte(wire.Magic))
 	mut := append([]byte(nil), full...)
 	mut[20] ^= 0x10
 	f.Add(mut)
@@ -223,17 +166,17 @@ func FuzzWireFrame(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
-		if err := readPrelude(r); err != nil {
+		if err := wire.ReadPrelude(r); err != nil {
 			if !allowed(err) {
 				t.Fatalf("prelude: unexpected error type: %v", err)
 			}
 			return
 		}
 		for {
-			typ, payload, err := readMsg(r)
+			typ, payload, err := wire.Read(r)
 			if err != nil {
 				if !allowed(err) {
-					t.Fatalf("readMsg: unexpected error type: %v", err)
+					t.Fatalf("wire.Read: unexpected error type: %v", err)
 				}
 				return
 			}

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 )
@@ -61,15 +60,8 @@ func (r *Reader) begin() error {
 		r.gz = gz
 		r.br = bufio.NewReader(gz)
 	}
-	var pre [12]byte
-	if _, err := io.ReadFull(r.br, pre[:]); err != nil {
-		return fmt.Errorf("%w: reading prelude: %v", ErrTruncated, err)
-	}
-	if string(pre[:8]) != magic {
-		return fmt.Errorf("%w: bad magic %q", ErrCorrupt, pre[:8])
-	}
-	if v := binary.LittleEndian.Uint32(pre[8:]); v != Version {
-		return fmt.Errorf("%w: file version %d, reader supports %d", ErrVersion, v, Version)
+	if err := traceFormat.ReadPrelude(r.br); err != nil {
+		return readErr(err)
 	}
 	typ, payload, err := r.readChunk()
 	if err == io.EOF {
@@ -94,33 +86,19 @@ func (r *Reader) Header() Header { return r.hdr }
 func (r *Reader) Frames() uint64 { return r.frames }
 
 // readChunk reads and CRC-verifies one chunk. io.EOF at a chunk boundary
-// is returned as-is; any other short read becomes ErrTruncated.
+// is returned as-is.
 func (r *Reader) readChunk() (byte, []byte, error) {
-	var head [5]byte
-	if _, err := io.ReadFull(r.br, head[:1]); err != nil {
-		if err == io.EOF {
-			return 0, nil, io.EOF
-		}
-		return 0, nil, fmt.Errorf("%w: reading chunk type: %v", ErrTruncated, err)
+	typ, payload, err := traceFormat.Read(r.br)
+	return typ, payload, readErr(err)
+}
+
+// readErr keeps the reader's error contract: a failure below the chunk
+// layer (the file or the gzip layer) reads as a truncated trace.
+func readErr(err error) error {
+	if err == nil || err == io.EOF || errors.Is(err, ErrCorrupt) || errors.Is(err, ErrTruncated) || errors.Is(err, ErrVersion) {
+		return err
 	}
-	if _, err := io.ReadFull(r.br, head[1:]); err != nil {
-		return 0, nil, fmt.Errorf("%w: reading chunk length: %v", ErrTruncated, err)
-	}
-	n := binary.LittleEndian.Uint32(head[1:])
-	if n > maxChunkBytes {
-		return 0, nil, fmt.Errorf("%w: chunk of %d bytes exceeds the %d byte limit", ErrCorrupt, n, maxChunkBytes)
-	}
-	body := make([]byte, n+4) // payload + crc
-	if _, err := io.ReadFull(r.br, body); err != nil {
-		return 0, nil, fmt.Errorf("%w: reading chunk body: %v", ErrTruncated, err)
-	}
-	payload := body[:n]
-	crc := crc32.ChecksumIEEE(head[:])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	if got := binary.LittleEndian.Uint32(body[n:]); got != crc {
-		return 0, nil, fmt.Errorf("%w: chunk CRC %08x, computed %08x", ErrCorrupt, got, crc)
-	}
-	return head[0], payload, nil
+	return fmt.Errorf("%w: %v", ErrTruncated, err)
 }
 
 // Next returns the next frame record. It returns io.EOF after a complete

@@ -15,17 +15,10 @@
 //
 // # Format (version 1)
 //
-// A trace is a magic string, a format version, and a sequence of CRC-framed
-// chunks, optionally wrapped in gzip (writers compress when the file name
-// ends in ".gz"; readers sniff the gzip magic and decompress transparently):
-//
-//	file    := magic(8) version(u32) chunk*
-//	magic   := "SAIYTRC\x00"
-//	chunk   := type(u8) length(u32) payload(length bytes) crc32(u32)
-//
-// All integers are little-endian. The CRC-32 (IEEE) covers the type byte,
-// the length field, and the payload, so every byte after the version field
-// is integrity-checked. Chunk types:
+// A trace is a chunk stream (see internal/chunk for the prelude, the
+// framing and the CRC) with magic "SAIYTRC\x00", optionally wrapped in
+// gzip: writers compress when the file name ends in ".gz"; readers sniff
+// the gzip magic and decompress transparently. Chunk types:
 //
 //	1  header  — JSON-encoded Header; must be the first chunk
 //	2  frame   — one binary Record (see encodeRecord)
@@ -41,10 +34,9 @@ package trace
 
 import (
 	"encoding/binary"
-	"errors"
-	"fmt"
 	"math"
 
+	"saiyan/internal/chunk"
 	"saiyan/internal/core"
 	"saiyan/internal/radio"
 )
@@ -52,8 +44,9 @@ import (
 // Version is the trace format version this package reads and writes.
 const Version = 1
 
-// magic identifies a trace stream (after optional gzip decompression).
-const magic = "SAIYTRC\x00"
+// traceFormat frames trace streams. The payload limit (64 MiB) protects
+// readers of corrupt or adversarial files from unbounded allocations.
+var traceFormat = chunk.Format{Name: "trace", Magic: "SAIYTRC\x00", Version: Version, MaxPayload: 64 << 20}
 
 // Chunk types.
 const (
@@ -62,21 +55,17 @@ const (
 	chunkTrailer = 3
 )
 
-// maxChunkBytes bounds a single chunk payload (64 MiB), protecting readers
-// of corrupt or adversarial files from unbounded allocations.
-const maxChunkBytes = 64 << 20
-
-// Sentinel errors. Reader methods wrap these with positional detail;
-// test with errors.Is.
+// Sentinel errors, shared with internal/chunk. Reader methods wrap these
+// with positional detail; test with errors.Is.
 var (
 	// ErrCorrupt marks structural damage: bad magic, a CRC mismatch, an
 	// impossible length field, or a malformed record.
-	ErrCorrupt = errors.New("trace: corrupt")
+	ErrCorrupt = chunk.ErrCorrupt
 	// ErrTruncated marks a stream that ended before its trailer chunk;
 	// records read before the cut remain valid.
-	ErrTruncated = errors.New("trace: truncated")
+	ErrTruncated = chunk.ErrTruncated
 	// ErrVersion marks a format version this package does not understand.
-	ErrVersion = errors.New("trace: unsupported version")
+	ErrVersion = chunk.ErrVersion
 )
 
 // Header is the trace-wide metadata, serialized as JSON in the first chunk.
@@ -188,93 +177,26 @@ func appendF64s(dst []byte, vals []float64) []byte {
 	return dst
 }
 
-// decoder is a bounds-checked cursor over one chunk payload.
-type decoder struct {
-	buf []byte
-	at  int
-	err error
-}
-
-func (d *decoder) take(n int) []byte {
-	if d.err != nil {
+// u16s reads a u32 count and that many u16 values; an empty list is nil.
+func u16s(d *chunk.Cursor) []uint16 {
+	b := d.Bytes(2 * d.Count(2))
+	if len(b) == 0 {
 		return nil
 	}
-	if n < 0 || d.at+n > len(d.buf) {
-		d.err = fmt.Errorf("%w: record field overruns chunk (%d+%d > %d)", ErrCorrupt, d.at, n, len(d.buf))
-		return nil
-	}
-	b := d.buf[d.at : d.at+n]
-	d.at += n
-	return b
-}
-
-func (d *decoder) u8() byte {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *decoder) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (d *decoder) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-// count reads an element count and validates it against the bytes left in
-// the chunk BEFORE any int conversion or multiplication, so a hostile
-// count (e.g. 2^31 on a 32-bit platform) yields ErrCorrupt, never an
-// overflowed bounds check or panic.
-func (d *decoder) count(elemBytes int) int {
-	n := d.u32()
-	if d.err != nil {
-		return 0
-	}
-	if uint64(n)*uint64(elemBytes) > uint64(len(d.buf)-d.at) {
-		d.err = fmt.Errorf("%w: %d elements of %d bytes overrun chunk (%d bytes left)",
-			ErrCorrupt, n, elemBytes, len(d.buf)-d.at)
-		return 0
-	}
-	return int(n)
-}
-
-func (d *decoder) u16s() []uint16 {
-	n := d.count(2)
-	if n == 0 {
-		return nil
-	}
-	b := d.take(2 * n)
-	if b == nil {
-		return nil
-	}
-	vals := make([]uint16, n)
+	vals := make([]uint16, len(b)/2)
 	for i := range vals {
 		vals[i] = binary.LittleEndian.Uint16(b[2*i:])
 	}
 	return vals
 }
 
-func (d *decoder) f64s() []float64 {
-	n := d.count(8)
-	if n == 0 {
+// f64s reads a u32 count and that many f64 values; an empty list is nil.
+func f64s(d *chunk.Cursor) []float64 {
+	b := d.Bytes(8 * d.Count(8))
+	if len(b) == 0 {
 		return nil
 	}
-	b := d.take(8 * n)
-	if b == nil {
-		return nil
-	}
-	vals := make([]float64, n)
+	vals := make([]float64, len(b)/8)
 	for i := range vals {
 		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
@@ -283,36 +205,31 @@ func (d *decoder) f64s() []float64 {
 
 // decodeRecord parses one frame-chunk payload.
 func decodeRecord(buf []byte) (*Record, error) {
-	d := &decoder{buf: buf}
+	d := chunk.NewCursor(buf)
 	r := &Record{
-		Seq:       d.u64(),
-		Tag:       int(int32(d.u32())),
-		RSSDBm:    math.Float64frombits(d.u64()),
-		NoiseSeed: d.u64(),
+		Seq:       d.U64(),
+		Tag:       int(int32(d.U32())),
+		RSSDBm:    math.Float64frombits(d.U64()),
+		NoiseSeed: d.U64(),
 	}
-	flags := d.u8()
+	flags := d.U8()
 	r.Detected = flags&flagDetected != 0
 	r.HasDecoded = flags&flagHasDecoded != 0
-	r.Payload = d.u16s()
+	r.Payload = u16s(d)
 	if flags&flagHasWant != 0 {
-		r.Want = d.u16s()
-		if r.Want == nil && d.err == nil {
+		if r.Want = u16s(d); r.Want == nil {
 			r.Want = []uint16{}
 		}
 	}
 	if r.HasDecoded {
-		r.Decoded = d.u16s()
-		if r.Decoded == nil && d.err == nil {
+		if r.Decoded = u16s(d); r.Decoded == nil {
 			r.Decoded = []uint16{}
 		}
 	}
-	r.Traj = d.f64s()
-	r.Env = d.f64s()
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.at != len(buf) {
-		return nil, fmt.Errorf("%w: %d stray bytes after record", ErrCorrupt, len(buf)-d.at)
+	r.Traj = f64s(d)
+	r.Env = f64s(d)
+	if err := d.Done(); err != nil {
+		return nil, err
 	}
 	return r, nil
 }

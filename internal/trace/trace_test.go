@@ -2,8 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"compress/gzip"
+	"encoding/binary"
 	"errors"
 	"io"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -393,5 +396,51 @@ func TestWriteAfterClose(t *testing.T) {
 	}
 	if err := w.Close(); err == nil {
 		t.Error("second Close cleared the sticky error")
+	}
+}
+
+// TestGoldenTraceReencodes decodes the checked-in golden trace and
+// re-encodes it uncompressed: the prelude, every record chunk and the
+// trailer must equal the gunzipped file byte for byte, so the writer
+// still produces what earlier builds wrote. The header chunk is the one
+// exception: its JSON gained fields (core.Config's Datapath and ADCBits)
+// after the file was recorded, so only its decoded value is compared.
+func TestGoldenTraceReencodes(t *testing.T) {
+	const path = "../pipeline/testdata/golden.trace.gz"
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	gz, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(gz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, recs, err := readAll(t, raw)
+	if err != nil {
+		t.Fatalf("reading %s: %v", path, err)
+	}
+	if len(recs) == 0 {
+		t.Fatalf("%s holds no records", path)
+	}
+	got := encodeTrace(t, hdr, recs)
+	if gotHdr, _, err := readAll(t, got); err != nil || !reflect.DeepEqual(gotHdr, hdr) {
+		t.Fatalf("re-encoded header: %+v, err=%v", gotHdr, err)
+	}
+	// afterHeader returns the bytes behind the header chunk, which
+	// starts right after the 12-byte prelude: type(1) length(4)
+	// payload crc(4).
+	afterHeader := func(b []byte) []byte {
+		return b[12+5+int(binary.LittleEndian.Uint32(b[13:]))+4:]
+	}
+	if !bytes.Equal(got[:12], raw[:12]) {
+		t.Fatalf("prelude % x, file has % x", got[:12], raw[:12])
+	}
+	if a, b := afterHeader(got), afterHeader(raw); !bytes.Equal(a, b) {
+		t.Fatalf("re-encoded records and trailer differ: %d bytes, file has %d", len(a), len(b))
 	}
 }

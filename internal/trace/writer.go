@@ -6,10 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"strings"
+
+	"saiyan/internal/chunk"
 )
 
 // Writer streams a trace: header first, then records in the order
@@ -59,10 +60,8 @@ func Create(path string, hdr Header) (*Writer, error) {
 
 // begin emits the stream prelude and header chunk.
 func (w *Writer) begin(hdr Header) error {
-	var pre [12]byte
-	copy(pre[:], magic)
-	binary.LittleEndian.PutUint32(pre[8:], Version)
-	if _, err := w.w.Write(pre[:]); err != nil {
+	w.buf = traceFormat.AppendPrelude(w.buf[:0])
+	if _, err := w.w.Write(w.buf); err != nil {
 		return err
 	}
 	payload, err := json.Marshal(hdr)
@@ -74,15 +73,10 @@ func (w *Writer) begin(hdr Header) error {
 
 // writeChunk frames one chunk with its CRC.
 func (w *Writer) writeChunk(typ byte, payload []byte) error {
-	if len(payload) > maxChunkBytes {
-		return fmt.Errorf("trace: chunk of %d bytes exceeds the %d byte limit", len(payload), maxChunkBytes)
+	if len(payload) > int(traceFormat.MaxPayload) {
+		return fmt.Errorf("trace: chunk of %d bytes exceeds the %d byte limit", len(payload), traceFormat.MaxPayload)
 	}
-	w.buf = w.buf[:0]
-	w.buf = append(w.buf, typ)
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(payload)))
-	w.buf = append(w.buf, payload...)
-	crc := crc32.ChecksumIEEE(w.buf)
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc)
+	w.buf = chunk.Append(w.buf[:0], typ, payload)
 	_, err := w.w.Write(w.buf)
 	return err
 }

@@ -247,7 +247,10 @@ type (
 	PipelineSource = pipeline.Source
 )
 
-// Trace error sentinels; test with errors.Is.
+// Trace error sentinels; test with errors.Is. Traces, the wire protocol
+// and flight dumps share one framing codec, so ErrTraceCorrupt,
+// ErrTraceTruncated and ErrTraceVersion are the same values as their
+// ErrServer* counterparts.
 var (
 	// ErrTraceCorrupt marks CRC or structural damage in a trace.
 	ErrTraceCorrupt = trace.ErrCorrupt
