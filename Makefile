@@ -19,10 +19,14 @@ bench:
 
 # Bench smoke with results archived as JSON (what the CI full job uploads).
 # One pattern rule cuts every benchmark family's artifact from the same
-# bench.txt: BENCH_pipeline.json carries the full run, the named families
-# filter by benchmark name prefix. Adding a family is one variable line.
+# bench.txt, filtering by benchmark name prefix; adding a family is one
+# variable line. BENCH_pipeline.json carries the per-frame pipeline's
+# worker-scaling runs (BenchmarkPipeline*) only: the BenchmarkFig*/Table*
+# experiment regenerations and the BenchmarkAblation* runs are
+# reproduction workloads, not performance measurements, and stay out of
+# every artifact.
 BENCH_FAMILIES        = pipeline stream gateway fxp flight health render
-BENCH_FILTER_pipeline = Benchmark
+BENCH_FILTER_pipeline = BenchmarkPipeline
 BENCH_FILTER_stream   = BenchmarkStream
 BENCH_FILTER_gateway  = BenchmarkGateway
 # BENCH_fxp.json carries both sides of the float-vs-fxp ns/frame
@@ -94,7 +98,9 @@ vet:
 
 # saiyanvet: the repo's own analyzers (determinism, fxpsat, hotalloc,
 # obsgate, ctxfirst), run through `go vet -vettool` so results cache per
-# package like any other vet pass. Blocking in CI.
+# package like any other vet pass. Blocking in CI. The whole-program
+# dead-code guard cannot run per package, so it is a test instead
+# (internal/lint TestNoUnreferencedDecls) that test-short runs too.
 lint:
 	$(GO) build -o bin/saiyanvet ./cmd/saiyanvet
 	$(GO) vet -vettool=$(CURDIR)/bin/saiyanvet ./...

@@ -17,6 +17,8 @@ import (
 	"testing"
 
 	"saiyan"
+	"saiyan/internal/flight"
+	"saiyan/internal/health"
 )
 
 func benchExperiment(b *testing.B, id string) {
@@ -341,20 +343,6 @@ func BenchmarkDemodulateSymbolFull(b *testing.B) {
 	}
 }
 
-func BenchmarkStandardReceiverSymbol(b *testing.B) {
-	p := saiyan.DefaultParams()
-	rx, err := saiyan.NewReceiver(p, p.BandwidthHz)
-	if err != nil {
-		b.Fatal(err)
-	}
-	iq := p.IQ(nil, 37, p.BandwidthHz)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rx.DemodSymbol(iq)
-	}
-}
-
 func BenchmarkCalibrate(b *testing.B) {
 	cfg := saiyan.DefaultConfig()
 	rng := saiyan.NewRand(9, 9)
@@ -391,7 +379,7 @@ func benchFlightPipeline(b *testing.B, workers, tags int, withFlight bool) {
 			}
 			jobs = append(jobs, saiyan.PipelineJob{
 				Tag: tag.ID, Frame: frame, RSSDBm: tag.RSSDBm, Want: want,
-				Trace: saiyan.FlightTraceID(0, 0, tag.ID, uint64(f)),
+				Trace: flight.TraceID(0, 0, tag.ID, uint64(f)),
 			})
 		}
 	}
@@ -457,8 +445,8 @@ func benchHealthGateway(b *testing.B, workers int, withHealth bool) {
 	cfg.FramesPerTag = 2
 	if withHealth {
 		st, err := saiyan.NewHealthStore(saiyan.HealthOptions{Rules: []saiyan.HealthRule{
-			{Name: "never", Series: "gateway.frames_scheduled", Kind: saiyan.HealthKindThreshold,
-				Op: saiyan.HealthOpAbove, Threshold: 1e18},
+			{Name: "never", Series: "gateway.frames_scheduled", Kind: health.KindThreshold,
+				Op: health.OpAbove, Threshold: 1e18},
 		}})
 		if err != nil {
 			b.Fatal(err)
@@ -469,8 +457,10 @@ func benchHealthGateway(b *testing.B, workers int, withHealth bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := g.Run(context.Background(), 6); err != nil { // warm to steady state
-		b.Fatal(err)
+	for range 6 { // warm to steady state
+		if _, err := g.RunEpoch(context.Background()); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -511,7 +501,7 @@ func TestFlightRecorderAllocNeutral(t *testing.T) {
 			}
 			jobs = append(jobs, saiyan.PipelineJob{
 				Tag: tag.ID, Frame: frame, RSSDBm: tag.RSSDBm, Want: want,
-				Trace: saiyan.FlightTraceID(0, 0, tag.ID, uint64(f)),
+				Trace: flight.TraceID(0, 0, tag.ID, uint64(f)),
 			})
 		}
 	}

@@ -133,7 +133,7 @@
 // all captures through a shared worker pool, and folds the decode results
 // into a per-tag session registry: frame dedup by payload sequence
 // number, sliding-window PRR/SNR/offset accounting. The control loop then
-// adapts every link — RateAdapter picks bits per chirp from a link-margin
+// adapts every link — the rate adapter picks bits per chirp from a link-margin
 // BER model, collapsed delivery windows trigger a hop off degraded
 // channels, missing frames are re-requested and deduplicated on recovery,
 // and SNR drift re-anchors calibration — by synthesizing downlink
@@ -268,7 +268,7 @@
 // symbols at moderate SNR (the parity harness sweeps SNR, coding rate, CFO,
 // and decoder mode), and is bit-exact deterministic — symbol stream and
 // cycle ledger both — at any worker count. Every integer operation is
-// counted into FxpOpCounts, priced by a Cortex-M4-class FxpCycleModel, and
+// counted per operation class, priced by a Cortex-M4-class cycle model, and
 // converted to microwatts by MCUBudget for comparison against the Table 2
 // MCU entry. See examples/fxp and BenchmarkFxp*.
 //
@@ -297,6 +297,7 @@
 // version number only changes when the chunk framing itself changes
 // incompatibly, and readers reject versions they do not know rather than
 // guessing. A file cut short of its trailer stays readable up to the cut
-// and then reports ErrTraceTruncated; flipped bits surface as
-// ErrTraceCorrupt, never as silently wrong samples.
+// and then reports a truncation error — errors.Is(err, ErrServerTruncated)
+// holds, since traces share the wire's framing codec; flipped bits surface
+// as a corruption error, never as silently wrong samples.
 package saiyan

@@ -1,10 +1,5 @@
 package analog
 
-import (
-	"fmt"
-	"math"
-)
-
 // Comparator quantizes the baseband envelope into a binary voltage stream.
 // Saiyan's design (Section 2.2, Eq. (3)) uses two thresholds with
 // hysteresis: the output goes high only when the input exceeds High, and
@@ -13,14 +8,6 @@ import (
 type Comparator struct {
 	High float64 // U_H
 	Low  float64 // U_L
-}
-
-// NewComparator validates that High >= Low.
-func NewComparator(high, low float64) (Comparator, error) {
-	if low > high {
-		return Comparator{}, fmt.Errorf("analog: comparator U_L=%g above U_H=%g", low, high)
-	}
-	return Comparator{High: high, Low: low}, nil
 }
 
 // Quantize implements Eq. (3): B_i depends on A_i and B_{i-1}. The initial
@@ -82,27 +69,4 @@ func LastHighIndex(b []bool) (int, bool) {
 		}
 	}
 	return 0, false
-}
-
-// ThresholdsFromEnvelope derives (U_H, U_L) the way Section 4.1 prescribes:
-// U_H sits gapDB below the observed peak amplitude Amax
-// (G = 20*lg(Amax/U_H)), and U_L sits one ripple amplitude U_F below U_H.
-// The prototype stores these per link distance in a calibration table; the
-// simulator computes them from a reference (training) envelope.
-func ThresholdsFromEnvelope(envelope []float64, gapDB, rippleUF float64) Comparator {
-	amax := 0.0
-	for _, v := range envelope {
-		if v > amax {
-			amax = v
-		}
-	}
-	high := amax / math.Pow(10, gapDB/20)
-	low := high - rippleUF
-	if low < 0 {
-		low = 0
-	}
-	if low > high {
-		low = high
-	}
-	return Comparator{High: high, Low: low}
 }

@@ -11,19 +11,6 @@ type Oscillator struct {
 	PhaseError float64 // radians of CLKout misalignment (0 when tuned)
 }
 
-// Tone writes cos(2*pi*f*t + phase) for n samples at sampleRate into dst.
-func (o Oscillator) Tone(dst []float64, n int, sampleRate, phase float64) []float64 {
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	}
-	dst = dst[:n]
-	w := 2 * math.Pi * o.FreqHz / sampleRate
-	for i := range dst {
-		dst[i] = math.Cos(w*float64(i) + phase)
-	}
-	return dst
-}
-
 // MixReal multiplies a real series by the oscillator tone in place
 // (output mixer / down-conversion to baseband).
 func (o Oscillator) MixReal(x []float64, sampleRate, phase float64) {

@@ -58,12 +58,3 @@ func TestComparatorQuantizeReusesBuffer(t *testing.T) {
 		t.Errorf("len = %d after shrink", len(out2))
 	}
 }
-
-func TestNewSamplerAndComparatorValidation(t *testing.T) {
-	if _, err := NewComparator(1, 2); err == nil {
-		t.Error("NewComparator with U_L > U_H accepted")
-	}
-	if _, err := NewComparator(2, 1); err != nil {
-		t.Errorf("valid comparator rejected: %v", err)
-	}
-}

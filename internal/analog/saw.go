@@ -144,20 +144,6 @@ func (s *SAWFilter) AmplitudeGapDB(bandwidthHz float64) float64 {
 	return s.ResponseDB(top) - s.ResponseDB(top-bandwidthHz)
 }
 
-// Transform maps an instantaneous-frequency trajectory (absolute RF Hz)
-// to the amplitude envelope out of the SAW filter for a unit-amplitude
-// input, writing linear amplitude gains into dst.
-func (s *SAWFilter) Transform(dst, freqHz []float64) []float64 {
-	if cap(dst) < len(freqHz) {
-		dst = make([]float64, len(freqHz))
-	}
-	dst = dst[:len(freqHz)]
-	for i, f := range freqHz {
-		dst[i] = s.Gain(f)
-	}
-	return dst
-}
-
 // InsertionLossDB reports the loss at the passband top (10 dB for the paper
 // device).
 func (s *SAWFilter) InsertionLossDB() float64 {

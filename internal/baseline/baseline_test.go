@@ -141,20 +141,6 @@ func TestUplinkBERRisesWithTagDistance(t *testing.T) {
 	}
 }
 
-func TestPacketPRR(t *testing.T) {
-	if PacketPRR(0, 100) != 1 {
-		t.Error("zero BER should give PRR 1")
-	}
-	if PacketPRR(1, 100) != 0 {
-		t.Error("BER 1 should give PRR 0")
-	}
-	got := PacketPRR(0.01, 100)
-	want := math.Pow(0.99, 100)
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("PRR = %g, want %g", got, want)
-	}
-}
-
 func TestDetectorNames(t *testing.T) {
 	if NewPLoRaDetector(0.01, 50e3).Name() != "PLoRa" {
 		t.Error("PLoRa name")

@@ -144,15 +144,3 @@ func UplinkBERAtGeometry(u Uplink, link radio.BackscatterLink, dTxTag, txRxM flo
 	rng := dsp.NewRand(seed, math.Float64bits(dTxTag))
 	return u.BER(snr, nSymbols, rng)
 }
-
-// PacketPRR converts a bit error rate into a packet reception ratio for a
-// packet of payloadBits independent bits.
-func PacketPRR(ber float64, payloadBits int) float64 {
-	if ber <= 0 {
-		return 1
-	}
-	if ber >= 1 {
-		return 0
-	}
-	return math.Pow(1-ber, float64(payloadBits))
-}

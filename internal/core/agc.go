@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"math/rand/v2"
 
 	"saiyan/internal/analog"
 	"saiyan/internal/dsp"
@@ -111,24 +110,4 @@ func (d *Demodulator) autoBootstrap(env []float64, agc AGCConfig) {
 		boot = len(env)
 	}
 	d.AutoCalibrate(env[:boot], agc)
-}
-
-// ProcessFrameAuto demodulates a frame with no prior calibration: it
-// renders the envelope, bootstraps thresholds from the leading preamble
-// portion via AGC, then detects and decodes as usual. This is the
-// plug-and-play mode a field deployment would use.
-func (d *Demodulator) ProcessFrameAuto(frame *lora.Frame, rssDBm float64, agc AGCConfig, rng *rand.Rand) ([]int, bool, error) {
-	traj := frame.FreqTrajectory(nil, d.fsSim)
-	env := d.RenderEnvelope(nil, traj, rssDBm, rng)
-	d.autoBootstrap(env, agc)
-	start, ok := d.DetectPreamble(env)
-	if !ok {
-		return nil, false, nil
-	}
-	payloadAt := start + int(math.Round((float64(lora.PreambleUpchirps)+lora.SyncSymbols)*d.spbSamp))
-	var envC []float64
-	if d.cfg.Mode == ModeFull {
-		envC = d.RenderCorrEnvelope(nil, traj, rssDBm, rng)
-	}
-	return d.decodePayloadAt(env, envC, payloadAt, len(frame.Payload))
 }

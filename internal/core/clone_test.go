@@ -100,12 +100,12 @@ func TestCloneCarriesCalibration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Clone().Calibrated() {
+	if d.Clone().calibrated {
 		t.Error("clone of an uncalibrated demodulator claims calibration")
 	}
 	d.Calibrate(-65, dsp.NewRand(1, 2))
 	c := d.Clone()
-	if !c.Calibrated() {
+	if !c.calibrated {
 		t.Fatal("clone lost calibration")
 	}
 	if c.Thresholds() != d.Thresholds() {

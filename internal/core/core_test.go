@@ -126,11 +126,11 @@ func TestCalibrationStateSane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Calibrated() {
+	if d.calibrated {
 		t.Error("fresh demodulator reports calibrated")
 	}
 	d.Calibrate(-60, dsp.NewRand(3, 3))
-	if !d.Calibrated() {
+	if !d.calibrated {
 		t.Error("calibration did not latch")
 	}
 	c := d.Thresholds()

@@ -159,9 +159,6 @@ func (d *Demodulator) buildTemplates(rssDBm float64) {
 	}
 }
 
-// Calibrated reports whether Calibrate has run.
-func (d *Demodulator) Calibrated() bool { return d.calibrated }
-
 // Thresholds returns the calibrated comparator (U_H, U_L).
 func (d *Demodulator) Thresholds() analog.Comparator { return d.comparator }
 

@@ -172,14 +172,6 @@ func (d *Demodulator) detectionTemplate() []float64 {
 	return d.detTmpl
 }
 
-// firstPeriodicRun looks for minPreamblePeaks consecutive markers whose
-// spacing stays within spacingTolerance of period and returns the first
-// marker of the run.
-func firstPeriodicRun(marks []int, period float64) (int, bool) {
-	first, _, ok := periodicRun(marks, period)
-	return first, ok
-}
-
 // periodicRun finds the first run of at least minPreamblePeaks markers
 // whose spacing stays within spacingTolerance of period, extends it as far
 // as the periodicity holds, and returns the run's first and last markers.

@@ -159,7 +159,7 @@ func TestFirstPeriodicRunJitterChain(t *testing.T) {
 	const period = 100.0
 	// True markers every 100, a spurious tail 35 after each.
 	marks := []int{0, 35, 100, 135, 200, 235, 300, 335, 400, 435}
-	first, ok := firstPeriodicRun(marks, period)
+	first, last, ok := periodicRun(marks, period)
 	if !ok {
 		t.Fatal("jitter chain defeated the periodic-run detector")
 	}
@@ -167,8 +167,7 @@ func TestFirstPeriodicRunJitterChain(t *testing.T) {
 		t.Errorf("run starts at %d, want 0", first)
 	}
 	// The run's end must be the last true marker, not a spurious tail.
-	_, last, ok := periodicRun(marks, period)
-	if !ok || last != 400 {
+	if last != 400 {
 		t.Errorf("run ends at %d (ok=%v), want 400", last, ok)
 	}
 }
@@ -220,10 +219,6 @@ func FuzzFirstPeriodicRun(f *testing.F) {
 			marks = append(marks, at)
 		}
 		first, last, ok := periodicRun(marks, period)
-		single, sok := firstPeriodicRun(marks, period)
-		if ok != sok || (ok && single != first) {
-			t.Fatalf("firstPeriodicRun=%d,%v disagrees with periodicRun=%d,%v", single, sok, first, ok)
-		}
 		if !ok {
 			return
 		}

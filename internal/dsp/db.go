@@ -33,12 +33,3 @@ func AmpFromDB(db float64) float64 {
 func DBmToWatts(dbm float64) float64 {
 	return math.Pow(10, (dbm-30)/10)
 }
-
-// WattsToDBm converts a power level in watts to dBm. Non-positive powers map
-// to -Inf.
-func WattsToDBm(w float64) float64 {
-	if w <= 0 {
-		return math.Inf(-1)
-	}
-	return 10*math.Log10(w) + 30
-}

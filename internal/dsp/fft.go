@@ -11,20 +11,6 @@ import (
 // because a non-power-of-two length is a programming error in this codebase
 // (callers pad with NextPow2).
 func FFT(x []complex128) {
-	fftInPlace(x, false)
-}
-
-// IFFT computes the in-place inverse FFT of x, including the 1/N scaling so
-// that IFFT(FFT(x)) == x. len(x) must be a power of two.
-func IFFT(x []complex128) {
-	fftInPlace(x, true)
-	n := float64(len(x))
-	for i := range x {
-		x[i] /= complex(n, 0)
-	}
-}
-
-func fftInPlace(x []complex128, inverse bool) {
 	n := len(x)
 	if n == 0 {
 		return
@@ -45,10 +31,7 @@ func fftInPlace(x []complex128, inverse bool) {
 	}
 	// Danielson-Lanczos butterflies.
 	for length := 2; length <= n; length <<= 1 {
-		ang := 2 * math.Pi / float64(length)
-		if !inverse {
-			ang = -ang
-		}
+		ang := -2 * math.Pi / float64(length)
 		wl := cmplx.Rect(1, ang)
 		for i := 0; i < n; i += length {
 			w := complex(1, 0)
@@ -62,25 +45,6 @@ func fftInPlace(x []complex128, inverse bool) {
 			}
 		}
 	}
-}
-
-// PowerSpectrum returns |X[k]|^2 / N for the FFT of the real series x,
-// zero-padded to the next power of two. The result has the full N bins
-// (two-sided spectrum).
-func PowerSpectrum(x []float64) []float64 {
-	n := NextPow2(len(x))
-	buf := make([]complex128, n)
-	for i, v := range x {
-		buf[i] = complex(v, 0)
-	}
-	FFT(buf)
-	ps := make([]float64, n)
-	inv := 1 / float64(n)
-	for i, v := range buf {
-		re, im := real(v), imag(v)
-		ps[i] = (re*re + im*im) * inv
-	}
-	return ps
 }
 
 // ArgmaxAbs returns the index of the element of x with the largest magnitude

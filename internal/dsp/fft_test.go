@@ -48,8 +48,16 @@ func TestFFTRoundTrip(t *testing.T) {
 			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 			orig[i] = x[i]
 		}
+		// The inverse transform through the forward one:
+		// IFFT(X) = conj(FFT(conj(X))) / N.
 		FFT(x)
-		IFFT(x)
+		for i := range x {
+			x[i] = cmplx.Conj(x[i])
+		}
+		FFT(x)
+		for i := range x {
+			x[i] = cmplx.Conj(x[i]) / complex(float64(n), 0)
+		}
 		for i := range x {
 			if cmplx.Abs(x[i]-orig[i]) > 1e-9 {
 				t.Fatalf("n=%d: roundtrip[%d] = %v, want %v", n, i, x[i], orig[i])
@@ -139,6 +147,25 @@ func TestIsPow2(t *testing.T) {
 	}
 }
 
+// powerSpectrum returns |X[k]|^2 / N for the FFT of the real series x,
+// zero-padded to the next power of two: the two-sided spectrum the noise
+// tests check shapes against.
+func powerSpectrum(x []float64) []float64 {
+	n := NextPow2(len(x))
+	buf := make([]complex128, n)
+	for i, v := range x {
+		buf[i] = complex(v, 0)
+	}
+	FFT(buf)
+	ps := make([]float64, n)
+	inv := 1 / float64(n)
+	for i, v := range buf {
+		re, im := real(v), imag(v)
+		ps[i] = (re*re + im*im) * inv
+	}
+	return ps
+}
+
 func TestPowerSpectrumTone(t *testing.T) {
 	// A real cosine at bin k puts equal power in bins k and N-k.
 	const n, k = 128, 10
@@ -146,7 +173,7 @@ func TestPowerSpectrumTone(t *testing.T) {
 	for i := range x {
 		x[i] = math.Cos(2 * math.Pi * k * float64(i) / n)
 	}
-	ps := PowerSpectrum(x)
+	ps := powerSpectrum(x)
 	iMax, _ := Argmax(ps)
 	if iMax != k && iMax != n-k {
 		t.Fatalf("peak at bin %d, want %d or %d", iMax, k, n-k)

@@ -15,6 +15,8 @@ type FIR struct {
 }
 
 // NewFIR wraps an explicit tap vector as a filter. The taps are copied.
+//
+//lint:allow unused the FIR kernel and sampler-grid tests build their explicit-tap reference filters with it
 func NewFIR(taps []float64) *FIR {
 	t := make([]float64, len(taps), 2*len(taps))
 	copy(t, taps)
@@ -94,16 +96,6 @@ func NewBandPass(lowHz, highHz, sampleRateHz float64, taps int, w Window) (*FIR,
 	}
 	return newFIR(h), nil
 }
-
-// Taps returns a copy of the filter coefficients.
-func (f *FIR) Taps() []float64 {
-	t := make([]float64, len(f.taps))
-	copy(t, f.taps)
-	return t
-}
-
-// Len returns the number of taps.
-func (f *FIR) Len() int { return len(f.taps) }
 
 // Apply convolves x with the filter and writes the "same"-length result into
 // dst (allocated or grown as needed), compensating for the filter's group
@@ -196,28 +188,6 @@ func dot4(rev, x []float64, j0, stride int) (a0, a1, a2, a3 float64) {
 	return a0, a1, a2, a3
 }
 
-// ApplyComplex is Apply for complex-valued series.
-func (f *FIR) ApplyComplex(dst, x []complex128) []complex128 {
-	n := len(x)
-	if cap(dst) < n {
-		dst = make([]complex128, n)
-	}
-	dst = dst[:n]
-	half := len(f.taps) / 2
-	for i := 0; i < n; i++ {
-		var acc complex128
-		for k, tap := range f.taps {
-			j := i + half - k
-			if j < 0 || j >= n {
-				continue
-			}
-			acc += complex(tap, 0) * x[j]
-		}
-		dst[i] = acc
-	}
-	return dst
-}
-
 // MovingAverage computes a centered moving average of width w over x into
 // dst and returns dst. Width is clamped to [1, len(x)]. Edge windows shrink
 // symmetrically, so the output has no startup bias.
@@ -260,6 +230,8 @@ func MovingAverage(dst, x []float64, w int) []float64 {
 // into dst and returning it. Callers that need anti-aliasing should low-pass
 // filter first; the demodulation chain always does (the LPF stage precedes
 // the voltage sampler).
+//
+//lint:allow unused the reference FIR.ApplyDecimated and the sampler grid are tested against
 func Decimate(dst, x []float64, factor, offset int) []float64 {
 	if factor < 1 {
 		factor = 1

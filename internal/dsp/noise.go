@@ -61,18 +61,6 @@ func PinkNoise(dst []float64, rng *rand.Rand) []float64 {
 	return dst
 }
 
-// SignalPower returns the mean square of x.
-func SignalPower(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	acc := 0.0
-	for _, v := range x {
-		acc += v * v
-	}
-	return acc / float64(len(x))
-}
-
 // ComplexPower returns the mean |x|^2 of a complex series.
 func ComplexPower(x []complex128) float64 {
 	if len(x) == 0 {

@@ -60,7 +60,7 @@ func TestPinkNoiseSpectrumSlopesDown(t *testing.T) {
 	rng := NewRand(4, 4)
 	n := 1 << 14
 	x := PinkNoise(make([]float64, n), rng)
-	ps := PowerSpectrum(x)
+	ps := powerSpectrum(x)
 	// Compare average power in a low band vs a high band: pink noise has
 	// more energy at low frequencies.
 	low := Mean(ps[1:32])
@@ -76,14 +76,5 @@ func TestPinkNoiseVarianceNearUnity(t *testing.T) {
 	v := Variance(x)
 	if v < 0.3 || v > 3 {
 		t.Errorf("pink noise variance = %g, want within [0.3, 3]", v)
-	}
-}
-
-func TestSignalPower(t *testing.T) {
-	if p := SignalPower([]float64{3, -3, 3, -3}); math.Abs(p-9) > 1e-12 {
-		t.Errorf("power = %g, want 9", p)
-	}
-	if p := SignalPower(nil); p != 0 {
-		t.Errorf("power(nil) = %g, want 0", p)
 	}
 }

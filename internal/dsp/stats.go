@@ -37,11 +37,6 @@ func StdDev(x []float64) float64 {
 	return math.Sqrt(Variance(x))
 }
 
-// RMS returns the root mean square of x.
-func RMS(x []float64) float64 {
-	return math.Sqrt(SignalPower(x))
-}
-
 // Max returns the maximum of x, or -Inf for an empty slice.
 func Max(x []float64) float64 {
 	m := math.Inf(-1)

@@ -6,7 +6,6 @@
 package energy
 
 import (
-	"fmt"
 	"time"
 )
 
@@ -68,10 +67,6 @@ const StandardLoRaReceiverUW = 40_000.0
 // retransmission (Section 4.3).
 const MCUApollo2UW = 19.6
 
-// PowerManagementUW is the power management module's draw in working mode
-// (Section 4.1).
-const PowerManagementUW = 24.0
-
 // TotalPowerUW sums the ledger.
 func (l Ledger) TotalPowerUW() float64 {
 	var sum float64
@@ -88,24 +83,6 @@ func (l Ledger) TotalCostUSD() float64 {
 		sum += c.CostUSD
 	}
 	return sum
-}
-
-// ScaleDutyCycle returns a copy of the ledger with powers rescaled to a
-// different duty cycle (power scales linearly with on-time).
-func (l Ledger) ScaleDutyCycle(duty float64) (Ledger, error) {
-	if duty <= 0 || duty > 1 {
-		return Ledger{}, fmt.Errorf("energy: duty cycle %g outside (0, 1]", duty)
-	}
-	if l.DutyCycle <= 0 {
-		return Ledger{}, fmt.Errorf("energy: ledger %q has no base duty cycle", l.Name)
-	}
-	out := Ledger{Name: l.Name, DutyCycle: duty}
-	scale := duty / l.DutyCycle
-	out.Components = make([]Component, len(l.Components))
-	for i, c := range l.Components {
-		out.Components[i] = Component{Name: c.Name, PowerUW: c.PowerUW * scale, CostUSD: c.CostUSD}
-	}
-	return out, nil
 }
 
 // Share returns the fraction of total power a component consumes (by name),
@@ -167,12 +144,6 @@ func (m MCUBudget) LoadFraction(cycles uint64, span time.Duration) float64 {
 	return m.BusySeconds(cycles) / span.Seconds()
 }
 
-// RealTime reports whether the counted cycles fit inside the span — the
-// paper's implicit constraint that the MCU decodes symbols as they arrive.
-func (m MCUBudget) RealTime(cycles uint64, span time.Duration) bool {
-	return m.LoadFraction(cycles, span) <= 1
-}
-
 // AveragePowerUW is the mean draw attributable to the datapath while
 // receiving: active power scaled by the load fraction (the clock gates off
 // between symbols, as the prototype's firmware sleeps between samples).
@@ -220,10 +191,4 @@ func (h Harvester) TimeToHarvest(loadUW float64, dur time.Duration) time.Duratio
 	energyUJ := loadUW * dur.Seconds()
 	seconds := energyUJ / h.AveragePowerUW()
 	return time.Duration(seconds * float64(time.Second))
-}
-
-// Sustainable reports whether the harvester can power the load
-// indefinitely.
-func (h Harvester) Sustainable(loadUW float64) bool {
-	return loadUW <= h.AveragePowerUW()
 }

@@ -44,8 +44,6 @@ const (
 var (
 	// ErrCorrupt marks structural damage in an encoded dump.
 	ErrCorrupt = chunk.ErrCorrupt
-	// ErrVersion marks a dump version this package does not know.
-	ErrVersion = chunk.ErrVersion
 )
 
 // dumpHeader is the JSON metadata chunk of an encoded dump.
@@ -257,16 +255,6 @@ func renderDump(d Dump) dumpJSON {
 		}
 	}
 	return out
-}
-
-// JSON renders the dump for the telemetry plane: hex trace IDs and
-// readable stage/decision names.
-func (d Dump) JSON() []byte {
-	b, err := json.Marshal(renderDump(d))
-	if err != nil {
-		panic("flight: dump marshal: " + err.Error())
-	}
-	return b
 }
 
 // RecentJSON renders the last n dumps as a JSON array, oldest first.

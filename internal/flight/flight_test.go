@@ -6,6 +6,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"saiyan/internal/chunk"
 )
 
 func TestTraceIDDeterministicAndNonzero(t *testing.T) {
@@ -111,9 +113,6 @@ func TestNilRecorderNoops(t *testing.T) {
 	}
 	if got := r.Find(1); got != nil {
 		t.Fatalf("nil Find = %v", got)
-	}
-	if got := r.Shards(); got != 0 {
-		t.Fatalf("nil Shards = %d", got)
 	}
 }
 
@@ -297,7 +296,7 @@ func TestDecodeDumpCorruption(t *testing.T) {
 
 	bad := append([]byte(nil), good...)
 	bad[8] = 0xEE // version field
-	if _, err := DecodeDump(bad); !errors.Is(err, ErrVersion) {
+	if _, err := DecodeDump(bad); !errors.Is(err, chunk.ErrVersion) {
 		t.Errorf("version: err = %v, want ErrVersion", err)
 	}
 }
@@ -342,7 +341,7 @@ func TestDecodeDumpSingleBitFlips(t *testing.T) {
 		for bit := 0; bit < 8; bit++ {
 			flipped[i] ^= 1 << bit
 			_, err := DecodeDump(flipped)
-			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersion) {
+			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, chunk.ErrVersion) {
 				t.Fatalf("flip byte %d bit %d: err = %v, want ErrCorrupt or ErrVersion", i, bit, err)
 			}
 			flipped[i] ^= 1 << bit
@@ -368,7 +367,11 @@ func TestDumpJSONRendering(t *testing.T) {
 			A, B     float64
 		}
 	}
-	if err := json.Unmarshal(d.JSON(), &got); err != nil {
+	b, err := json.Marshal(renderDump(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(b, &got); err != nil {
 		t.Fatalf("dump JSON does not parse: %v", err)
 	}
 	if got.Kind != "decode-failure" {

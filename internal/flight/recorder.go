@@ -84,14 +84,6 @@ func New(opts Options) *Recorder {
 	return r
 }
 
-// Shards reports the recorder's writer-shard count (0 for nil).
-func (r *Recorder) Shards() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.shards)
-}
-
 // Append records one span into shard w's ring. It is allocation-free,
 // never blocks, and is safe to call from a decode hot path; a nil
 // recorder or an out-of-range shard no-ops. Each shard must have at

@@ -47,10 +47,6 @@ func (a ADC) validate() error {
 // Levels is the number of distinct codes, 2^Bits.
 func (a ADC) Levels() int { return 1 << a.Bits }
 
-// LSBQ15 is the spacing between adjacent codes on the Q1.15 scale,
-// 2^(15-Bits).
-func (a ADC) LSBQ15() Q15 { return Q15(1) << (15 - a.Bits) }
-
 // Code quantizes one envelope value: scale to the code range, round to
 // nearest, saturate at the rails, left-align to Q1.15.
 func (a ADC) Code(v float64) Q15 {
@@ -63,12 +59,6 @@ func (a ADC) Code(v float64) Q15 {
 		return Q15(top) << (15 - a.Bits) // rails, including +Inf
 	}
 	return Q15(int(math.Round(scaled))) << (15 - a.Bits)
-}
-
-// Value is the inverse mapping of a code back to an envelope level (the
-// center of the quantization bin) — for tests and diagnostics.
-func (a ADC) Value(code Q15) float64 {
-	return float64(code>>(15-a.Bits)) / float64(a.Levels()-1) * a.FullScale
 }
 
 // Quantize converts an envelope window into Q1.15 codes, reusing dst

@@ -15,24 +15,6 @@ type OpCounts struct {
 	Div  uint64 // integer divisions (Newton's sqrt refinement steps)
 }
 
-// Plus returns the element-wise sum of two ledgers.
-func (o OpCounts) Plus(p OpCounts) OpCounts {
-	return OpCounts{
-		Load: o.Load + p.Load,
-		Add:  o.Add + p.Add,
-		Mul:  o.Mul + p.Mul,
-		MAC:  o.MAC + p.MAC,
-		Cmp:  o.Cmp + p.Cmp,
-		Sqrt: o.Sqrt + p.Sqrt,
-		Div:  o.Div + p.Div,
-	}
-}
-
-// Total is the raw operation count across all classes.
-func (o OpCounts) Total() uint64 {
-	return o.Load + o.Add + o.Mul + o.MAC + o.Cmp + o.Sqrt + o.Div
-}
-
 // CycleModel prices each operation class in MCU cycles. The zero value is
 // invalid; start from DefaultCycleModel.
 type CycleModel struct {

@@ -86,9 +86,6 @@ func NewDecoder(cfg Config) (*Decoder, error) {
 	return &Decoder{cfg: cfg, adc: ADC{Bits: cfg.ADCBits, FullScale: 1}}, nil
 }
 
-// Config returns the decoder's configuration.
-func (x *Decoder) Config() Config { return x.cfg }
-
 // SetThresholds re-anchors the ADC full scale and quantizes the float
 // comparator thresholds onto it. Called whenever the float side
 // (re)calibrates — per distance quantum offline, or per window under AGC.

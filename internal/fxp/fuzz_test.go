@@ -46,17 +46,13 @@ func FuzzFxpOps(f *testing.F) {
 			t.Errorf("MAC(%d, %d, %d) = %d, want %d", acc, a, b, got, want)
 		}
 
-		// Q1.15 square root: floor-rooted, within one LSB of the real value,
-		// zero on the clamped negative domain.
-		s := Sqrt(a)
-		if a <= 0 {
-			if s != 0 {
-				t.Errorf("Sqrt(%d) = %d, want 0", a, s)
-			}
-		} else {
+		// Q1.15 square root through ISqrt64: floor-rooted, within one LSB
+		// of the real value.
+		if a > 0 {
+			s := ISqrt64(uint64(a) << 15)
 			ref := math.Sqrt(fa) * float64(OneQ15)
 			if d := float64(s) - ref; d > 0 || d < -1 {
-				t.Errorf("Sqrt(%d) = %d, want floor within 1 LSB of %g", a, s, ref)
+				t.Errorf("isqrt(%d<<15) = %d, want floor within 1 LSB of %g", a, s, ref)
 			}
 		}
 

@@ -2,7 +2,7 @@ package gateway
 
 import (
 	"bytes"
-	"context"
+
 	"testing"
 
 	"saiyan/internal/flight"
@@ -31,7 +31,7 @@ func TestFlightDumpDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := g.Run(context.Background(), epochs); err != nil {
+		if _, err := runEpochs(g, epochs); err != nil {
 			t.Fatalf("workers=%d metrics=%v: %v", workers, reg != nil, err)
 		}
 		return dumps

@@ -1,7 +1,6 @@
 package gateway
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
@@ -28,7 +27,7 @@ func TestGatewayFxpDatapath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reports, err := g.Run(context.Background(), epochs)
+		reports, err := runEpochs(g, epochs)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -297,8 +297,7 @@ type Gateway struct {
 	// (core.NoiseStats of the hunt demodulator).
 	chanNoise []noiseStats
 
-	agg     aggregate
-	elapsed time.Duration
+	agg aggregate
 
 	// err latches the first epoch failure: churn and command effects are
 	// applied incrementally, so re-driving a half-served epoch would
@@ -613,32 +612,8 @@ func (g *Gateway) RunEpoch(ctx context.Context) (EpochReport, error) {
 	// order and seal, which runs the SLO rules and journals transitions.
 	// Runs after the report is final so scalar series mirror it exactly.
 	g.health.observe(g, plan, rep)
-	g.elapsed += rep.Elapsed
 	return rep, nil
 }
-
-// Run serves n epochs and returns their reports. Cancelling ctx stops the
-// loop before the next epoch starts (and aborts a mid-flight epoch the way
-// RunEpoch documents); reports of completed epochs are returned alongside
-// the error.
-func (g *Gateway) Run(ctx context.Context, n int) ([]EpochReport, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("gateway: %d epochs < 1", n)
-	}
-	reports := make([]EpochReport, 0, n)
-	for i := 0; i < n; i++ {
-		rep, err := g.RunEpoch(ctx)
-		if err != nil {
-			return reports, err
-		}
-		reports = append(reports, rep)
-	}
-	return reports, nil
-}
-
-// Elapsed is the total wall-clock time spent serving epochs. It is kept
-// out of Snapshot so snapshots stay bit-comparable across runs.
-func (g *Gateway) Elapsed() time.Duration { return g.elapsed }
 
 func (g *Gateway) deliveryRatio() float64 {
 	if g.agg.framesScheduled == 0 {
@@ -707,14 +682,6 @@ func (s Snapshot) DeliveryRatio() float64 {
 // FramesMissing is the number of unique scheduled frames never delivered.
 func (s Snapshot) FramesMissing() uint64 {
 	return s.FramesScheduled - s.FramesDelivered
-}
-
-// SER is the aggregate symbol error rate over schedule-matched windows.
-func (s Snapshot) SER() float64 {
-	if s.SymbolsChecked == 0 {
-		return 0
-	}
-	return float64(s.SymbolErrs) / float64(s.SymbolsChecked)
 }
 
 // String renders the aggregate as a one-line service report.

@@ -10,6 +10,38 @@ import (
 	"saiyan/internal/obs"
 )
 
+// seriesNames lists the store's series, in registration order, through
+// the /timeseries list document.
+func seriesNames(t *testing.T, st *health.Store) []string {
+	t.Helper()
+	var doc struct{ Series []struct{ Name string } }
+	if err := json.Unmarshal(st.TimeseriesJSON("", 0), &doc); err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(doc.Series))
+	for i, s := range doc.Series {
+		names[i] = s.Name
+	}
+	return names
+}
+
+// rawBin is one tier-0 bin of the /timeseries document. A raw bin holds
+// a single point, so its mean is the appended value.
+type rawBin struct {
+	Epoch int
+	Mean  float64
+}
+
+// rawBins reads one series' raw tier through the /timeseries document.
+func rawBins(t *testing.T, st *health.Store, name string) []rawBin {
+	t.Helper()
+	var doc struct{ Bins []rawBin }
+	if err := json.Unmarshal(st.TimeseriesJSON(name, 0), &doc); err != nil {
+		t.Fatal(err)
+	}
+	return doc.Bins
+}
+
 // TestHealthDeterminism pins the health plane's determinism contract
 // from Config.Health: per-epoch wire deltas (the exact 0x19 payload
 // bytes), the full rollup buffers at every tier, and the alert journal
@@ -42,7 +74,7 @@ func TestHealthDeterminism(t *testing.T) {
 			}
 			c.deltas = append(c.deltas, st.DeltaJSON())
 		}
-		for _, name := range st.SeriesNames() {
+		for _, name := range seriesNames(t, st) {
 			for tier := 0; ; tier++ {
 				b := st.TimeseriesJSON(name, tier)
 				if b == nil {
@@ -124,7 +156,7 @@ func TestHealthSeriesMirrorReports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reports, err := g.Run(context.Background(), 5)
+	reports, err := runEpochs(g, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,14 +171,14 @@ func TestHealthSeriesMirrorReports(t *testing.T) {
 		{"gateway.fxp_cycles", func(r EpochReport) float64 { return float64(r.FxpCycles) }},
 	}
 	for _, c := range checks {
-		bins := st.Bins(c.series, 0)
+		bins := rawBins(t, st, c.series)
 		if len(bins) != len(reports) {
 			t.Errorf("%s: %d bins, want %d", c.series, len(bins), len(reports))
 			continue
 		}
 		for i, r := range reports {
-			if bins[i].Sum != c.want(r) {
-				t.Errorf("%s epoch %d: %g, want %g", c.series, i, bins[i].Sum, c.want(r))
+			if bins[i].Mean != c.want(r) {
+				t.Errorf("%s epoch %d: %g, want %g", c.series, i, bins[i].Mean, c.want(r))
 			}
 			if int(bins[i].Epoch) != r.Epoch {
 				t.Errorf("%s bin %d labeled epoch %d, want %d", c.series, i, bins[i].Epoch, r.Epoch)
@@ -155,10 +187,10 @@ func TestHealthSeriesMirrorReports(t *testing.T) {
 	}
 	// Per-rate frame counts partition the schedule.
 	var rateSum float64
-	for _, name := range st.SeriesNames() {
+	for _, name := range seriesNames(t, st) {
 		if len(name) > 5 && name[:5] == "rate." {
-			for _, b := range st.Bins(name, 0) {
-				rateSum += b.Sum
+			for _, b := range rawBins(t, st, name) {
+				rateSum += b.Mean
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package gateway
 
 import (
-	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -24,7 +23,7 @@ func TestSnapshotDeterminismWithMetrics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := g.Run(context.Background(), epochs); err != nil {
+		if _, err := runEpochs(g, epochs); err != nil {
 			t.Fatalf("workers=%d metrics=%v: %v", workers, reg != nil, err)
 		}
 		b, err := json.Marshal(g.Snapshot())

@@ -25,7 +25,7 @@
 //
 // Like obs and flight, the hot layers only ever write (Append /
 // AppendTrace / EndEpoch); reads (HealthJSON, TimeseriesJSON,
-// DeltaJSON, ActiveAlerts, Journal) belong to the telemetry plane and
+// DeltaJSON, Journal) belong to the telemetry plane and
 // are banned in hot-layer packages by the obsgate analyzer. A nil
 // *Store and a nil *Series are valid no-ops, so callers wire health in
 // without sprinkling conditionals.
@@ -191,14 +191,6 @@ type Series struct {
 
 	last  Bin    // most recent raw point
 	total uint64 // raw points ever appended
-}
-
-// Name reports the series name ("" on a nil handle).
-func (se *Series) Name() string {
-	if se == nil {
-		return ""
-	}
-	return se.name
 }
 
 // Append records one raw point for epoch. Points must be appended in
@@ -395,51 +387,6 @@ func (s *Store) EndEpoch(epoch int) {
 	s.mu.Unlock()
 }
 
-// Epoch reports the last sealed epoch and whether any epoch has been
-// sealed yet.
-func (s *Store) Epoch() (int, bool) {
-	if s == nil {
-		return 0, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.epoch, s.sealed
-}
-
-// SeriesNames lists registered series in registration order.
-func (s *Store) SeriesNames() []string {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, len(s.series))
-	for i, se := range s.series {
-		names[i] = se.name
-	}
-	return names
-}
-
-// Bins copies one tier of one series, oldest bin first. It returns nil
-// for unknown series or out-of-range tiers.
-func (s *Store) Bins(name string, tier int) []Bin {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	se := s.byName[name]
-	if se == nil || tier < 0 || tier >= len(se.tiers) {
-		return nil
-	}
-	r := &se.tiers[tier]
-	out := make([]Bin, r.n)
-	for i := 0; i < r.n; i++ {
-		out[i] = r.at(i)
-	}
-	return out
-}
-
 func (s *Store) appendJournal(a Alert) {
 	s.journal[s.jHead] = a
 	s.jHead++
@@ -475,18 +422,6 @@ func (s *Store) journalLocked(n int) []Alert {
 		out[i] = s.journal[idx]
 	}
 	return out
-}
-
-// ActiveAlerts lists currently firing alerts in deterministic rule
-// order. Each entry is the journal's firing transition with SinceEpoch
-// preserved and Value tracking the latest evaluation.
-func (s *Store) ActiveAlerts() []Alert {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.activeLocked()
 }
 
 func (s *Store) activeLocked() []Alert {

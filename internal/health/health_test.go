@@ -7,6 +7,30 @@ import (
 	"testing"
 )
 
+// storeBins copies one tier of one series, oldest bin first (nil for
+// unknown series or out-of-range tiers).
+func storeBins(s *Store, name string, tier int) []Bin {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	se := s.byName[name]
+	if se == nil || tier < 0 || tier >= len(se.tiers) {
+		return nil
+	}
+	r := &se.tiers[tier]
+	out := make([]Bin, r.n)
+	for i := range out {
+		out[i] = r.at(i)
+	}
+	return out
+}
+
+// activeAlerts lists the currently firing alerts in rule order.
+func activeAlerts(s *Store) []Alert {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.activeLocked()
+}
+
 func mustStore(t *testing.T, opt Options) *Store {
 	t.Helper()
 	s, err := New(opt)
@@ -23,14 +47,14 @@ func TestRollupCascade(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		se.Append(i, float64(i))
 	}
-	raw := s.Bins("x", 0)
+	raw := storeBins(s, "x", 0)
 	if len(raw) != 8 {
 		t.Fatalf("raw bins = %d, want 8 (ring cap)", len(raw))
 	}
 	if raw[0].Epoch != 8 || raw[7].Epoch != 15 {
 		t.Errorf("raw ring holds epochs %d..%d, want 8..15", raw[0].Epoch, raw[7].Epoch)
 	}
-	t1 := s.Bins("x", 1)
+	t1 := storeBins(s, "x", 1)
 	if len(t1) != 4 {
 		t.Fatalf("tier-1 bins = %d, want 4", len(t1))
 	}
@@ -39,7 +63,7 @@ func TestRollupCascade(t *testing.T) {
 	if b.Epoch != 4 || b.Min != 4 || b.Max != 7 || b.Count != 4 || b.Mean() != 5.5 {
 		t.Errorf("tier-1 bin 1 = %+v (mean %g), want epoch=4 min=4 max=7 count=4 mean=5.5", b, b.Mean())
 	}
-	t2 := s.Bins("x", 2)
+	t2 := storeBins(s, "x", 2)
 	if len(t2) != 1 {
 		t.Fatalf("tier-2 bins = %d, want 1", len(t2))
 	}
@@ -55,7 +79,7 @@ func TestSanitizeNonFinite(t *testing.T) {
 	se.Append(0, math.NaN())
 	se.Append(1, math.Inf(1))
 	se.Append(2, math.Inf(-1))
-	bins := s.Bins("x", 0)
+	bins := storeBins(s, "x", 0)
 	want := []float64{0, math.MaxFloat64, -math.MaxFloat64}
 	for i, b := range bins {
 		if b.Sum != want[i] {
@@ -162,7 +186,7 @@ func TestThresholdRuleFiresAndClears(t *testing.T) {
 	if len(j) != 1 || j[0].State != StateFiring || j[0].Epoch != 1 {
 		t.Fatalf("journal after breach = %+v, want one firing@1", j)
 	}
-	if a := s.ActiveAlerts(); len(a) != 1 || a[0].Rule != "hot" || a[0].SinceEpoch != 1 {
+	if a := activeAlerts(s); len(a) != 1 || a[0].Rule != "hot" || a[0].SinceEpoch != 1 {
 		t.Fatalf("active = %+v", a)
 	}
 	seal(s, 2, map[*Series]float64{se: 12}, order) // still breaching: no new edge
@@ -174,7 +198,7 @@ func TestThresholdRuleFiresAndClears(t *testing.T) {
 	if len(j) != 2 || j[1].State != StateCleared || j[1].SinceEpoch != 1 {
 		t.Fatalf("journal after clear = %+v", j)
 	}
-	if a := s.ActiveAlerts(); len(a) != 0 {
+	if a := activeAlerts(s); len(a) != 0 {
 		t.Fatalf("active after clear = %+v", a)
 	}
 }

@@ -24,10 +24,19 @@
 //   - hotalloc: in functions annotated //saiyan:hotpath, flags per-call
 //     allocations — make/new, &composite literals, fmt.Sprintf-family
 //     and errors.New calls, closures, and interface boxing.
-//   - obsgate: keeps internal/obs instrumentation write-only in hot-layer
-//     packages and out of per-frame registration inside hotpath
-//     functions.
+//   - obsgate: keeps the three telemetry planes (internal/obs,
+//     internal/flight, internal/health) write-only in hot-layer packages
+//     and their registration/construction out of hotpath functions; one
+//     rule table keyed by package holds each plane's read and construct
+//     sets.
 //   - ctxfirst: exported APIs taking a context.Context take it first.
+//
+// One check is whole-program and so is not an Analyzer: the dead-code
+// guard (TestNoUnreferencedDecls in this package) loads the repository
+// root and bench/ with Load and fails on every package-level declaration
+// of the root package and internal/... that no non-test file names.
+// //lint:allow unused <reason> on a declaration exempts reference code
+// that tests compare live code against.
 //
 // # Annotation grammar
 //
@@ -308,16 +317,6 @@ func All() []*Analyzer {
 		ObsGate,
 		CtxFirst,
 	}
-}
-
-// ByName resolves an analyzer by its directive name.
-func ByName(name string) *Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
 }
 
 // RunAnalyzers applies every analyzer in as to pkg and returns the

@@ -176,43 +176,43 @@ func itoa(n int) string {
 }
 
 func TestDeterminism(t *testing.T) {
-	runFixture(t, lint.ByName("determinism"), "saiyanvet.example/pipeline", "determinism")
+	runFixture(t, lint.Determinism, "saiyanvet.example/pipeline", "determinism")
 }
 
 func TestDeterminismNonSnapshotPackage(t *testing.T) {
-	runFixture(t, lint.ByName("determinism"), "saiyanvet.example/util", "nonsnapshot")
+	runFixture(t, lint.Determinism, "saiyanvet.example/util", "nonsnapshot")
 }
 
 func TestFxpSat(t *testing.T) {
-	runFixture(t, lint.ByName("fxpsat"), "saiyanvet.example/fxp", "fxpsat")
+	runFixture(t, lint.FxpSat, "saiyanvet.example/fxp", "fxpsat")
 }
 
 func TestFxpSatOutsideFxp(t *testing.T) {
-	runFixture(t, lint.ByName("fxpsat"), "saiyanvet.example/other", "fxpsat_other")
+	runFixture(t, lint.FxpSat, "saiyanvet.example/other", "fxpsat_other")
 }
 
 func TestHotAlloc(t *testing.T) {
-	runFixture(t, lint.ByName("hotalloc"), "saiyanvet.example/hot", "hotalloc")
+	runFixture(t, lint.HotAlloc, "saiyanvet.example/hot", "hotalloc")
 }
 
 func TestObsGate(t *testing.T) {
-	runFixture(t, lint.ByName("obsgate"), "saiyanvet.example/gateway", "obsgate")
+	runFixture(t, lint.ObsGate, "saiyanvet.example/gateway", "obsgate")
 }
 
 func TestObsGateTelemetryPlane(t *testing.T) {
-	runFixture(t, lint.ByName("obsgate"), "saiyanvet.example/server", "obsgate_serve")
+	runFixture(t, lint.ObsGate, "saiyanvet.example/server", "obsgate_serve")
 }
 
 func TestObsGateFlight(t *testing.T) {
-	runFixture(t, lint.ByName("obsgate"), "saiyanvet.example/stream", "flightgate")
+	runFixture(t, lint.ObsGate, "saiyanvet.example/stream", "flightgate")
 }
 
 func TestObsGateHealth(t *testing.T) {
-	runFixture(t, lint.ByName("obsgate"), "saiyanvet.example/core", "healthgate")
+	runFixture(t, lint.ObsGate, "saiyanvet.example/core", "healthgate")
 }
 
 func TestCtxFirst(t *testing.T) {
-	runFixture(t, lint.ByName("ctxfirst"), "saiyanvet.example/api", "ctxfirst")
+	runFixture(t, lint.CtxFirst, "saiyanvet.example/api", "ctxfirst")
 }
 
 // TestAllowMissingReason pins the directive grammar: an allow without a

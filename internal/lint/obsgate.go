@@ -3,74 +3,61 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
+	"path"
 )
 
-// obsReadMethods are the internal/obs APIs that read metric state. The
-// hot layers feed metrics; only the telemetry plane (serve, obs itself)
-// reads them back — a read on the frame path implies a merge across
-// histogram shards or a registry lock.
-var obsReadMethods = map[string]bool{
-	"Value":           true,
-	"Count":           true,
-	"Sum":             true,
-	"Mean":            true,
-	"Snapshot":        true,
-	"WritePrometheus": true,
+// gateRule is obsgate's rule set for one telemetry package.
+type gateRule struct {
+	// reads are the APIs that read state back out. The hot layers only
+	// feed the plane; a read on the frame path takes a lock, merges
+	// shards, or allocates, so reads belong to the telemetry plane.
+	reads map[string]bool
+	// constructs register or build plane state under a lock and may
+	// allocate; they belong in constructors, never in hotpath bodies.
+	constructs map[string]bool
+	// state names what a read reads, readWhy and constructWhy finish the
+	// two diagnostics, and construct is the construct diagnostic's verb.
+	state, readWhy, construct, constructWhy string
 }
 
-// obsRegisterFuncs are the get-or-create and constructor entry points;
-// each takes the registry lock and may allocate, so they belong in
-// constructors, never inside //saiyan:hotpath bodies.
-var obsRegisterFuncs = map[string]bool{
-	"Counter":      true,
-	"Gauge":        true,
-	"Histogram":    true,
-	"NewHistogram": true,
-	"NewRegistry":  true,
-	"NewHandler":   true,
-}
-
-// flightReadMethods are the internal/flight APIs that read recorder
-// state back out of the rings and the dump buffer. Like obs reads, they
-// take the recorder lock and allocate; they belong to the telemetry
-// plane (/flight, the wire fanout), never to the layers that feed the
-// rings. Append/Trigger/TraceID/BeginEpoch stay legal everywhere.
-var flightReadMethods = map[string]bool{
-	"Recent":     true,
-	"RecentJSON": true,
-	"QueryJSON":  true,
-	"Find":       true,
-}
-
-// flightConstructFuncs allocate recorder state (rings, dump buffers);
-// they belong in constructors, never inside //saiyan:hotpath bodies.
-var flightConstructFuncs = map[string]bool{
-	"New": true,
-}
-
-// healthReadMethods are the internal/health APIs that read rollup rings,
-// the alert journal, or render a JSON plane. Every one takes the store
-// mutex and most allocate result slices or documents; they serve the
-// telemetry plane (/health, /timeseries, the 0x19 wire fanout), never
-// the layers that feed the rollups. Append/AppendTrace/EndEpoch stay
-// legal everywhere — that IS the hot-layer contract.
-var healthReadMethods = map[string]bool{
-	"HealthJSON":     true,
-	"TimeseriesJSON": true,
-	"DeltaJSON":      true,
-	"ActiveAlerts":   true,
-	"Journal":        true,
-	"SeriesNames":    true,
-	"Bins":           true,
-}
-
-// healthConstructFuncs build store state or resolve series handles under
-// the registry lock; they belong in constructors, never inside
-// //saiyan:hotpath bodies (handles are resolved once and kept).
-var healthConstructFuncs = map[string]bool{
-	"New":    true,
-	"Series": true,
+// gateRules keys obsgate's rules by the telemetry package's last import
+// path element, so testdata fixtures qualify too. Writes (Counter.Add,
+// flight Append/Trigger/TraceID/BeginEpoch, health Append/AppendTrace/
+// EndEpoch) appear in neither set: they stay legal everywhere.
+var gateRules = map[string]gateRule{
+	"obs": {
+		reads: map[string]bool{
+			"Value": true, "Mean": true, "Snapshot": true, "WritePrometheus": true,
+		},
+		constructs: map[string]bool{
+			"Counter": true, "Gauge": true, "Histogram": true,
+			"NewHistogram": true, "NewRegistry": true, "NewHandler": true,
+		},
+		state:        "metric state",
+		readWhy:      "instrumentation is write-only here; reads belong to the telemetry plane",
+		construct:    "registers/constructs a metric",
+		constructWhy: "it locks the registry per call; resolve handles once in the constructor",
+	},
+	"flight": {
+		reads: map[string]bool{
+			"Recent": true, "RecentJSON": true, "QueryJSON": true, "Find": true,
+		},
+		constructs:   map[string]bool{"New": true},
+		state:        "recorder state",
+		readWhy:      "the flight recorder is write-only here; dump reads belong to the telemetry plane",
+		construct:    "constructs a recorder",
+		constructWhy: "it allocates the ring shards; build the recorder once at startup",
+	},
+	"health": {
+		reads: map[string]bool{
+			"HealthJSON": true, "TimeseriesJSON": true, "DeltaJSON": true, "Journal": true,
+		},
+		constructs:   map[string]bool{"New": true, "Series": true},
+		state:        "rollup/journal state",
+		readWhy:      "the health store is append-only here; reads belong to the telemetry plane",
+		construct:    "constructs store state",
+		constructWhy: "it takes the store lock and may allocate; resolve handles once in the constructor",
+	},
 }
 
 // ObsGate keeps instrumentation one-directional: hot-layer packages (the
@@ -102,77 +89,25 @@ func runObsGate(p *Pass) error {
 				return true
 			}
 			fn, ok := p.Info.Uses[sel.Sel].(*types.Func)
+			if !ok || fn.Pkg() == nil {
+				return true
+			}
+			pkg := path.Base(fn.Pkg().Path())
+			rule, ok := gateRules[pkg]
 			if !ok {
 				return true
 			}
 			name := fn.Name()
-			switch {
-			case isObsPkg(fn.Pkg()):
-				if hotLayer && obsReadMethods[name] {
-					p.Reportf(call.Pos(),
-						"obs.%s reads metric state from a hot-layer package: instrumentation is write-only here; reads belong to the telemetry plane", name)
-					return true
-				}
-				fd := enclosingFuncDecl(stack)
-				if fd != nil && HasDirective(fd, "hotpath") && obsRegisterFuncs[name] {
-					p.Reportf(call.Pos(),
-						"obs.%s registers/constructs a metric inside a hotpath function: it locks the registry per call; resolve handles once in the constructor", name)
-				}
-			case isFlightPkg(fn.Pkg()):
-				if hotLayer && flightReadMethods[name] {
-					p.Reportf(call.Pos(),
-						"flight.%s reads recorder state from a hot-layer package: the flight recorder is write-only here; dump reads belong to the telemetry plane", name)
-					return true
-				}
-				fd := enclosingFuncDecl(stack)
-				if fd != nil && HasDirective(fd, "hotpath") && flightConstructFuncs[name] {
-					p.Reportf(call.Pos(),
-						"flight.%s constructs a recorder inside a hotpath function: it allocates the ring shards; build the recorder once at startup", name)
-				}
-			case isHealthPkg(fn.Pkg()):
-				if hotLayer && healthReadMethods[name] {
-					p.Reportf(call.Pos(),
-						"health.%s reads rollup/journal state from a hot-layer package: the health store is append-only here; reads belong to the telemetry plane", name)
-					return true
-				}
-				fd := enclosingFuncDecl(stack)
-				if fd != nil && HasDirective(fd, "hotpath") && healthConstructFuncs[name] {
-					p.Reportf(call.Pos(),
-						"health.%s constructs store state inside a hotpath function: it takes the store lock and may allocate; resolve handles once in the constructor", name)
-				}
+			if hotLayer && rule.reads[name] {
+				p.Reportf(call.Pos(), "%s.%s reads %s from a hot-layer package: %s", pkg, name, rule.state, rule.readWhy)
+				return true
+			}
+			fd := enclosingFuncDecl(stack)
+			if fd != nil && HasDirective(fd, "hotpath") && rule.constructs[name] {
+				p.Reportf(call.Pos(), "%s.%s %s inside a hotpath function: %s", pkg, name, rule.construct, rule.constructWhy)
 			}
 			return true
 		})
 	}
 	return nil
-}
-
-// isObsPkg reports whether pkg is the observability package (matched by
-// import-path suffix so testdata fixtures qualify too).
-func isObsPkg(pkg *types.Package) bool {
-	if pkg == nil {
-		return false
-	}
-	path := pkg.Path()
-	return path == "obs" || strings.HasSuffix(path, "/obs")
-}
-
-// isFlightPkg reports whether pkg is the flight-recorder package
-// (matched by import-path suffix so testdata fixtures qualify too).
-func isFlightPkg(pkg *types.Package) bool {
-	if pkg == nil {
-		return false
-	}
-	path := pkg.Path()
-	return path == "flight" || strings.HasSuffix(path, "/flight")
-}
-
-// isHealthPkg reports whether pkg is the link-health package (matched by
-// import-path suffix so testdata fixtures qualify too).
-func isHealthPkg(pkg *types.Package) bool {
-	if pkg == nil {
-		return false
-	}
-	path := pkg.Path()
-	return path == "health" || strings.HasSuffix(path, "/health")
 }

@@ -40,20 +40,8 @@ func (g *G) peekDelta() []byte {
 	return g.store.DeltaJSON() // want `health.DeltaJSON reads rollup/journal state from a hot-layer package`
 }
 
-func (g *G) peekAlerts() []health.Alert {
-	return g.store.ActiveAlerts() // want `health.ActiveAlerts reads rollup/journal state from a hot-layer package`
-}
-
 func (g *G) peekJournal() []health.Alert {
 	return g.store.Journal(8) // want `health.Journal reads rollup/journal state from a hot-layer package`
-}
-
-func (g *G) peekNames() []string {
-	return g.store.SeriesNames() // want `health.SeriesNames reads rollup/journal state from a hot-layer package`
-}
-
-func (g *G) peekBins() []health.Bin {
-	return g.store.Bins("channel.0.prr", 1) // want `health.Bins reads rollup/journal state from a hot-layer package`
 }
 
 //lint:allow obsgate debug shell dumps the journal on operator request

@@ -14,7 +14,7 @@ type G struct {
 func (g *G) write(n uint64) {
 	g.frames.Add(n)
 	g.depth.Set(float64(n))
-	g.lat.ObserveShard(0, 1)
+	g.lat.ObserveShardTrace(0, 1, 0)
 }
 
 func (g *G) read() uint64 {
@@ -43,6 +43,6 @@ func (g *G) hotRegister() {
 
 //saiyan:hotpath
 func (g *G) hotWrite(w int, v float64) {
-	g.lat.ObserveShard(w, v)
+	g.lat.ObserveShardTrace(w, v, 0)
 	g.frames.Inc()
 }

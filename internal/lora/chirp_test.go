@@ -8,9 +8,15 @@ import (
 	"saiyan/internal/dsp"
 )
 
+// practicalRate is the envelope sampling rate Saiyan settles on,
+// 3.2*BW/2^(SF-K) (the Table 1 benchmark's conservative setting).
+func practicalRate(p Params) float64 {
+	return 3.2 * p.BandwidthHz / float64(p.AlphabetStride())
+}
+
 func TestFreqTrajectoryRange(t *testing.T) {
 	p := DefaultParams()
-	fs := 8 * p.PracticalSampleRate()
+	fs := 8 * practicalRate(p)
 	for s := 0; s < p.AlphabetSize(); s++ {
 		tr := p.FreqTrajectory(nil, p.SymbolValue(s), fs)
 		if len(tr) != p.SamplesPerSymbol(fs) {
@@ -27,7 +33,7 @@ func TestFreqTrajectoryRange(t *testing.T) {
 func TestFreqTrajectoryWrapPoint(t *testing.T) {
 	// The wrap (max->0 discontinuity) must occur at PeakFraction.
 	p := Params{SF: 7, BandwidthHz: Bandwidth500k, K: 2, CarrierHz: DefaultCarrierHz}
-	fs := 32 * p.PracticalSampleRate()
+	fs := 32 * practicalRate(p)
 	for s := 1; s < p.AlphabetSize(); s++ {
 		m := p.SymbolValue(s)
 		tr := p.FreqTrajectory(nil, m, fs)
@@ -55,7 +61,7 @@ func TestFreqTrajectoryStartOffsetProperty(t *testing.T) {
 		p := DefaultParams()
 		p.SF = 7 + int(seed%6)
 		m := int(seed % uint64(p.ChirpCount()))
-		tr := p.FreqTrajectory(nil, m, 4*p.PracticalSampleRate())
+		tr := p.FreqTrajectory(nil, m, 4*practicalRate(p))
 		want := float64(m) / float64(p.ChirpCount()) * p.BandwidthHz
 		return math.Abs(tr[0]-want) < 1e-6
 	}

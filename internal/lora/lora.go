@@ -18,7 +18,6 @@ import (
 // Standard LoRa bandwidths in Hz.
 const (
 	Bandwidth125k = 125_000.0
-	Bandwidth250k = 250_000.0
 	Bandwidth500k = 500_000.0
 )
 
@@ -86,13 +85,6 @@ func (p Params) BitRate() float64 {
 // 2*BW/2^(SF-K) from the paper's Nyquist argument (Section 2.3).
 func (p Params) NyquistSampleRate() float64 {
 	return 2 * p.BandwidthHz / float64(p.AlphabetStride())
-}
-
-// PracticalSampleRate is the rate Saiyan actually uses,
-// 3.2*BW/2^(SF-K), the conservative setting the paper derives from its
-// Table 1 benchmark.
-func (p Params) PracticalSampleRate() float64 {
-	return 3.2 * p.BandwidthHz / float64(p.AlphabetStride())
 }
 
 // ChirpRate returns the frequency sweep rate BW/T in Hz per second.

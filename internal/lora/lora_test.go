@@ -41,9 +41,6 @@ func TestDerivedQuantitiesPaperValues(t *testing.T) {
 	if r := p1.NyquistSampleRate(); math.Abs(r-15625) > 1e-9 {
 		t.Errorf("nyquist rate = %g, want 15625", r)
 	}
-	if r := p1.PracticalSampleRate(); math.Abs(r-25000) > 1e-9 {
-		t.Errorf("practical rate = %g, want 25000", r)
-	}
 	// Table 1: SF=12, K=1 theory 0.49 kHz.
 	p2 := Params{SF: 12, BandwidthHz: Bandwidth500k, K: 1, CarrierHz: DefaultCarrierHz}
 	if r := p2.NyquistSampleRate(); math.Abs(r-488.28125) > 1e-6 {
@@ -97,7 +94,7 @@ func TestNearestSymbolWraps(t *testing.T) {
 }
 
 func TestPeakFractionInverse(t *testing.T) {
-	p := Params{SF: 9, BandwidthHz: Bandwidth250k, K: 3, CarrierHz: DefaultCarrierHz}
+	p := Params{SF: 9, BandwidthHz: 250e3, K: 3, CarrierHz: DefaultCarrierHz}
 	for s := 0; s < p.AlphabetSize(); s++ {
 		m := p.SymbolValue(s)
 		frac := p.PeakFraction(m)

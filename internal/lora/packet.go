@@ -63,28 +63,9 @@ func SymbolsFromBits(p Params, bits []int) []int {
 
 // Durations.
 
-// PreambleDuration is the time occupied by the preamble up-chirps.
-func (f *Frame) PreambleDuration() float64 {
-	return PreambleUpchirps * f.Params.SymbolDuration()
-}
-
 // Duration is the total frame duration including preamble, sync and payload.
 func (f *Frame) Duration() float64 {
 	return (PreambleUpchirps + SyncSymbols + float64(len(f.Payload))) * f.Params.SymbolDuration()
-}
-
-// symbolSequence returns the full-alphabet chirp position of every symbol
-// slot in the frame, with -1 marking the fractional sync gap handled
-// separately.
-func (f *Frame) fullPositions() []int {
-	pos := make([]int, 0, PreambleUpchirps+len(f.Payload))
-	for i := 0; i < PreambleUpchirps; i++ {
-		pos = append(pos, 0) // preamble: base up-chirps
-	}
-	for _, s := range f.Payload {
-		pos = append(pos, f.Params.SymbolValue(s))
-	}
-	return pos
 }
 
 // FreqTrajectory renders the instantaneous-frequency trajectory of the whole
@@ -129,36 +110,6 @@ func (f *Frame) TrajectoryLen(sampleRate float64) int {
 func (f *Frame) PayloadOffsetSamples(sampleRate float64) int {
 	spb := f.Params.SamplesPerSymbol(sampleRate)
 	return PreambleUpchirps*spb + int(math.Round(SyncSymbols*float64(spb)))
-}
-
-// IQ renders the complex-baseband waveform of the whole frame (for the
-// standard receiver and the backscatter uplink models).
-func (f *Frame) IQ(dst []complex128, sampleRate float64) []complex128 {
-	p := f.Params
-	spb := p.SamplesPerSymbol(sampleRate)
-	syncSamples := int(math.Round(SyncSymbols * float64(spb)))
-	total := f.TrajectoryLen(sampleRate)
-	if cap(dst) < total {
-		dst = make([]complex128, total)
-	}
-	dst = dst[:total]
-	at := 0
-	sym := make([]complex128, 0, spb)
-	for _, m := range f.fullPositions()[:PreambleUpchirps] {
-		sym = p.IQ(sym[:0], m, sampleRate)
-		copy(dst[at:], sym)
-		at += spb
-	}
-	for i := 0; i < syncSamples; i++ {
-		dst[at+i] = 0
-	}
-	at += syncSamples
-	for _, s := range f.Payload {
-		sym = p.IQ(sym[:0], p.SymbolValue(s), sampleRate)
-		copy(dst[at:], sym)
-		at += spb
-	}
-	return dst
 }
 
 // CountBitErrors compares two symbol sequences bit by bit (each symbol

@@ -33,10 +33,6 @@ func NewReceiver(p Params, sampleRate float64) (*Receiver, error) {
 	return r, nil
 }
 
-// SamplesPerSymbol returns the symbol length in samples at the receiver's
-// sampling rate.
-func (r *Receiver) SamplesPerSymbol() int { return r.spb }
-
 // DemodSymbol demodulates one symbol window (len >= SamplesPerSymbol) and
 // returns the downlink symbol index plus the full-alphabet bin it mapped
 // from.
@@ -62,56 +58,4 @@ func (r *Receiver) DemodSymbol(iq []complex128) (sym, bin int) {
 	m := binPos / float64(r.spb) * float64(r.params.ChirpCount())
 	sym = r.params.NearestSymbol(m)
 	return sym, int(m + 0.5)
-}
-
-// DemodFrame demodulates the payload of a frame whose first payload sample
-// is at offset within iq. It returns one downlink symbol per payload slot.
-func (r *Receiver) DemodFrame(iq []complex128, offset, nSymbols int) []int {
-	out := make([]int, 0, nSymbols)
-	for s := 0; s < nSymbols; s++ {
-		lo := offset + s*r.spb
-		if lo >= len(iq) {
-			break
-		}
-		hi := lo + r.spb
-		if hi > len(iq) {
-			hi = len(iq)
-		}
-		sym, _ := r.DemodSymbol(iq[lo:hi])
-		out = append(out, sym)
-	}
-	return out
-}
-
-// DetectPreamble searches iq for the LoRa preamble by dechirping
-// symbol-length windows at symbol-length steps and requiring minHits
-// consecutive windows whose peak bin agrees. Because the preamble repeats
-// the same up-chirp, any window alignment inside it produces the same
-// (aliased) dechirp bin window after window, whereas noise hops bins at
-// random. It returns the approximate sample offset of the run's start and
-// true on success. This mirrors how SDR LoRa receivers synchronize.
-func (r *Receiver) DetectPreamble(iq []complex128, minHits int) (int, bool) {
-	if minHits < 2 {
-		minHits = 2
-	}
-	step := r.spb
-	run := 0
-	lastBin := -1
-	for off := 0; off+r.spb <= len(iq); off += step {
-		_, bin := r.DemodSymbol(iq[off : off+r.spb])
-		if bin == lastBin {
-			run++
-			if run >= minHits {
-				start := off - run*step
-				if start < 0 {
-					start = 0
-				}
-				return start, true
-			}
-		} else {
-			run = 0
-			lastBin = bin
-		}
-	}
-	return 0, false
 }

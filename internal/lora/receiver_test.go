@@ -54,29 +54,16 @@ func TestReceiverUnderNoise(t *testing.T) {
 	}
 }
 
-func TestReceiverDetectPreamble(t *testing.T) {
+func BenchmarkStandardReceiverSymbol(b *testing.B) {
 	p := DefaultParams()
-	fr, _ := NewFrame(p, []int{1, 0, 1})
-	fs := p.BandwidthHz
-	iq := fr.IQ(nil, fs)
-	// Prepend silence so the preamble is not at offset 0.
-	lead := make([]complex128, 3*p.SamplesPerSymbol(fs))
-	sig := append(lead, iq...)
-	rng := dsp.NewRand(5, 5)
-	dsp.AddComplexNoise(sig, 0.01, rng)
-	rx, _ := NewReceiver(p, fs)
-	off, ok := rx.DetectPreamble(sig, 4)
-	if !ok {
-		t.Fatal("preamble not detected")
+	rx, err := NewReceiver(p, p.BandwidthHz)
+	if err != nil {
+		b.Fatal(err)
 	}
-	spb := p.SamplesPerSymbol(fs)
-	if off > len(lead)+2*spb {
-		t.Errorf("preamble found at %d, expected near %d", off, len(lead))
-	}
-	// Pure noise must not trigger.
-	noise := make([]complex128, len(sig))
-	dsp.AddComplexNoise(noise, 1, rng)
-	if _, ok := rx.DetectPreamble(noise, 6); ok {
-		t.Error("preamble detected in pure noise")
+	iq := p.IQ(nil, 37, p.BandwidthHz)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rx.DemodSymbol(iq)
 	}
 }

@@ -134,6 +134,8 @@ func ParseCommand(bits []int) (Command, error) {
 
 // ToFrame packs the command into a downlink LoRa frame (Gray-coded
 // symbols).
+//
+//lint:allow unused with CommandFromSymbols, the tag-side PHY codec the command-over-PHY tests check the demodulator's output against
 func (c Command) ToFrame(p lora.Params) (*lora.Frame, error) {
 	bits, err := c.Bits()
 	if err != nil {
@@ -145,16 +147,10 @@ func (c Command) ToFrame(p lora.Params) (*lora.Frame, error) {
 
 // CommandFromSymbols decodes a received symbol sequence back into a
 // command.
+//
+//lint:allow unused the reference decoder TestCommandOverPHYEndToEnd checks the demodulated symbols with
 func CommandFromSymbols(p lora.Params, symbols []int) (Command, error) {
 	data := lora.DecodeSymbols(true, symbols)
 	frame := lora.Frame{Params: p, Payload: data}
 	return ParseCommand(frame.PayloadBits())
-}
-
-// Kind classifies the command's addressing (Section 4.4).
-func (c Command) Kind() DownlinkKind {
-	if c.Addr == BroadcastAddr {
-		return Broadcast
-	}
-	return Unicast
 }

@@ -10,7 +10,6 @@
 package mac
 
 import (
-	"fmt"
 	"math/rand/v2"
 )
 
@@ -108,44 +107,4 @@ func (k DownlinkKind) String() string {
 		return "broadcast"
 	}
 	return "unknown"
-}
-
-// SlottedALOHA simulates the Section 4.4 acknowledgement protocol: each of
-// nTags picks a uniform slot in [0, nSlots) and transmits when its counter
-// expires (the AP signals slot starts with carrier bursts). It returns the
-// number of acknowledgements that arrived without collision.
-func SlottedALOHA(nTags, nSlots int, rng *rand.Rand) (delivered int, err error) {
-	if nTags < 0 || nSlots < 1 {
-		return 0, fmt.Errorf("mac: invalid ALOHA setup: %d tags, %d slots", nTags, nSlots)
-	}
-	slots := make([]int, nSlots)
-	for t := 0; t < nTags; t++ {
-		slots[rng.IntN(nSlots)]++
-	}
-	for _, n := range slots {
-		if n == 1 {
-			delivered++
-		}
-	}
-	return delivered, nil
-}
-
-// ALOHADeliveryRate estimates the expected fraction of tags whose ACK
-// survives, averaged over rounds.
-func ALOHADeliveryRate(nTags, nSlots, rounds int, rng *rand.Rand) (float64, error) {
-	if rounds < 1 {
-		return 0, fmt.Errorf("mac: rounds must be positive")
-	}
-	if nTags == 0 {
-		return 1, nil
-	}
-	total := 0
-	for r := 0; r < rounds; r++ {
-		d, err := SlottedALOHA(nTags, nSlots, rng)
-		if err != nil {
-			return 0, err
-		}
-		total += d
-	}
-	return float64(total) / float64(rounds*nTags), nil
 }

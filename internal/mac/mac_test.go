@@ -72,47 +72,6 @@ func TestRetransmissionNegativeBudgetClamped(t *testing.T) {
 	}
 }
 
-func TestSlottedALOHA(t *testing.T) {
-	rng := dsp.NewRand(4, 4)
-	// One tag never collides.
-	d, err := SlottedALOHA(1, 8, rng)
-	if err != nil || d != 1 {
-		t.Errorf("single tag delivered %d, want 1 (err %v)", d, err)
-	}
-	// More tags than slots guarantee collisions eat some ACKs.
-	rate, err := ALOHADeliveryRate(16, 8, 200, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rate > 0.6 {
-		t.Errorf("16 tags over 8 slots delivered %g, want heavy collisions", rate)
-	}
-	// Plenty of slots: near-perfect delivery.
-	rate, err = ALOHADeliveryRate(3, 64, 200, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rate < 0.9 {
-		t.Errorf("3 tags over 64 slots delivered %g, want ~1", rate)
-	}
-}
-
-func TestSlottedALOHAValidation(t *testing.T) {
-	rng := dsp.NewRand(5, 5)
-	if _, err := SlottedALOHA(-1, 4, rng); err == nil {
-		t.Error("negative tags accepted")
-	}
-	if _, err := SlottedALOHA(4, 0, rng); err == nil {
-		t.Error("zero slots accepted")
-	}
-	if _, err := ALOHADeliveryRate(4, 4, 0, rng); err == nil {
-		t.Error("zero rounds accepted")
-	}
-	if rate, err := ALOHADeliveryRate(0, 4, 10, rng); err != nil || rate != 1 {
-		t.Errorf("zero tags rate = %g (%v), want 1", rate, err)
-	}
-}
-
 func TestDownlinkKindString(t *testing.T) {
 	if Unicast.String() != "unicast" || Multicast.String() != "multicast" ||
 		Broadcast.String() != "broadcast" || DownlinkKind(9).String() != "unknown" {

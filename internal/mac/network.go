@@ -61,16 +61,6 @@ func (n *Network) AddTag(addr int, uplinkPRR, downlinkPRR float64) (*Tag, error)
 	return t, nil
 }
 
-// tagByAddr finds a tag.
-func (n *Network) tagByAddr(addr int) *Tag {
-	for _, t := range n.Tags {
-		if t.Addr == addr {
-			return t
-		}
-	}
-	return nil
-}
-
 // RoundResult summarizes one uplink round.
 type RoundResult struct {
 	Transmitted int // tags that sent a packet this round

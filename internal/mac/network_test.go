@@ -7,6 +7,16 @@ import (
 	"saiyan/internal/lora"
 )
 
+// tagByAddr finds a tag of n by address.
+func tagByAddr(n *Network, addr int) *Tag {
+	for _, t := range n.Tags {
+		if t.Addr == addr {
+			return t
+		}
+	}
+	return nil
+}
+
 func TestCommandBitsRoundTrip(t *testing.T) {
 	cases := []Command{
 		{Op: OpRetransmit, Addr: 7, Arg: 42},
@@ -86,12 +96,6 @@ func TestCommandToFrameRoundTrip(t *testing.T) {
 }
 
 func TestCommandKindAndNames(t *testing.T) {
-	if (Command{Op: OpAck, Addr: BroadcastAddr}).Kind() != Broadcast {
-		t.Error("broadcast address should classify as broadcast")
-	}
-	if (Command{Op: OpAck, Addr: 3}).Kind() != Unicast {
-		t.Error("specific address should classify as unicast")
-	}
 	for op := OpAck; op <= OpSensorOff; op++ {
 		if op.String() == "unknown" {
 			t.Errorf("opcode %d unnamed", op)
@@ -214,7 +218,7 @@ func TestNetworkBroadcastCommands(t *testing.T) {
 	if _, err := n.Broadcast(Command{Op: OpSetRate, Addr: 2, Arg: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if got := n.tagByAddr(2).RateK; got != 4 {
+	if got := tagByAddr(n, 2).RateK; got != 4 {
 		t.Errorf("tag rate = %d, want 4", got)
 	}
 	// Invalid command surfaces an error.

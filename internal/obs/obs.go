@@ -97,20 +97,6 @@ func (g *Gauge) SetMax(v float64) {
 	}
 }
 
-// Add shifts the gauge by delta.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, nw) {
-			return
-		}
-	}
-}
-
 // Value reads the current value.
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -131,7 +117,7 @@ type HistogramOpts struct {
 	// last bound land in the implicit +Inf bucket. Default 24.
 	Buckets int
 	// Shards is the number of independent write shards. Size it to the
-	// worker count so concurrent ObserveShard calls never contend; 1 (the
+	// worker count so concurrent ObserveShardTrace calls never contend; 1 (the
 	// default) is right for single-goroutine writers.
 	Shards int
 }
@@ -194,17 +180,6 @@ func NewHistogram(opts HistogramOpts) *Histogram {
 	return h
 }
 
-// Observe records v on shard 0 (single-writer histograms).
-func (h *Histogram) Observe(v float64) { h.ObserveShard(0, v) }
-
-// ObserveShard records v on the given write shard. Shard indices wrap, so
-// a worker index is always a valid shard. Zero-alloc.
-//
-//saiyan:hotpath
-func (h *Histogram) ObserveShard(shard int, v float64) {
-	h.ObserveShardTrace(shard, v, 0)
-}
-
 // ObserveShardTrace records v on the given write shard and, when trace is
 // non-zero, stamps the landing bucket's exemplar with that flight trace
 // ID, so an operator can jump from a bucket to one concrete frame's
@@ -261,24 +236,6 @@ func (h *Histogram) merge() (counts []uint64, count uint64, sum float64) {
 		sum += math.Float64frombits(s.sum.Load())
 	}
 	return counts, count, sum
-}
-
-// Count is the merged observation count across all shards.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	_, n, _ := h.merge()
-	return n
-}
-
-// Sum is the merged observation sum across all shards.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	_, _, s := h.merge()
-	return s
 }
 
 // Metric kinds as they appear in exposition and snapshots.

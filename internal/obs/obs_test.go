@@ -26,8 +26,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 
 	g := r.Gauge("saiyan_test_depth", "test gauge")
-	g.Set(3.5)
-	g.Add(-1)
+	g.Set(2.5)
 	if got := g.Value(); got != 2.5 {
 		t.Fatalf("gauge = %g, want 2.5", got)
 	}
@@ -47,11 +46,9 @@ func TestNilHandlesNoOp(t *testing.T) {
 	c.Add(7)
 	g.Set(1)
 	g.SetMax(2)
-	g.Add(3)
-	h.Observe(1)
-	h.ObserveShard(3, 1)
+	h.ObserveShardTrace(3, 1, 0)
 	h.ObserveSince(0, time.Now())
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
+	if c.Value() != 0 || g.Value() != 0 {
 		t.Fatal("nil handles must read as zero")
 	}
 	if r.Counter("x", "") != nil || r.Gauge("y", "") != nil || r.Histogram("z", "", HistogramOpts{}) != nil {
@@ -80,8 +77,8 @@ func TestHistogramShardMerge(t *testing.T) {
 		obs[i] = math.Exp(rng.Float64()*20 - 14) // spans well past both grid ends
 	}
 	for i, v := range obs {
-		sharded.ObserveShard(i%shards, v)
-		ref.Observe(v)
+		sharded.ObserveShardTrace(i%shards, v, 0)
+		ref.ObserveShardTrace(0, v, 0)
 	}
 
 	gotCounts, gotN, gotSum := sharded.merge()
@@ -126,7 +123,7 @@ func TestConcurrentWrites(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
 				g.SetMax(float64(w*perWorker + i))
-				h.ObserveShard(w, float64(i)*1e-6)
+				h.ObserveShardTrace(w, float64(i)*1e-6, 0)
 			}
 		}(w)
 	}
@@ -138,7 +135,7 @@ func TestConcurrentWrites(t *testing.T) {
 	if got, want := g.Value(), float64(workers*perWorker-1); got != want {
 		t.Fatalf("gauge hwm = %g, want %g", got, want)
 	}
-	if got := h.Count(); got != workers*perWorker {
+	if _, got, _ := h.merge(); got != workers*perWorker {
 		t.Fatalf("histogram count = %d, want %d", got, workers*perWorker)
 	}
 }
@@ -155,7 +152,7 @@ func TestZeroAllocHotPath(t *testing.T) {
 		c.Add(1)
 		g.Set(7)
 		g.SetMax(9)
-		h.ObserveShard(2, 3e-5)
+		h.ObserveShardTrace(2, 3e-5, 0)
 		h.ObserveSince(1, start)
 	}); n != 0 {
 		t.Fatalf("hot-path write allocates %.1f times per op, want 0", n)
@@ -170,9 +167,9 @@ func TestPrometheusExposition(t *testing.T) {
 	r.Gauge("saiyan_queue_depth", "queue depth").Set(2)
 	h := r.Histogram("saiyan_decode_seconds", "decode latency",
 		HistogramOpts{Min: 0.001, Growth: 10, Buckets: 3, Shards: 2})
-	h.ObserveShard(0, 0.0005) // first bucket
-	h.ObserveShard(1, 0.05)   // third bucket
-	h.ObserveShard(0, 5)      // +Inf overflow
+	h.ObserveShardTrace(0, 0.0005, 0) // first bucket
+	h.ObserveShardTrace(1, 0.05, 0)   // third bucket
+	h.ObserveShardTrace(0, 5, 0)      // +Inf overflow
 
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -219,7 +216,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("saiyan_a_total", "a").Add(5)
 	r.Gauge("saiyan_b", "b").Set(1.5)
-	r.Histogram("saiyan_c_seconds", "c", HistogramOpts{Buckets: 4}).Observe(2e-6)
+	r.Histogram("saiyan_c_seconds", "c", HistogramOpts{Buckets: 4}).ObserveShardTrace(0, 2e-6, 0)
 
 	snap := r.Snapshot()
 	if len(snap) != 3 {
@@ -398,7 +395,7 @@ func TestHistogramExemplars(t *testing.T) {
 	h.ObserveShardTrace(1, 0.0004, 0x1234)     // same bucket: last write wins
 	h.ObserveShardTrace(0, 5, 0xcafe)          // +Inf overflow bucket
 	h.ObserveShardTrace(1, 0.05, 0)            // zero trace: no stamp
-	plain.ObserveShard(0, 0.01)                // exemplar-free twin
+	plain.ObserveShardTrace(0, 0.01, 0)        // exemplar-free twin
 
 	byName := map[string]MetricSnapshot{}
 	for _, m := range r.Snapshot() {

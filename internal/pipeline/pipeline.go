@@ -358,6 +358,8 @@ func (p *Pipeline) Submit(batch ...Job) error {
 // prototype loads its table offline. It is optional — masters are
 // otherwise calibrated lazily on first use — and runs outside the
 // throughput clock, which starts at the first Submit.
+//
+//lint:allow unused benchmarks and allocation pins warm the table with it so calibration stays outside what they measure
 func (p *Pipeline) Precalibrate(rssDBm ...float64) {
 	for _, rss := range rssDBm {
 		p.master(p.quantize(rss))

@@ -298,13 +298,14 @@ func TestGoldenTraceReplay(t *testing.T) {
 		if err := p.Record(w, false); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.Run(context.Background(), src); err != nil {
+		st, err := p.Run(context.Background(), src)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("regenerated %s (%d frames)", goldenPath, w.Frames())
+		t.Logf("regenerated %s (%d frames)", goldenPath, st.FramesOut)
 	}
 
 	for _, workers := range []int{1, 4, 8} {

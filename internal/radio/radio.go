@@ -12,9 +12,6 @@ package radio
 import (
 	"fmt"
 	"math"
-	"math/rand/v2"
-
-	"saiyan/internal/dsp"
 )
 
 // SpeedOfLight in m/s.
@@ -54,10 +51,10 @@ type LinkBudget struct {
 	NoiseFigure  float64     // receiver noise figure in dB
 	ExtraLossDB  float64     // matching/cable/implementation losses
 
-	// ShadowingSigmaDB enables log-normal shadowing: SampleRSSDBm draws a
-	// per-packet RSS with this standard deviation around the deterministic
-	// RSSDBm. Zero (the default, used by all paper reproductions) keeps
-	// the channel deterministic.
+	// ShadowingSigmaDB is a log-normal shadowing spread around RSSDBm.
+	// No model here draws shadowed RSS (every paper reproduction keeps
+	// the channel deterministic); the field stays so trace headers that
+	// record a link keep their schema.
 	ShadowingSigmaDB float64
 }
 
@@ -118,41 +115,12 @@ func (lb LinkBudget) RSSDBm(d float64) float64 {
 	return lb.TxPowerDBm + lb.TxAntennaDBi + lb.RxAntennaDBi - lb.PathLossDB(d) - lb.ExtraLossDB
 }
 
-// SampleRSSDBm draws one packet's RSS at distance d, applying log-normal
-// shadowing when ShadowingSigmaDB is set. With zero sigma it equals
-// RSSDBm and ignores rng (which may then be nil).
-func (lb LinkBudget) SampleRSSDBm(d float64, rng *rand.Rand) float64 {
-	rss := lb.RSSDBm(d)
-	if lb.ShadowingSigmaDB > 0 && rng != nil {
-		rss += lb.ShadowingSigmaDB * rng.NormFloat64()
-	}
-	return rss
-}
-
 // NoiseFloorDBm returns the receiver noise floor for the given bandwidth.
 func (lb LinkBudget) NoiseFloorDBm(bandwidthHz float64) float64 {
 	if bandwidthHz <= 0 {
 		return math.Inf(-1)
 	}
 	return ThermalNoiseDensity + 10*math.Log10(bandwidthHz) + lb.NoiseFigure
-}
-
-// SNRDB returns the pre-detection SNR at distance d within bandwidthHz.
-func (lb LinkBudget) SNRDB(d, bandwidthHz float64) float64 {
-	return lb.RSSDBm(d) - lb.NoiseFloorDBm(bandwidthHz)
-}
-
-// DistanceForRSS inverts RSSDBm: the distance at which the link delivers the
-// requested RSS. Values above the 1 m RSS return the reference distance.
-func (lb LinkBudget) DistanceForRSS(rssDBm float64) float64 {
-	budget := lb.TxPowerDBm + lb.TxAntennaDBi + lb.RxAntennaDBi - lb.ExtraLossDB -
-		float64(lb.Walls)*WallLossDB - lb.refLossDB()
-	exp := (budget - rssDBm) / (10 * lb.PathLossExponent())
-	d := refDistanceM * math.Pow(10, exp)
-	if d < refDistanceM {
-		return refDistanceM
-	}
-	return d
 }
 
 // String summarizes the budget for logs and experiment headers.
@@ -191,16 +159,4 @@ func (b BackscatterLink) RSSDBm(dTxTag, dTagRx float64) float64 {
 // SNRDB returns the uplink SNR at the receiver.
 func (b BackscatterLink) SNRDB(dTxTag, dTagRx, bandwidthHz float64) float64 {
 	return b.RSSDBm(dTxTag, dTagRx) - b.Backward.NoiseFloorDBm(bandwidthHz)
-}
-
-// ApplySNR scales a unit-power complex signal and adds white noise so the
-// result has the requested SNR with unit noise power, using rng for
-// determinism. Scaling the signal rather than the noise keeps downstream
-// threshold conventions uniform across experiments.
-func ApplySNR(x []complex128, snrDB float64, rng *rand.Rand) {
-	amp := math.Sqrt(dsp.FromDB(snrDB))
-	for i := range x {
-		x[i] *= complex(amp, 0)
-	}
-	dsp.AddComplexNoise(x, 1, rng)
 }

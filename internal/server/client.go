@@ -184,11 +184,9 @@ func (c *Client) Subscribe(frames, metrics, flightDumps, healthDeltas bool) erro
 // the wire. The server applies them at the next epoch boundary and reports
 // a rejection asynchronously as an EventError on the stream.
 
-// Pause idles the server's epoch loop until Resume.
+// Pause idles the server's epoch loop until the protocol's resume
+// request restarts it.
 func (c *Client) Pause() error { return c.write(msgPause, nil) }
-
-// Resume restarts a paused epoch loop.
-func (c *Client) Resume() error { return c.write(msgResume, nil) }
 
 // OverrideRate forces a tag's downlink rate to k; tag < 0 applies to every
 // deployed tag.

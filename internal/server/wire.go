@@ -133,9 +133,6 @@ var (
 	ErrCorrupt = chunk.ErrCorrupt
 	// ErrTruncated marks a stream that ended mid-message.
 	ErrTruncated = chunk.ErrTruncated
-	// ErrVersion marks a peer speaking a protocol version this build does
-	// not understand.
-	ErrVersion = chunk.ErrVersion
 	// ErrUnknownType marks a message type outside the protocol.
 	ErrUnknownType = errors.New("server: unknown message type")
 )

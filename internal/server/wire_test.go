@@ -18,7 +18,7 @@ func TestPreludeVersion(t *testing.T) {
 	// Wrong version.
 	mut := append([]byte(nil), buf...)
 	mut[len(mut)-4] ^= 0xFF
-	if err := wire.ReadPrelude(bytes.NewReader(mut)); !errors.Is(err, ErrVersion) {
+	if err := wire.ReadPrelude(bytes.NewReader(mut)); !errors.Is(err, chunk.ErrVersion) {
 		t.Fatalf("bad version: %v, want ErrVersion", err)
 	}
 	// Wrong magic.
@@ -162,7 +162,7 @@ func FuzzWireFrame(f *testing.F) {
 
 	allowed := func(err error) bool {
 		return err == nil || errors.Is(err, io.EOF) || errors.Is(err, ErrCorrupt) ||
-			errors.Is(err, ErrTruncated) || errors.Is(err, ErrVersion) || errors.Is(err, ErrUnknownType)
+			errors.Is(err, ErrTruncated) || errors.Is(err, chunk.ErrVersion) || errors.Is(err, ErrUnknownType)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)

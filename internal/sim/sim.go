@@ -45,14 +45,6 @@ func (r Result) BER() float64 {
 	return float64(r.BitErrs) / float64(r.Bits)
 }
 
-// SER returns the measured symbol error rate.
-func (r Result) SER() float64 {
-	if r.Symbols == 0 {
-		return 0
-	}
-	return float64(r.SymbolErrs) / float64(r.Symbols)
-}
-
 // demodAt builds and calibrates a demodulator for one distance.
 func (l *Link) demodAt(distanceM float64) (*core.Demodulator, float64, error) {
 	d, err := core.New(l.Config)

@@ -42,11 +42,12 @@ func Open(path string) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr := &Reader{br: bufio.NewReader(f), file: f}
-	if err := tr.begin(); err != nil {
+	tr, err := NewReader(f)
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
+	tr.file = f
 	return tr, nil
 }
 
@@ -81,9 +82,6 @@ func (r *Reader) begin() error {
 
 // Header returns the trace metadata.
 func (r *Reader) Header() Header { return r.hdr }
-
-// Frames returns the number of records delivered so far.
-func (r *Reader) Frames() uint64 { return r.frames }
 
 // readChunk reads and CRC-verifies one chunk. io.EOF at a chunk boundary
 // is returned as-is.
@@ -162,10 +160,6 @@ func (r *Reader) Next() (*Record, error) {
 		}
 	}
 }
-
-// Complete reports whether the trailer was reached, i.e. the trace was
-// read to a clean end.
-func (r *Reader) Complete() bool { return r.done }
 
 // Close releases the gzip layer and the underlying file when the Reader
 // owns it.

@@ -184,7 +184,7 @@ func TestTruncatedKeepsCompleteRecords(t *testing.T) {
 	if !errors.Is(lastErr, ErrTruncated) {
 		t.Fatalf("truncated trace error = %v, want ErrTruncated", lastErr)
 	}
-	if r.Complete() {
+	if r.done {
 		t.Error("Complete() true for truncated trace")
 	}
 	if len(got) != 2 || !reflect.DeepEqual(got[0], recs[0]) || !reflect.DeepEqual(got[1], recs[1]) {
@@ -324,7 +324,7 @@ func TestGzipFileRoundTrip(t *testing.T) {
 		if n != len(testRecords()) {
 			t.Errorf("%s: %d records, want %d", name, n, len(testRecords()))
 		}
-		if !r.Complete() {
+		if !r.done {
 			t.Errorf("%s: Complete() false after clean drain", name)
 		}
 		if err := r.Close(); err != nil {
@@ -373,7 +373,7 @@ func TestAbortLeavesTruncated(t *testing.T) {
 	if !errors.Is(lastErr, ErrTruncated) {
 		t.Errorf("aborted trace drained with %v, want ErrTruncated", lastErr)
 	}
-	if r.Complete() {
+	if r.done {
 		t.Error("Complete() true for aborted trace")
 	}
 	if len(got) != len(recs) || !reflect.DeepEqual(got[0], recs[0]) {

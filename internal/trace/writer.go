@@ -45,16 +45,19 @@ func Create(path string, hdr Header) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	tw := &Writer{w: f, file: f}
+	var w io.Writer = f
+	var gz *gzip.Writer
 	if strings.HasSuffix(path, ".gz") {
-		tw.gz = gzip.NewWriter(f)
-		tw.w = tw.gz
+		gz = gzip.NewWriter(f)
+		w = gz
 	}
-	if err := tw.begin(hdr); err != nil {
+	tw, err := NewWriter(w, hdr)
+	if err != nil {
 		f.Close()
 		os.Remove(path)
 		return nil, err
 	}
+	tw.gz, tw.file = gz, f
 	return tw, nil
 }
 
@@ -99,9 +102,6 @@ func (w *Writer) WriteRecord(r *Record) error {
 	w.frames++
 	return nil
 }
-
-// Frames returns the number of records written so far.
-func (w *Writer) Frames() uint64 { return w.frames }
 
 // Abort closes the writer WITHOUT writing the trailer chunk, deliberately
 // leaving the trace truncated: readers deliver the records already written

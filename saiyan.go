@@ -12,7 +12,7 @@ import (
 	"saiyan/internal/energy"
 	"saiyan/internal/experiments"
 	"saiyan/internal/flight"
-	"saiyan/internal/fxp"
+
 	"saiyan/internal/gateway"
 	"saiyan/internal/health"
 	"saiyan/internal/lora"
@@ -35,12 +35,6 @@ type (
 	Config = core.Config
 	// Demodulator is the tag-side Saiyan receiver.
 	Demodulator = core.Demodulator
-	// Mode selects vanilla / freq-shift / full (Figure 25 ablation).
-	Mode = core.Mode
-	// AGCConfig tunes the automatic-gain-control threshold estimator
-	// (the paper's stated future work; see Demodulator.ProcessFrameAuto).
-	// Zero value: fully usable, every field defaults.
-	AGCConfig = core.AGCConfig
 )
 
 // Configuration pattern. Every XConfig in this package follows one rule:
@@ -59,10 +53,6 @@ type (
 // DefaultConfig returns the paper's Section 5 evaluation setting: SF 7,
 // BW 500 kHz, CR 1, full demodulation chain, 3.2x sampling.
 func DefaultConfig() Config { return core.DefaultConfig() }
-
-// DefaultAGCConfig returns the calibrated online threshold estimator;
-// identical to a zero AGCConfig.
-func DefaultAGCConfig() AGCConfig { return core.DefaultAGCConfig() }
 
 // DefaultPipelineConfig returns a pipeline over the paper's default
 // demodulator with one worker per CPU.
@@ -90,12 +80,6 @@ type (
 	// Datapath selects the arithmetic of the payload decode stage
 	// (Config.Datapath): the float64 reference or the Q1.15 integer path.
 	Datapath = core.Datapath
-	// ADC is the quantizer at the analog/digital boundary.
-	ADC = fxp.ADC
-	// FxpOpCounts is the integer datapath's per-operation ledger.
-	FxpOpCounts = fxp.OpCounts
-	// FxpCycleModel prices each operation class in MCU cycles.
-	FxpCycleModel = fxp.CycleModel
 	// MCUBudget converts a cycle ledger into microwatts for comparison
 	// against the Table 2 MCU entry.
 	MCUBudget = energy.MCUBudget
@@ -106,10 +90,6 @@ const (
 	DatapathFloat = core.DatapathFloat
 	DatapathFixed = core.DatapathFixed
 )
-
-// DefaultFxpCycleModel returns Cortex-M4-class operation timings (the core
-// inside the prototype's Apollo2 MCU).
-func DefaultFxpCycleModel() FxpCycleModel { return fxp.DefaultCycleModel() }
 
 // DefaultMCUBudget returns the Apollo2 at 48 MHz with the active draw
 // implied by Table 2 (19.6 uW at 1 % duty cycling).
@@ -125,21 +105,14 @@ type (
 	Params = lora.Params
 	// Frame is a downlink packet: preamble, sync, payload symbols.
 	Frame = lora.Frame
-	// Receiver is the standard dechirp-FFT LoRa receiver (the 40 mW
-	// comparator Saiyan displaces).
-	Receiver = lora.Receiver
 )
 
 // Channel and link types.
 type (
 	// LinkBudget is the 433 MHz link budget (path loss, walls, noise).
 	LinkBudget = radio.LinkBudget
-	// BackscatterLink is the two-hop uplink geometry of Figure 2.
-	BackscatterLink = radio.BackscatterLink
 	// Link runs end-to-end BER / throughput / range measurements.
 	Link = sim.Link
-	// RangeOptions tunes the range bisection searches.
-	RangeOptions = sim.RangeOptions
 	// SAWFilter is the frequency-amplitude converter model (Figure 5).
 	SAWFilter = analog.SAWFilter
 )
@@ -148,44 +121,21 @@ type (
 type (
 	// EnergyLedger is a per-component power/cost table (Table 2).
 	EnergyLedger = energy.Ledger
-	// Harvester models the photovoltaic supply (Sections 1, 4.1).
-	Harvester = energy.Harvester
 )
 
 // MAC types enabled by the feedback loop.
 type (
 	// RetransmissionResult is the Figure 26 PRR-vs-retries outcome.
 	RetransmissionResult = mac.RetransmissionResult
-	// HoppingConfig drives the Figure 27 channel-hopping case study.
-	HoppingConfig = mac.HoppingConfig
-	// RateAdapter picks the fastest safe downlink coding rate.
-	RateAdapter = mac.RateAdapter
 	// Command is a downlink instruction (retransmit, hop, set rate,
 	// sensor on/off).
 	Command = mac.Command
-	// Opcode identifies a downlink command type.
-	Opcode = mac.Opcode
 	// Network simulates an access point serving multiple tags.
 	Network = mac.Network
 )
 
-// Downlink opcodes.
-const (
-	OpAck        = mac.OpAck
-	OpRetransmit = mac.OpRetransmit
-	OpHopChannel = mac.OpHopChannel
-	OpSetRate    = mac.OpSetRate
-	OpSensorOn   = mac.OpSensorOn
-	OpSensorOff  = mac.OpSensorOff
-	// BroadcastAddr addresses every tag in range.
-	BroadcastAddr = mac.BroadcastAddr
-)
-
-// ParseCommandSymbols decodes downlink symbols received by a tag back into
-// a Command, undoing the Gray mapping and verifying the checksum.
-func ParseCommandSymbols(p Params, symbols []int) (Command, error) {
-	return mac.CommandFromSymbols(p, symbols)
-}
+// OpSensorOff is the downlink opcode that switches a tag's sensor off.
+const OpSensorOff = mac.OpSensorOff
 
 // NewNetwork builds a multi-tag MAC simulation with the given number of
 // slotted-ALOHA slots.
@@ -204,18 +154,11 @@ type (
 	PipelineConfig = pipeline.Config
 	// PipelineJob is one downlink frame awaiting demodulation.
 	PipelineJob = pipeline.Job
-	// PipelineResult is the demodulation outcome of one job.
-	PipelineResult = pipeline.Result
 	// PipelineStats is the aggregate throughput/error snapshot.
 	PipelineStats = pipeline.Stats
 	// TagSet generates deterministic multi-tag downlink traffic.
 	TagSet = sim.TagSet
-	// SimTag is one simulated tag of a TagSet.
-	SimTag = sim.SimTag
 )
-
-// ErrPipelineDrained is returned by Pipeline.Submit after Drain.
-var ErrPipelineDrained = pipeline.ErrDrained
 
 // NewPipeline starts a concurrent demodulation pipeline. For a fixed
 // cfg.Seed the decoded symbol stream is identical regardless of worker
@@ -229,57 +172,20 @@ func NewTagSet(p Params, budget LinkBudget, n int, minM, maxM float64, seed uint
 	return sim.NewTagSet(p, budget, n, minM, maxM, seed)
 }
 
-// Trace capture & replay types. A trace is a persistent recording of a
+// Trace capture & replay. A trace is a persistent recording of a
 // demodulation workload — configuration, per-frame symbols, noise seeds,
 // and the demodulator's decisions — that can be shipped and re-demodulated
 // later, bit-exactly. See internal/trace for the format specification.
 type (
-	// TraceHeader is the trace-wide metadata: demodulator configuration,
-	// seed, calibration quantum, optional link provenance.
-	TraceHeader = trace.Header
-	// TraceRecord is one recorded frame.
-	TraceRecord = trace.Record
-	// TraceReader streams records out of a trace (gzip auto-detected).
-	TraceReader = trace.Reader
-	// TraceWriter streams records into a trace.
-	TraceWriter = trace.Writer
 	// PipelineSource supplies frames to Pipeline.Run, one at a time.
 	PipelineSource = pipeline.Source
 )
-
-// Trace error sentinels; test with errors.Is. Traces, the wire protocol
-// and flight dumps share one framing codec, so ErrTraceCorrupt,
-// ErrTraceTruncated and ErrTraceVersion are the same values as their
-// ErrServer* counterparts.
-var (
-	// ErrTraceCorrupt marks CRC or structural damage in a trace.
-	ErrTraceCorrupt = trace.ErrCorrupt
-	// ErrTraceTruncated marks a trace cut short of its trailer; records
-	// before the cut remain readable.
-	ErrTraceTruncated = trace.ErrTruncated
-	// ErrTraceVersion marks a trace whose format version this build does
-	// not understand.
-	ErrTraceVersion = trace.ErrVersion
-)
-
-// OpenTrace opens a recorded trace for reading; gzip compression is
-// detected from the content.
-func OpenTrace(path string) (*TraceReader, error) { return trace.Open(path) }
-
-// CreateTrace starts a new trace file (gzip-compressed when path ends in
-// ".gz"). Most callers use RecordTrace instead; CreateTrace is the
-// low-level hook for custom writers.
-func CreateTrace(path string, hdr TraceHeader) (*TraceWriter, error) { return trace.Create(path, hdr) }
 
 // NewTagTrafficSource schedules framesPerTag live frames from every tag of
 // ts, round-robin, for Pipeline.Run or RecordTrace.
 func NewTagTrafficSource(ts *TagSet, framesPerTag int) (PipelineSource, error) {
 	return pipeline.NewTagSetSource(ts, framesPerTag)
 }
-
-// NewTraceSource replays the records of an open trace as pipeline jobs,
-// pinning each frame's recorded noise shard.
-func NewTraceSource(r *TraceReader) PipelineSource { return pipeline.NewTraceSource(r) }
 
 // RecordTrace runs src through a pipeline configured by cfg while
 // recording every demodulated frame — transmitted symbols, RSS, noise
@@ -307,8 +213,9 @@ func RecordTrace(ctx context.Context, path string, cfg PipelineConfig, src Pipel
 	st, err := p.Run(ctx, src)
 	if err != nil {
 		// Leave the trace deliberately truncated (no trailer): the frames
-		// captured before the failure stay readable, but the file reports
-		// ErrTraceTruncated instead of passing for a complete capture.
+		// captured before the failure stay readable, but replaying the file
+		// reports ErrServerTruncated instead of passing it for a complete
+		// capture.
 		w.Abort()
 		return st, err
 	}
@@ -352,24 +259,18 @@ type (
 	// the transmission schedule that produced them.
 	TagStream = sim.Stream
 	// StreamFrame is one scheduled transmission of a TagStream.
+	//
+	//lint:allow unused the repository benchmark's tests name it to compare capture schedules
 	StreamFrame = sim.StreamFrame
-	// StreamChunk is one delivery unit of a capture.
-	StreamChunk = sim.Chunk
 	// StreamConfig assembles the segmenter that hunts frames in a capture.
 	// Zero value: every field except Demod defaults; Demod is required.
 	StreamConfig = stream.Config
-	// StreamSegmenter carries preamble-hunt state across chunk deliveries.
-	StreamSegmenter = stream.Segmenter
-	// StreamWindow is one extracted frame candidate.
-	StreamWindow = stream.Window
 	// StreamSource adapts a chunked capture to Pipeline.Run: segmentation
 	// on the submission goroutine, decoding on the worker pool.
 	StreamSource = stream.Source
 	// StreamStats is the outcome of a continuous-capture run: pipeline
 	// aggregates plus segmentation accounting and frame recovery.
 	StreamStats = stream.Stats
-	// StreamMatcher resolves extracted windows back to scheduled truth.
-	StreamMatcher = stream.Matcher
 )
 
 // RenderTimeline schedules framesPerTag frames from every tag of ts along
@@ -407,8 +308,8 @@ func DemodulateStream(ctx context.Context, pcfg PipelineConfig, scfg StreamConfi
 // synthesizing downlink Commands and applying them back to the simulated
 // deployment.
 type (
-	// Gateway is a running closed-loop service; advance with RunEpoch or
-	// Run, observe with Snapshot.
+	// Gateway is a running closed-loop service; advance with RunEpoch,
+	// observe with Snapshot.
 	Gateway = gateway.Gateway
 	// GatewayConfig assembles a gateway: channels, tag population, churn,
 	// degradations, adaptation thresholds. Zero value: every knob
@@ -418,10 +319,6 @@ type (
 	// GatewayStats is the gateway's deterministic metrics snapshot —
 	// byte-identical at any worker count for a fixed seed.
 	GatewayStats = gateway.Snapshot
-	// GatewaySession is the per-tag slice of a GatewayStats.
-	GatewaySession = gateway.SessionSnapshot
-	// GatewayChannel is the per-ingest-channel slice of a GatewayStats.
-	GatewayChannel = gateway.ChannelSnapshot
 	// GatewayEpochReport summarizes one served epoch.
 	GatewayEpochReport = gateway.EpochReport
 	// GatewayFrameEvent is one per-frame decode outcome, emitted in
@@ -456,21 +353,12 @@ type (
 	// ServerClient is a protocol client: a subscriber and control handle
 	// for one server connection; build with DialServer.
 	ServerClient = server.Client
-	// ServerEvent is one received server message; Kind selects the field.
-	ServerEvent = server.Event
-	// ServerEventKind discriminates received server messages.
-	ServerEventKind = server.EventKind
-	// ServerHello is the server's first message: protocol version and
-	// service state at connect time.
-	ServerHello = server.Hello
 	// ServerClientStats is the per-subscriber delivery/drop accounting the
 	// server reports after every epoch.
 	ServerClientStats = server.ClientStats
-	// ServerTagMove is one entry of a channel-plan swap.
-	ServerTagMove = server.TagMove
 )
 
-// Server event kinds (ServerEvent.Kind).
+// Server event kinds: the Kind of each event ServerClient.Next returns.
 const (
 	ServerEventFrame    = server.EventFrame
 	ServerEventEpoch    = server.EventEpoch
@@ -492,18 +380,12 @@ const (
 // ServerProtocolVersion is the wire protocol version this build speaks.
 const ServerProtocolVersion = server.Version
 
-// Wire protocol error sentinels; test with errors.Is.
-var (
-	// ErrServerCorrupt marks structural damage on the wire or in a capture
-	// file: bad magic, CRC mismatch, malformed payload.
-	ErrServerCorrupt = server.ErrCorrupt
-	// ErrServerTruncated marks a stream or capture cut mid-message.
-	ErrServerTruncated = server.ErrTruncated
-	// ErrServerVersion marks a peer speaking an unknown protocol version.
-	ErrServerVersion = server.ErrVersion
-	// ErrServerUnknownType marks a message type outside the protocol.
-	ErrServerUnknownType = server.ErrUnknownType
-)
+// ErrServerTruncated marks a wire stream or capture file cut
+// mid-message; test with errors.Is. Traces share the wire's framing
+// codec, so a trace cut short reports the same value.
+//
+//lint:allow unused ReadFrameCapture documents returning it for callers to match with errors.Is
+var ErrServerTruncated = server.ErrTruncated
 
 // NewServer validates cfg and binds its listen socket (so Server.Addr is
 // routable immediately); Serve then runs the epoch loop until its context
@@ -533,14 +415,6 @@ type (
 	// ObsRegistry is a named-metric registry; build with NewObsRegistry.
 	// A nil registry is valid everywhere and disables instrumentation.
 	ObsRegistry = obs.Registry
-	// ObsCounter is a monotonically increasing counter handle.
-	ObsCounter = obs.Counter
-	// ObsGauge is a settable float gauge handle.
-	ObsGauge = obs.Gauge
-	// ObsHistogram is a fixed log-bucket distribution handle.
-	ObsHistogram = obs.Histogram
-	// ObsHistogramOpts shapes a histogram's bucket grid and shard count.
-	ObsHistogramOpts = obs.HistogramOpts
 	// MetricSnapshot is one series of a registry dump (ObsRegistry.Snapshot,
 	// the obs wire message, and the /snapshot endpoint's sibling).
 	MetricSnapshot = obs.MetricSnapshot
@@ -574,17 +448,8 @@ type (
 	// FlightOptions sizes a recorder (shards, ring capacity, dump
 	// retention). Zero value: every field defaults.
 	FlightOptions = flight.Options
-	// FlightSpan is one fixed-size decision record.
-	FlightSpan = flight.Span
 	// FlightDump is one anomaly-triggered black-box dump.
 	FlightDump = flight.Dump
-	// FlightStage locates a span in the receive path (segment, decode,
-	// fold, control, fanout).
-	FlightStage = flight.Stage
-	// FlightDecision is the decision a span records.
-	FlightDecision = flight.Decision
-	// FlightKind is the anomaly class that triggered a dump.
-	FlightKind = flight.Kind
 )
 
 // NewFlightRecorder builds a flight recorder. The gateway needs at least
@@ -592,20 +457,9 @@ type (
 // pipeline worker above that.
 func NewFlightRecorder(opts FlightOptions) *FlightRecorder { return flight.New(opts) }
 
-// FlightTraceID derives the deterministic trace ID of one scheduled
-// frame — a pure function of its deployment coordinates, never wall
-// clock or randomness, and never zero.
-func FlightTraceID(epoch, channel, tag int, seq uint64) uint64 {
-	return flight.TraceID(epoch, channel, tag, seq)
-}
-
 // FormatFlightTrace renders a trace ID the way /flight and the watch
 // transcript print them (16 hex digits).
 func FormatFlightTrace(trace uint64) string { return flight.FormatTrace(trace) }
-
-// ParseFlightTrace parses a trace ID as printed by FormatFlightTrace
-// (an optional 0x prefix is accepted).
-func ParseFlightTrace(s string) (uint64, bool) { return flight.ParseTrace(s) }
 
 // Link-health plane types (internal/health): deterministic time-series
 // rollups, a declarative SLO rules engine, and an alert journal. The
@@ -627,39 +481,17 @@ type (
 	HealthOptions = health.Options
 	// HealthRule is one declarative SLO rule.
 	HealthRule = health.Rule
-	// HealthRuleKind selects a rule's evaluation strategy (threshold,
-	// windowed mean, consecutive breach, burn rate).
-	HealthRuleKind = health.Kind
-	// HealthRuleOp is a rule's comparison direction (below / above).
-	HealthRuleOp = health.Op
 	// HealthAlert is one journal entry: a firing or clearing transition
 	// with its deterministic ID and exemplar trace IDs.
 	HealthAlert = health.Alert
 	// HealthDelta is one epoch's raw points and alert transitions — the
 	// health wire message payload.
 	HealthDelta = health.Delta
-	// HealthPoint is one raw sample inside a delta.
-	HealthPoint = health.Point
-	// HealthSeries is one named series' append handle; nil is a no-op.
-	HealthSeries = health.Series
-	// HealthBin is one rollup bin (min/max/sum/count over a tier span).
-	HealthBin = health.Bin
-)
-
-// Health rule kinds and comparison directions (HealthRule.Kind / .Op).
-const (
-	HealthKindThreshold         = health.KindThreshold
-	HealthKindWindowMean        = health.KindWindowMean
-	HealthKindConsecutiveBreach = health.KindConsecutiveBreach
-	HealthKindBurnRate          = health.KindBurnRate
-	HealthOpBelow               = health.OpBelow
-	HealthOpAbove               = health.OpAbove
 )
 
 // Health alert states (HealthAlert.State).
 const (
-	HealthStateFiring  = health.StateFiring
-	HealthStateCleared = health.StateCleared
+	HealthStateFiring = health.StateFiring
 )
 
 // NewHealthStore validates opts (including every rule) and builds a
@@ -677,8 +509,6 @@ type (
 	Experiment = experiments.Experiment
 	// ExperimentOptions tunes experiment fidelity.
 	ExperimentOptions = experiments.Options
-	// ResultTable is the printable output of an experiment.
-	ResultTable = experiments.Table
 )
 
 // NewDemodulator builds a Saiyan demodulator. Call Calibrate with the
@@ -692,11 +522,6 @@ func DefaultParams() Params { return lora.DefaultParams() }
 // NewFrame builds a downlink frame from payload symbols in [0, 2^K).
 func NewFrame(p Params, payload []int) (*Frame, error) { return lora.NewFrame(p, payload) }
 
-// NewReceiver builds the standard dechirp-FFT LoRa receiver.
-func NewReceiver(p Params, sampleRateHz float64) (*Receiver, error) {
-	return lora.NewReceiver(p, sampleRateHz)
-}
-
 // DefaultLinkBudget returns the paper's field setup: 20 dBm, 3 dBi
 // antennas, 433.5 MHz, outdoor propagation.
 func DefaultLinkBudget() LinkBudget { return radio.DefaultLinkBudget() }
@@ -707,23 +532,14 @@ func NewLink(cfg Config, budget LinkBudget, seed uint64) *Link {
 	return sim.NewLink(cfg, budget, seed)
 }
 
-// DefaultRangeOptions matches the paper's BER <= 1e-3 range criterion.
-func DefaultRangeOptions() RangeOptions { return sim.DefaultRangeOptions() }
-
 // PaperSAW returns the Figure 5 SAW filter model.
 func PaperSAW() *SAWFilter { return analog.PaperSAW() }
 
 // NewRand returns the deterministic PRNG used across the simulator.
 func NewRand(seed1, seed2 uint64) *rand.Rand { return dsp.NewRand(seed1, seed2) }
 
-// PCBLedger returns Table 2 (PCB prototype power and cost).
-func PCBLedger() EnergyLedger { return energy.PCBLedger() }
-
 // ASICLedger returns the Section 4.3 ASIC power simulation (93.2 uW).
 func ASICLedger() EnergyLedger { return energy.ASICLedger() }
-
-// DefaultHarvester returns the bright-day photovoltaic model.
-func DefaultHarvester() Harvester { return energy.DefaultHarvester() }
 
 // SimulateRetransmission runs the ACK feedback loop of Figure 26 with
 // fixed uplink/downlink packet reception probabilities.

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"saiyan"
+	"saiyan/internal/lora"
 )
 
 // requireDescriptive asserts an error message carries enough context to
@@ -54,7 +55,7 @@ func TestZeroValueConfigContract(t *testing.T) {
 	} else {
 		t.Error("NewFrame(zero params): accepted SF 0")
 	}
-	if _, err := saiyan.NewReceiver(saiyan.Params{}, 0); err != nil {
+	if _, err := lora.NewReceiver(saiyan.Params{}, 0); err != nil {
 		requireDescriptive(t, "NewReceiver(zero params)", err)
 	} else {
 		t.Error("NewReceiver(zero params): accepted SF 0")

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"saiyan"
+	"saiyan/internal/gateway"
 )
 
 // keysOf marshals v and returns the sorted top-level JSON keys.
@@ -88,10 +89,10 @@ func TestSnapshotSchema(t *testing.T) {
 		WindowsEmitted: 99, WindowsUnmatched: 1, SymbolsChecked: 1600, SymbolErrs: 7,
 		CmdsSent: 20, CmdsDelivered: 18, CmdsMissed: 2,
 		RateSwitches: 4, Hops: 2, Recalibrations: 3, FxpCycles: 9,
-		Channels: []saiyan.GatewayChannel{{
+		Channels: []gateway.ChannelSnapshot{{
 			Channel: 0, AttenDB: 12, Tags: 4, NoiseBaseline: 0.01, NoiseSigma: 0.002,
 		}},
-		Sessions: []saiyan.GatewaySession{{
+		Sessions: []gateway.SessionSnapshot{{
 			Tag: 1, Channel: 0, RateK: 2, Active: true,
 			Scheduled: 12, Delivered: 11, Duplicates: 1, Pending: 1,
 			RetransmitsScheduled: 2, RetransmitsRecovered: 1,

@@ -11,6 +11,10 @@ import (
 	"testing"
 
 	"saiyan"
+	"saiyan/internal/energy"
+	"saiyan/internal/lora"
+	"saiyan/internal/mac"
+	"saiyan/internal/trace"
 )
 
 func TestFacadeEndToEnd(t *testing.T) {
@@ -57,10 +61,10 @@ func TestFacadeLinkMeasurement(t *testing.T) {
 }
 
 func TestFacadeEnergy(t *testing.T) {
-	if saiyan.PCBLedger().TotalPowerUW() < saiyan.ASICLedger().TotalPowerUW() {
+	if energy.PCBLedger().TotalPowerUW() < saiyan.ASICLedger().TotalPowerUW() {
 		t.Error("ASIC should be cheaper than PCB")
 	}
-	if !saiyan.DefaultHarvester().Sustainable(saiyan.ASICLedger().TotalPowerUW() * 0.1) {
+	if saiyan.ASICLedger().TotalPowerUW()*0.1 > energy.DefaultHarvester().AveragePowerUW() {
 		t.Error("10% duty ASIC should be sustainable")
 	}
 }
@@ -95,12 +99,15 @@ func TestFacadeExperimentRegistry(t *testing.T) {
 
 func TestFacadeStandardReceiver(t *testing.T) {
 	p := saiyan.DefaultParams()
-	rx, err := saiyan.NewReceiver(p, p.BandwidthHz)
+	rx, err := lora.NewReceiver(p, p.BandwidthHz)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rx.SamplesPerSymbol() != 128 {
-		t.Errorf("samples per symbol = %d, want 128", rx.SamplesPerSymbol())
+	if n := p.SamplesPerSymbol(p.BandwidthHz); n != 128 {
+		t.Errorf("samples per symbol = %d, want 128", n)
+	}
+	if sym, _ := rx.DemodSymbol(p.IQ(nil, p.SymbolValue(1), p.BandwidthHz)); sym != 1 {
+		t.Errorf("noiseless symbol 1 demodulated as %d", sym)
 	}
 }
 
@@ -126,7 +133,7 @@ func TestCommandOverPHYEndToEnd(t *testing.T) {
 	rss := saiyan.DefaultLinkBudget().RSSDBm(90)
 	demod.Calibrate(rss, rng)
 
-	cmd := saiyan.Command{Op: saiyan.OpHopChannel, Addr: 17, Arg: 2}
+	cmd := saiyan.Command{Op: mac.OpHopChannel, Addr: 17, Arg: 2}
 	frame, err := cmd.ToFrame(cfg.Params)
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +145,7 @@ func TestCommandOverPHYEndToEnd(t *testing.T) {
 	if !detected {
 		t.Fatal("command frame not detected at 90 m")
 	}
-	got, err := saiyan.ParseCommandSymbols(cfg.Params, symbols)
+	got, err := mac.CommandFromSymbols(cfg.Params, symbols)
 	if err != nil {
 		t.Fatalf("command did not survive the air: %v (symbols %v)", err, symbols)
 	}
@@ -206,7 +213,7 @@ func TestFacadeRecordReplay(t *testing.T) {
 	}
 
 	// The low-level reader sees the same frames and metadata.
-	r, err := saiyan.OpenTrace(path)
+	r, err := trace.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +289,7 @@ func TestFacadeRecordTraceAbortsOnFailure(t *testing.T) {
 		t.Fatal("RecordTrace with a dying source succeeded")
 	}
 
-	r, err := saiyan.OpenTrace(path)
+	r, err := trace.Open(path)
 	if err != nil {
 		t.Fatalf("frames captured before the failure should stay readable: %v", err)
 	}
@@ -296,14 +303,14 @@ func TestFacadeRecordTraceAbortsOnFailure(t *testing.T) {
 		}
 		n++
 	}
-	if !errors.Is(lastErr, saiyan.ErrTraceTruncated) {
-		t.Errorf("aborted capture drained with %v, want ErrTraceTruncated", lastErr)
+	if !errors.Is(lastErr, trace.ErrTruncated) {
+		t.Errorf("aborted capture drained with %v, want trace.ErrTruncated", lastErr)
 	}
 	if n != 3 {
 		t.Errorf("aborted capture holds %d records, want the 3 processed before the failure", n)
 	}
-	if _, _, err := saiyan.VerifyTrace(path, 2); !errors.Is(err, saiyan.ErrTraceTruncated) {
-		t.Errorf("VerifyTrace on aborted capture: err=%v, want ErrTraceTruncated", err)
+	if _, _, err := saiyan.VerifyTrace(path, 2); !errors.Is(err, trace.ErrTruncated) {
+		t.Errorf("VerifyTrace on aborted capture: err=%v, want trace.ErrTruncated", err)
 	}
 }
 
@@ -312,32 +319,38 @@ func TestFacadeTraceErrors(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not a trace at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := saiyan.OpenTrace(path); !errors.Is(err, saiyan.ErrTraceCorrupt) {
-		t.Errorf("junk file: err=%v, want ErrTraceCorrupt", err)
+	if _, err := saiyan.ReplayTrace(path, 1); !errors.Is(err, trace.ErrCorrupt) {
+		t.Errorf("junk file: err=%v, want trace.ErrCorrupt", err)
 	}
 }
 
 func TestFacadeAGC(t *testing.T) {
-	cfg := saiyan.DefaultConfig()
-	demod, err := saiyan.NewDemodulator(cfg)
+	// The facade's AGC path: stream windows arrive with no calibration, so
+	// every decode bootstraps its comparator thresholds from the window's
+	// own preamble (PipelineConfig.AGC; the zero value is the default
+	// estimator). One tag at 70 m must be detected in every frame.
+	tags, err := saiyan.NewTagSet(saiyan.DefaultParams(), saiyan.DefaultLinkBudget(), 1, 70, 70, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := saiyan.NewRand(8, 8)
-	frame, err := saiyan.NewFrame(cfg.Params, []int{1, 0, 1})
+	capture, err := saiyan.RenderTimeline(tags, saiyan.DefaultConfig(), saiyan.TimelineConfig{FramesPerTag: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rss := saiyan.DefaultLinkBudget().RSSDBm(70)
-	got, detected, err := demod.ProcessFrameAuto(frame, rss, saiyan.DefaultAGCConfig(), rng)
+	pcfg := saiyan.DefaultPipelineConfig()
+	pcfg.Seed = 8
+	pcfg.Workers = 1
+	pcfg.DiscardResults = true
+	scfg := saiyan.StreamConfig{Demod: saiyan.DefaultConfig(), Seed: 8}
+	st, err := saiyan.DemodulateStream(context.Background(), pcfg, scfg, capture, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !detected {
-		t.Fatal("AGC path did not detect at 70 m")
+	if st.FramesScheduled != 3 || st.WindowsMatched != 3 {
+		t.Fatalf("AGC path matched %d windows of %d frames at 70 m, want 3 of 3", st.WindowsMatched, st.FramesScheduled)
 	}
-	if len(got) != 3 {
-		t.Fatalf("decoded %d symbols, want 3", len(got))
+	if st.FramesOut != 3 {
+		t.Fatalf("decoded %d frames, want 3", st.FramesOut)
 	}
 }
 
@@ -405,12 +418,10 @@ func TestFacadeGateway(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reports, err := g.Run(context.Background(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != 3 {
-		t.Fatalf("%d epoch reports, want 3", len(reports))
+	for i := range 3 {
+		if rep, err := g.RunEpoch(context.Background()); err != nil || rep.Epoch != i {
+			t.Fatalf("epoch %d: report %d, err %v", i, rep.Epoch, err)
+		}
 	}
 	snap := g.Snapshot()
 	if snap.Epochs != 3 || snap.TagsActive != 4 {
