@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short bench bench.txt bench-json golden fuzz fuzz-sweep fmt fmt-check vet lint ci
+.PHONY: build test test-short examples bench bench.txt bench-json golden fuzz fuzz-sweep fmt fmt-check vet lint ci
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,11 @@ test:
 
 test-short:
 	$(GO) test -short -race ./...
+
+# Run both examples, not only build them.
+examples:
+	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/wire
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -benchmem ./...
@@ -99,10 +104,12 @@ vet:
 # saiyanvet: the repo's own analyzers (determinism, fxpsat, hotalloc,
 # obsgate, ctxfirst), run through `go vet -vettool` so results cache per
 # package like any other vet pass. Blocking in CI. The whole-program
-# dead-code guard cannot run per package, so it is a test instead
-# (internal/lint TestNoUnreferencedDecls) that test-short runs too.
+# dead-code guard, which fails on declarations no main, init or
+# //lint:allow unused declaration can reach, cannot run per package, so it
+# is a test instead (internal/lint TestNoUnreferencedDecls) that
+# test-short runs too.
 lint:
 	$(GO) build -o bin/saiyanvet ./cmd/saiyanvet
 	$(GO) vet -vettool=$(CURDIR)/bin/saiyanvet ./...
 
-ci: build vet lint fmt-check test-short golden
+ci: build vet lint fmt-check test-short examples golden

@@ -139,8 +139,7 @@
 // and SNR drift re-anchors calibration — by synthesizing downlink
 // Commands through the real 24-bit codec and applying delivered commands
 // to the simulated deployment. Snapshots are byte-identical at any worker
-// count for a fixed seed; see `saiyan serve`, examples/serve, and
-// BenchmarkGateway.
+// count for a fixed seed; see `saiyan serve` and BenchmarkGateway.
 //
 // # Serving over the network
 //
@@ -270,7 +269,7 @@
 // cycle ledger both — at any worker count. Every integer operation is
 // counted per operation class, priced by a Cortex-M4-class cycle model, and
 // converted to microwatts by MCUBudget for comparison against the Table 2
-// MCU entry. See examples/fxp and BenchmarkFxp*.
+// MCU entry. See `saiyan fxp` and BenchmarkFxp*.
 //
 // # Tooling
 //

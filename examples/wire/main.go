@@ -1,7 +1,7 @@
 // Wire: serving a gateway over TCP and watching it from a client — the
 // network face of the closed-loop service.
 //
-// examples/serve drives the gateway's epoch loop directly; a deployed
+// `saiyan serve` drives the gateway's epoch loop directly; a deployed
 // access point instead runs it as a daemon that operators and downstream
 // consumers attach to. This example does both ends in one process: a
 // Server wraps the gateway and streams per-frame decode events plus

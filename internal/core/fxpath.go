@@ -7,8 +7,6 @@ package core
 // Config.ADCBits and decoded in saturating Q1.15 integer arithmetic, with a
 // per-operation cycle ledger the pipeline converts to MCU energy.
 
-import "saiyan/internal/fxp"
-
 // syncFx pushes the current float calibration into the fixed-point decoder:
 // the ADC full scale (anchored a quarter above the calibrated peak so
 // signal excursions keep headroom), the comparator thresholds as ADC codes,
@@ -56,14 +54,4 @@ func (d *Demodulator) TakeFxpCycles() uint64 {
 		return 0
 	}
 	return d.fx.TakeCycles()
-}
-
-// FxpOps returns the fixed-point datapath's accumulated per-operation
-// ledger (zero when the float datapath is active). The ledger is cleared by
-// TakeFxpCycles, not by this accessor.
-func (d *Demodulator) FxpOps() fxp.OpCounts {
-	if d.fx == nil {
-		return fxp.OpCounts{}
-	}
-	return d.fx.Ops()
 }

@@ -149,9 +149,6 @@ func (x *Decoder) Quantize(env []float64) []Q15 {
 	return x.scratchQ
 }
 
-// Ops returns the accumulated operation ledger.
-func (x *Decoder) Ops() OpCounts { return x.ops }
-
 // TakeCycles converts the accumulated ledger to cycles under the decoder's
 // model and resets it — the per-frame hand-off to the pipeline's energy
 // accounting.

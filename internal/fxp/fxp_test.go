@@ -194,10 +194,10 @@ func TestDecoderCloneSharesBankNotLedger(t *testing.T) {
 		env[i] = Q15(i * 400)
 	}
 	c.DecodePeakTracking(env, 2)
-	if c.Ops() == (OpCounts{}) {
+	if c.ops == (OpCounts{}) {
 		t.Fatal("clone decode accumulated no ops")
 	}
-	if d.Ops() != (OpCounts{}) {
+	if d.ops != (OpCounts{}) {
 		t.Fatal("clone decode leaked ops into the master's ledger")
 	}
 	cycles := c.TakeCycles()

@@ -679,11 +679,6 @@ func (s Snapshot) DeliveryRatio() float64 {
 	return float64(s.FramesDelivered) / float64(s.FramesScheduled)
 }
 
-// FramesMissing is the number of unique scheduled frames never delivered.
-func (s Snapshot) FramesMissing() uint64 {
-	return s.FramesScheduled - s.FramesDelivered
-}
-
 // String renders the aggregate as a one-line service report.
 func (s Snapshot) String() string {
 	return fmt.Sprintf(

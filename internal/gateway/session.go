@@ -167,14 +167,6 @@ type SessionSnapshot struct {
 	CmdsMissed     uint64 `json:"cmds_missed"`
 }
 
-// PRR is the session's lifetime unique-frame delivery ratio.
-func (s SessionSnapshot) PRR() float64 {
-	if s.Scheduled == 0 {
-		return 0
-	}
-	return float64(s.Delivered) / float64(s.Scheduled)
-}
-
 // snapshotSession renders one session against its current tag assignment
 // (channel and rate come from the deployment model; a departed tag reports
 // its last assignment).

@@ -92,6 +92,16 @@ var wantRE = regexp.MustCompile("// want `([^`]*)`")
 // analyzer, and matches diagnostics against the `// want` expectations.
 func runFixture(t *testing.T, a *lint.Analyzer, pkgPath, dir string) {
 	t.Helper()
+	checkFixture(t, pkgPath, dir, func(pkg *lint.Package) ([]lint.Diagnostic, error) {
+		return lint.RunAnalyzers(pkg.Fset, pkg.Files, pkg.Types, pkg.Info, []*lint.Analyzer{a})
+	})
+}
+
+// checkFixture type-checks testdata/src/<dir> as package pkgPath, runs
+// check over it, and matches the diagnostics against the `// want`
+// expectations.
+func checkFixture(t *testing.T, pkgPath, dir string, check func(*lint.Package) ([]lint.Diagnostic, error)) {
+	t.Helper()
 	imp := fixtureImporter(t)
 
 	base := filepath.Join("testdata", "src", dir)
@@ -127,7 +137,7 @@ func runFixture(t *testing.T, a *lint.Analyzer, pkgPath, dir string) {
 	if err != nil {
 		t.Fatalf("typecheck %s: %v", dir, err)
 	}
-	diags, err := lint.RunAnalyzers(testFset, files, tpkg, info, []*lint.Analyzer{a})
+	diags, err := check(&lint.Package{Path: pkgPath, Dir: base, Fset: testFset, Files: files, Types: tpkg, Info: info})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,6 +223,19 @@ func TestObsGateHealth(t *testing.T) {
 
 func TestCtxFirst(t *testing.T) {
 	runFixture(t, lint.CtxFirst, "saiyanvet.example/api", "ctxfirst")
+}
+
+// TestUnused runs the whole-program dead-code guard over a one-package
+// program: a closed group and a helper of dead code are flagged, a
+// String reached through fmt.Stringer and allowed reference code are not.
+func TestUnused(t *testing.T) {
+	checkFixture(t, "saiyanvet.example/unused", "unused", func(pkg *lint.Package) ([]lint.Diagnostic, error) {
+		var diags []lint.Diagnostic
+		lint.Unused([]*lint.Package{pkg}, func(string) bool { return true }, func(_ *lint.Package, d lint.Diagnostic) {
+			diags = append(diags, d)
+		})
+		return diags, nil
+	})
 }
 
 // TestAllowMissingReason pins the directive grammar: an allow without a

@@ -3,15 +3,15 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"sort"
 	"strings"
 	"testing"
 )
 
 // TestNoUnreferencedDecls is the dead-code guard: every package-level
-// declaration in the root package and internal/... must be named by some
-// non-test file of module saiyan or saiyan/bench. It runs under -short
-// too, so the blocking race job keeps dead code from regrowing.
+// declaration in the root package and internal/... must be reachable from
+// a main of module saiyan or saiyan/bench (cmd/, examples/, bench/), an
+// init, or a //lint:allow unused declaration. It runs under -short too,
+// so the blocking race job keeps dead code from regrowing.
 func TestNoUnreferencedDecls(t *testing.T) {
 	var pkgs []*Package
 	for _, dir := range []string{"../..", "../../bench"} {
@@ -24,29 +24,90 @@ func TestNoUnreferencedDecls(t *testing.T) {
 	inScope := func(path string) bool {
 		return path == "saiyan" || strings.HasPrefix(path, "saiyan/internal/")
 	}
-	for _, d := range unused(pkgs, inScope) {
-		t.Errorf("%s", d)
-	}
+	unused(pkgs, inScope, func(pkg *Package, d Diagnostic) {
+		t.Errorf("%s", FormatDiagnostic(pkg.Fset, d))
+	})
 }
+
+// Unused exposes the guard to the fixture harness in package lint_test.
+var Unused = unused
 
 // unused is the whole-program dead-code check. It cannot be an Analyzer:
 // a vettool sees one package at a time, and whether a declaration is
-// referenced depends on every package that imports it. Given the non-test
+// reachable depends on every package that imports it. Given the non-test
 // packages of every module in the program (Load skips *_test.go files),
-// it reports each package-level const, var, type, func and method of a
-// package inScope selects that no loaded file outside the declaration
-// itself names.
+// it walks reachability from the roots: every func main of a package
+// main, every init and blank (_) declaration (both run at start-up), and
+// every declaration whose doc or line comment carries //lint:allow unused
+// <reason>. A declaration is live when a live declaration names it.
 //
-// A method also counts as referenced when an interface can reach it: a
-// type's pointer method set covers every method of an interface declared
-// in a loaded package, in any package those import, or as an interface
-// literal in loaded code (that is how encoding/json reaches a
-// MarshalJSON, or fmt a String). Struct fields and interface methods are
-// out of scope. A declaration whose doc or line comment carries
-// //lint:allow unused <reason> is exempt. Results are formatted like
-// FormatDiagnostic and sorted.
-func unused(pkgs []*Package, inScope func(pkgPath string) bool) []string {
-	used := make(map[string]bool)
+// A method is live when live code names it, or when its receiver type is
+// live and the method completes an interface: the type's pointer method
+// set covers every method of an interface declared in a loaded package,
+// in any package those import, or as an interface literal in loaded code
+// (that is how encoding/json reaches a MarshalJSON, or fmt a String).
+// Promoted methods count, as do those of types local to a live
+// declaration. Struct fields and interface methods are out of scope.
+//
+// It reports each package-level const, var, type, func and method of a
+// package inScope selects that is not live, in load order.
+func unused(pkgs []*Package, inScope func(pkgPath string) bool, report func(*Package, Diagnostic)) {
+	ifaces := interfaces(pkgs)
+	type site struct {
+		pkg *Package
+		id  *ast.Ident
+		key string
+	}
+	var sites []site
+	// refs maps a declaration's key to the keys its definition names;
+	// init and blank declarations share the key "", which is a root.
+	refs := map[string][]string{}
+	roots := []string{""}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				eachDecl(decl, func(id *ast.Ident, def ast.Node, allowed bool) {
+					key := objKey(pkg.Info.Defs[id])
+					refs[key] = append(refs[key], names(pkg.Info, def, ifaces)...)
+					switch {
+					case key == "": // init or blank: reached through the "" root
+					case allowed || id.Name == "main" && pkg.Types.Name() == "main":
+						roots = append(roots, key)
+					case inScope(pkg.Path):
+						sites = append(sites, site{pkg, id, key})
+					}
+				})
+			}
+		}
+	}
+
+	live := map[string]bool{}
+	work := roots
+	for len(work) > 0 {
+		key := work[len(work)-1]
+		work = work[:len(work)-1]
+		if live[key] {
+			continue
+		}
+		live[key] = true
+		work = append(work, refs[key]...)
+	}
+
+	for _, s := range sites {
+		if !live[s.key] {
+			report(s.pkg, Diagnostic{
+				Pos:      s.id.Pos(),
+				Analyzer: "unused",
+				Message:  s.key + " is reachable from no main, init or //lint:allow unused declaration: delete it, or mark it //lint:allow unused <reason>",
+			})
+		}
+	}
+}
+
+// interfaces returns the method names of every non-empty interface the
+// program can dispatch through: error, those declared in a loaded package
+// or any package it imports, and interface literals in loaded code.
+func interfaces(pkgs []*Package) [][]string {
 	var ifaces [][]string
 	addIface := func(t types.Type) {
 		if it, ok := t.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
@@ -81,111 +142,64 @@ func unused(pkgs []*Package, inScope func(pkgPath string) bool) []string {
 				addIface(tv.Type)
 			}
 		}
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				markUses(pkg.Info, decl, used)
-			}
-		}
 	}
-
-	// Interface dispatch: every method a type contributes to an
-	// interface it satisfies is reachable, promoted methods included.
-	for _, pkg := range pkgs {
-		for _, obj := range pkg.Info.Defs {
-			tn, ok := obj.(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
-			}
-			mset := types.NewMethodSet(types.NewPointer(tn.Type()))
-		iface:
-			for _, names := range ifaces {
-				sels := make([]*types.Selection, len(names))
-				for i, name := range names {
-					if sels[i] = mset.Lookup(tn.Pkg(), name); sels[i] == nil {
-						continue iface
-					}
-				}
-				for _, sel := range sels {
-					used[objKey(sel.Obj())] = true
-				}
-			}
-		}
-	}
-
-	var out []string
-	for _, pkg := range pkgs {
-		if !inScope(pkg.Path) {
-			continue
-		}
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				for _, id := range declared(decl) {
-					obj := pkg.Info.Defs[id]
-					if obj == nil || id.Name == "_" || id.Name == "init" || used[objKey(obj)] {
-						continue
-					}
-					out = append(out, FormatDiagnostic(pkg.Fset, Diagnostic{
-						Pos:      id.Pos(),
-						Analyzer: "unused",
-						Message:  objKey(obj) + " is referenced by no non-test file: delete it, or mark it //lint:allow unused <reason>",
-					}))
-				}
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
+	return ifaces
 }
 
-// markUses records every package-level object decl names, except the
-// declaration's own identifiers (a recursive call is not a caller) and
-// a method's receiver type (a method alone does not keep its type).
-func markUses(info *types.Info, decl ast.Decl, used map[string]bool) {
-	self := make(map[string]bool)
-	for _, id := range declared(decl) {
-		self[objKey(info.Defs[id])] = true
-	}
-	var recv *ast.FieldList
-	if fd, ok := decl.(*ast.FuncDecl); ok {
-		recv = fd.Recv
-	}
-	ast.Inspect(decl, func(n ast.Node) bool {
-		if fl, ok := n.(*ast.FieldList); ok && fl == recv {
-			return false
+// names returns the keys of the package-level objects and methods def
+// names, plus, for each type def defines, the methods with which that
+// type completes one of ifaces (promoted methods included).
+func names(info *types.Info, def ast.Node, ifaces [][]string) []string {
+	var keys []string
+	ast.Inspect(def, func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		if !ok {
+			return true
 		}
-		if id, ok := n.(*ast.Ident); ok {
-			if k := objKey(info.Uses[id]); k != "" && !self[k] {
-				used[k] = true
+		if k := objKey(info.Uses[id]); k != "" {
+			keys = append(keys, k)
+		}
+		tn, ok := info.Defs[id].(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			return true
+		}
+		mset := types.NewMethodSet(types.NewPointer(tn.Type()))
+	iface:
+		for _, methods := range ifaces {
+			sels := make([]*types.Selection, len(methods))
+			for i, name := range methods {
+				if sels[i] = mset.Lookup(tn.Pkg(), name); sels[i] == nil {
+					continue iface
+				}
+			}
+			for _, sel := range sels {
+				keys = append(keys, objKey(sel.Obj()))
 			}
 		}
 		return true
 	})
+	return keys
 }
 
-// declared returns the identifiers decl declares at package level,
-// leaving out those exempted by //lint:allow unused.
-func declared(decl ast.Decl) []*ast.Ident {
-	var ids []*ast.Ident
+// eachDecl calls fn with each identifier decl declares at package level,
+// the node that defines it, and whether a reasoned //lint:allow unused
+// exempts it.
+func eachDecl(decl ast.Decl, fn func(id *ast.Ident, def ast.Node, allowed bool)) {
 	switch d := decl.(type) {
 	case *ast.FuncDecl:
-		if !allowsUnused(d.Doc) {
-			ids = append(ids, d.Name)
-		}
+		fn(d.Name, d, allowsUnused(d.Doc))
 	case *ast.GenDecl:
 		for _, spec := range d.Specs {
 			switch s := spec.(type) {
 			case *ast.ValueSpec:
-				if !allowsUnused(d.Doc, s.Doc, s.Comment) {
-					ids = append(ids, s.Names...)
+				for _, id := range s.Names {
+					fn(id, s, allowsUnused(d.Doc, s.Doc, s.Comment))
 				}
 			case *ast.TypeSpec:
-				if !allowsUnused(d.Doc, s.Doc, s.Comment) {
-					ids = append(ids, s.Name)
-				}
+				fn(s.Name, s, allowsUnused(d.Doc, s.Doc, s.Comment))
 			}
 		}
 	}
-	return ids
 }
 
 // allowsUnused reports whether any of cgs carries a reasoned
@@ -207,7 +221,7 @@ func allowsUnused(cgs ...*ast.CommentGroup) bool {
 // objKey names a package-level object or method across type-checker
 // universes: a package checked from source and the same package read
 // back from export data hold distinct objects with equal keys. It is ""
-// for nil, locals, fields, and universe objects.
+// for nil, locals, fields, init, blanks and universe objects.
 func objKey(obj types.Object) string {
 	if obj == nil || obj.Pkg() == nil {
 		return ""

@@ -77,6 +77,8 @@ func (p Params) SymbolDuration() float64 {
 }
 
 // BitRate returns the downlink data rate K*BW/2^SF in bits per second.
+//
+//lint:allow unused the link goodput and paper derived-quantity tests measure against it
 func (p Params) BitRate() float64 {
 	return float64(p.K) * p.BandwidthHz / float64(p.ChirpCount())
 }

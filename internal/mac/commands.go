@@ -10,7 +10,7 @@ import (
 // Saiyan enables: asking for a packet retransmission, commanding a channel
 // hop, adapting the data rate, and switching sensors on or off remotely.
 // This file defines a compact on-air encoding for those commands so the
-// examples and network simulator exchange real payloads instead of ad-hoc
+// gateway's control loop exchanges real payloads instead of ad-hoc
 // integers.
 //
 // Wire format (bits, MSB first):

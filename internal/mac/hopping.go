@@ -88,11 +88,6 @@ type RateAdapter struct {
 	MaxK      int
 }
 
-// DefaultRateAdapter uses the paper's 1 permille criterion over CR 1..5.
-func DefaultRateAdapter() RateAdapter {
-	return RateAdapter{BERTarget: 1e-3, MinK: 1, MaxK: 5}
-}
-
 // Pick evaluates berOf(K) from the fastest rate downward and returns the
 // first K meeting the target, falling back to MinK when none does. The
 // returned bool reports whether the target was met.

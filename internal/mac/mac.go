@@ -83,28 +83,3 @@ func SimulateRetransmission(link LinkModel, nPackets, maxRetries int, rng *rand.
 	}
 	return res
 }
-
-// DownlinkKind classifies downlink packets (Section 4.4).
-type DownlinkKind int
-
-const (
-	// Unicast targets one tag; only it responds, so no collision occurs.
-	Unicast DownlinkKind = iota
-	// Multicast targets a group; acknowledgements can collide.
-	Multicast
-	// Broadcast targets every tag in range.
-	Broadcast
-)
-
-// String names the kind.
-func (k DownlinkKind) String() string {
-	switch k {
-	case Unicast:
-		return "unicast"
-	case Multicast:
-		return "multicast"
-	case Broadcast:
-		return "broadcast"
-	}
-	return "unknown"
-}

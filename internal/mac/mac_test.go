@@ -72,13 +72,6 @@ func TestRetransmissionNegativeBudgetClamped(t *testing.T) {
 	}
 }
 
-func TestDownlinkKindString(t *testing.T) {
-	if Unicast.String() != "unicast" || Multicast.String() != "multicast" ||
-		Broadcast.String() != "broadcast" || DownlinkKind(9).String() != "unknown" {
-		t.Error("downlink kind names wrong")
-	}
-}
-
 func jammedQuality(jammedPRR, clearPRR float64) ChannelQuality {
 	return func(ch float64) float64 {
 		if ch == 433.0e6 {
@@ -149,7 +142,7 @@ func TestRateAdapterPicksFastestSafeRate(t *testing.T) {
 }
 
 func TestRateAdapterFallsBack(t *testing.T) {
-	r := DefaultRateAdapter()
+	r := RateAdapter{BERTarget: 1e-3, MinK: 1, MaxK: 5}
 	k, ok, err := r.Pick(func(int) (float64, error) { return 0.5, nil })
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,6 @@ import (
 	"saiyan/internal/gateway"
 	"saiyan/internal/health"
 	"saiyan/internal/lora"
-	"saiyan/internal/mac"
 	"saiyan/internal/obs"
 	"saiyan/internal/pipeline"
 	"saiyan/internal/radio"
@@ -111,8 +110,6 @@ type (
 type (
 	// LinkBudget is the 433 MHz link budget (path loss, walls, noise).
 	LinkBudget = radio.LinkBudget
-	// Link runs end-to-end BER / throughput / range measurements.
-	Link = sim.Link
 	// SAWFilter is the frequency-amplitude converter model (Figure 5).
 	SAWFilter = analog.SAWFilter
 )
@@ -122,26 +119,6 @@ type (
 	// EnergyLedger is a per-component power/cost table (Table 2).
 	EnergyLedger = energy.Ledger
 )
-
-// MAC types enabled by the feedback loop.
-type (
-	// RetransmissionResult is the Figure 26 PRR-vs-retries outcome.
-	RetransmissionResult = mac.RetransmissionResult
-	// Command is a downlink instruction (retransmit, hop, set rate,
-	// sensor on/off).
-	Command = mac.Command
-	// Network simulates an access point serving multiple tags.
-	Network = mac.Network
-)
-
-// OpSensorOff is the downlink opcode that switches a tag's sensor off.
-const OpSensorOff = mac.OpSensorOff
-
-// NewNetwork builds a multi-tag MAC simulation with the given number of
-// slotted-ALOHA slots.
-func NewNetwork(slots int, rng *rand.Rand) (*Network, error) {
-	return mac.NewNetwork(slots, rng)
-}
 
 // Concurrent demodulation pipeline types.
 type (
@@ -526,12 +503,6 @@ func NewFrame(p Params, payload []int) (*Frame, error) { return lora.NewFrame(p,
 // antennas, 433.5 MHz, outdoor propagation.
 func DefaultLinkBudget() LinkBudget { return radio.DefaultLinkBudget() }
 
-// NewLink couples a demodulator configuration with a link budget for
-// end-to-end measurements.
-func NewLink(cfg Config, budget LinkBudget, seed uint64) *Link {
-	return sim.NewLink(cfg, budget, seed)
-}
-
 // PaperSAW returns the Figure 5 SAW filter model.
 func PaperSAW() *SAWFilter { return analog.PaperSAW() }
 
@@ -540,12 +511,6 @@ func NewRand(seed1, seed2 uint64) *rand.Rand { return dsp.NewRand(seed1, seed2) 
 
 // ASICLedger returns the Section 4.3 ASIC power simulation (93.2 uW).
 func ASICLedger() EnergyLedger { return energy.ASICLedger() }
-
-// SimulateRetransmission runs the ACK feedback loop of Figure 26 with
-// fixed uplink/downlink packet reception probabilities.
-func SimulateRetransmission(upPRR, downPRR float64, nPackets, maxRetries int, rng *rand.Rand) RetransmissionResult {
-	return mac.SimulateRetransmission(mac.StaticLink{Up: upPRR, Down: downPRR}, nPackets, maxRetries, rng)
-}
 
 // Experiments lists every reproducible table and figure.
 func Experiments() []Experiment { return experiments.List() }

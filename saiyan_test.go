@@ -14,6 +14,7 @@ import (
 	"saiyan/internal/energy"
 	"saiyan/internal/lora"
 	"saiyan/internal/mac"
+	"saiyan/internal/sim"
 	"saiyan/internal/trace"
 )
 
@@ -50,7 +51,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 }
 
 func TestFacadeLinkMeasurement(t *testing.T) {
-	link := saiyan.NewLink(saiyan.DefaultConfig(), saiyan.DefaultLinkBudget(), 99)
+	link := sim.NewLink(saiyan.DefaultConfig(), saiyan.DefaultLinkBudget(), 99)
 	res, err := link.MeasureBER(30, 128)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +71,7 @@ func TestFacadeEnergy(t *testing.T) {
 }
 
 func TestFacadeRetransmission(t *testing.T) {
-	res := saiyan.SimulateRetransmission(0.5, 1, 20000, 2, saiyan.NewRand(3, 4))
+	res := mac.SimulateRetransmission(mac.StaticLink{Up: 0.5, Down: 1}, 20000, 2, saiyan.NewRand(3, 4))
 	if res.PRR[2] < res.PRR[0] {
 		t.Error("PRR should not decrease with retries")
 	}
@@ -133,7 +134,7 @@ func TestCommandOverPHYEndToEnd(t *testing.T) {
 	rss := saiyan.DefaultLinkBudget().RSSDBm(90)
 	demod.Calibrate(rss, rng)
 
-	cmd := saiyan.Command{Op: mac.OpHopChannel, Addr: 17, Arg: 2}
+	cmd := mac.Command{Op: mac.OpHopChannel, Addr: 17, Arg: 2}
 	frame, err := cmd.ToFrame(cfg.Params)
 	if err != nil {
 		t.Fatal(err)
@@ -151,23 +152,6 @@ func TestCommandOverPHYEndToEnd(t *testing.T) {
 	}
 	if got != cmd {
 		t.Errorf("received %+v, sent %+v", got, cmd)
-	}
-}
-
-func TestNetworkFacade(t *testing.T) {
-	rng := saiyan.NewRand(1, 9)
-	n, err := saiyan.NewNetwork(16, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.AddTag(1, 0.9, 0.99); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		n.RunRound(2)
-	}
-	if rate := n.DeliveryRate(); rate < 0.9 {
-		t.Errorf("delivery rate = %g, want > 0.9 with feedback", rate)
 	}
 }
 
