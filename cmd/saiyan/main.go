@@ -495,7 +495,7 @@ func runServe(args []string, g *globals) error {
 	channels := fs.Int("channels", 2, "concurrent ingest channels")
 	epochs := fs.Int("epochs", 6, "epochs to serve (0 with -listen = until interrupted)")
 	listen := fs.String("listen", "", "serve the wire protocol on this TCP address (e.g. 127.0.0.1:7316)")
-	httpAddr := fs.String("http", "", "serve the telemetry plane (/metrics /healthz /snapshot /flight /debug/pprof/) on this address ('' = off)")
+	httpAddr := fs.String("http", "", "serve the telemetry plane (/metrics /healthz /snapshot /flight /health /timeseries /debug/pprof/) on this address ('' = off)")
 	gap := fs.Duration("gap", 0, "pause between epochs when listening (paces the stream for subscribers)")
 	captureDir := fs.String("capture-dir", "", "allow client capture requests, confined to this directory ('' = captures disabled)")
 	fs.IntVar(&g.tags, "tags", g.tags, "initial tag population")

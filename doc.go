@@ -194,7 +194,7 @@
 //	cfg.Metrics = reg                        // gateway: stage timings, cmd outcomes, ...
 //	srv, _ := saiyan.NewServer(saiyan.ServerConfig{Gateway: gw, Metrics: reg})
 //	h := saiyan.NewObsHandler(saiyan.ObsHandlerConfig{Registry: reg, Snapshot: srv.SnapshotJSON})
-//	go http.Serve(ln, h)                     // /metrics /healthz /snapshot /debug/pprof/
+//	go http.Serve(ln, h)                     // /metrics /healthz /snapshot /flight /health /timeseries /debug/pprof/
 //
 // NewObsHandler serves the registry as Prometheus text exposition
 // (version 0.0.4) plus a JSON gateway snapshot and the pprof handlers; a

@@ -11,7 +11,7 @@
 // (epoch, channel, tag, seq) — no wall clock, no randomness — and a
 // dump sorts its spans by content, so dumps are byte-identical at any
 // worker count as long as the per-shard rings do not wrap within an
-// epoch (BeginEpoch resets them; size SpanCap for one epoch's frames).
+// epoch (BeginEpoch resets them; spanCap holds one epoch's spans).
 //
 // The write side follows the internal/obs discipline: a nil *Recorder
 // no-ops every method, Append is allocation-free and safe on the

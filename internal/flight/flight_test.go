@@ -117,7 +117,7 @@ func TestNilRecorderNoops(t *testing.T) {
 }
 
 func TestTriggerFiltersSortsAndHooks(t *testing.T) {
-	r := New(Options{Shards: 3, SpanCap: 8, DumpCap: 4})
+	r := New(Options{Shards: 3})
 	tr1 := TraceID(0, 0, 1, 10)
 	tr2 := TraceID(0, 0, 2, 20)
 	// Spread one trace's spans across shards in "wrong" order.
@@ -171,7 +171,7 @@ func TestDumpOrderIndependentOfShardPlacement(t *testing.T) {
 		{Trace: 9, Stage: StageFold, Decision: Delivered, Seq: 1, A: 11.5},
 	}
 	encode := func(shards int, order []int) []byte {
-		r := New(Options{Shards: shards, SpanCap: 8, DumpCap: 2})
+		r := New(Options{Shards: shards})
 		for i, idx := range order {
 			r.Append(i%shards, spans[idx])
 		}
@@ -186,7 +186,7 @@ func TestDumpOrderIndependentOfShardPlacement(t *testing.T) {
 }
 
 func TestBeginEpochResetsRings(t *testing.T) {
-	r := New(Options{Shards: 1, SpanCap: 4, DumpCap: 2})
+	r := New(Options{Shards: 1})
 	r.Append(0, Span{Trace: 7, Stage: StageDecode, Decision: DecodeOK})
 	r.BeginEpoch(1)
 	r.Trigger(KindOperator, 1, 0, 0, 0, 7)
@@ -196,46 +196,56 @@ func TestBeginEpochResetsRings(t *testing.T) {
 }
 
 func TestRingWrapKeepsNewest(t *testing.T) {
-	r := New(Options{Shards: 1, SpanCap: 4, DumpCap: 2})
-	for i := 0; i < 10; i++ {
+	const extra = 6
+	r := New(Options{Shards: 1})
+	for i := 0; i < spanCap+extra; i++ {
 		r.Append(0, Span{Trace: 5, Seq: uint32(i), Stage: StageDecode, Decision: DecodeOK})
 	}
-	r.Trigger(KindOperator, 0, 0, 0, 0, 5)
-	d := r.Recent(1)[0]
-	if len(d.Spans) != 4 {
-		t.Fatalf("got %d spans, want the 4 newest", len(d.Spans))
+	spans := r.collect([]uint64{5})
+	if len(spans) != spanCap {
+		t.Fatalf("ring holds %d spans, want the %d newest", len(spans), spanCap)
 	}
-	for _, s := range d.Spans {
-		if s.Seq < 6 {
+	for _, s := range spans {
+		if s.Seq < extra {
 			t.Fatalf("stale span survived wrap: %+v", s)
 		}
+	}
+	// A dump of the wrapped ring starts at the oldest surviving span.
+	r.Trigger(KindOperator, 0, 0, 0, 0, 5)
+	if d := r.Recent(1)[0]; d.Spans[0].Seq != extra {
+		t.Fatalf("dump starts at seq %d, want %d", d.Spans[0].Seq, extra)
 	}
 }
 
 func TestDumpRingEviction(t *testing.T) {
-	r := New(Options{Shards: 1, SpanCap: 4, DumpCap: 2})
-	for i := 0; i < 5; i++ {
+	const extra = 3
+	r := New(Options{Shards: 1})
+	for i := 0; i < dumpCap+extra; i++ {
 		r.Append(0, Span{Trace: uint64(100 + i)})
 		r.Trigger(KindRetx, i, 0, 0, 0, uint64(100+i))
 	}
-	dumps := r.Recent(10)
-	if len(dumps) != 2 {
-		t.Fatalf("got %d dumps, want DumpCap=2", len(dumps))
+	dumps := r.Recent(2 * dumpCap)
+	if len(dumps) != dumpCap {
+		t.Fatalf("got %d dumps, want dumpCap=%d", len(dumps), dumpCap)
 	}
-	if dumps[0].ID != 4 || dumps[1].ID != 5 {
-		t.Fatalf("retained ids %d,%d want 4,5", dumps[0].ID, dumps[1].ID)
+	if first, last := dumps[0].ID, dumps[len(dumps)-1].ID; first != extra+1 || last != dumpCap+extra {
+		t.Fatalf("retained ids %d..%d want %d..%d", first, last, extra+1, dumpCap+extra)
+	}
+	if got := r.Find(100); got != nil {
+		t.Fatalf("evicted dump still found: %+v", got)
 	}
 }
 
 func TestMaxSpansTruncation(t *testing.T) {
-	r := New(Options{Shards: 1, SpanCap: 16, DumpCap: 2, MaxSpans: 3})
-	for i := 0; i < 8; i++ {
-		r.Append(0, Span{Trace: 3, Seq: uint32(i)})
+	r := New(Options{Shards: 1})
+	// Append in descending seq order so truncation has to sort first.
+	for i := maxSpans + 8; i > 0; i-- {
+		r.Append(0, Span{Trace: 3, Seq: uint32(i - 1)})
 	}
 	r.Trigger(KindOperator, 0, 0, 0, 0, 3)
 	d := r.Recent(1)[0]
-	if len(d.Spans) != 3 {
-		t.Fatalf("got %d spans, want MaxSpans=3", len(d.Spans))
+	if len(d.Spans) != maxSpans {
+		t.Fatalf("got %d spans, want maxSpans=%d", len(d.Spans), maxSpans)
 	}
 	// Truncation happens after the content sort, so it keeps the
 	// lowest-sorting spans deterministically.
@@ -389,7 +399,7 @@ func TestDumpJSONRendering(t *testing.T) {
 }
 
 func TestRecentAndQueryJSON(t *testing.T) {
-	r := New(Options{Shards: 1, SpanCap: 8, DumpCap: 4})
+	r := New(Options{Shards: 1})
 	tr := TraceID(0, 0, 1, 1)
 	r.Append(0, Span{Trace: tr, Stage: StageFold, Decision: Missing})
 	r.Trigger(KindDecodeFailure, 0, 0, 1, 1, tr)
@@ -414,7 +424,7 @@ func TestRecentAndQueryJSON(t *testing.T) {
 }
 
 func TestAppendZeroAlloc(t *testing.T) {
-	r := New(Options{Shards: 2, SpanCap: 64})
+	r := New(Options{Shards: 2})
 	s := Span{Trace: 1, Stage: StageDecode, Decision: DecodeOK, A: 1, B: 2}
 	allocs := testing.AllocsPerRun(1000, func() { r.Append(1, s) })
 	if allocs != 0 {

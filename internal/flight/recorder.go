@@ -6,32 +6,30 @@ import (
 	"sync/atomic"
 )
 
-// Options sizes a Recorder. Zero values pick the defaults.
+// Options sizes a Recorder. A zero Shards picks DefaultShards.
 type Options struct {
 	// Shards is the number of writer shards. Shard 0 belongs to the
 	// control-plane goroutine (segmenter, fold, control, fanout);
-	// shards 1..Shards-1 belong to pipeline workers. Each shard has a
-	// single writer at a time — the same contract the sharded
-	// histograms in internal/obs use.
+	// shards 1..Shards-1 belong to pipeline workers, worker w writing
+	// shard 1+w, so a gateway or pipeline with Workers workers needs at
+	// least Workers+1 shards. Each shard has a single writer at a time
+	// — the same contract the sharded histograms in internal/obs use.
 	Shards int
-	// SpanCap is the span capacity of each shard's ring. Dumps are
-	// byte-identical across worker counts only while rings do not
-	// wrap within an epoch, so size it for one epoch's worth of
-	// spans.
-	SpanCap int
-	// DumpCap bounds the retained recent-dump ring.
-	DumpCap int
-	// MaxSpans bounds the spans serialized into one dump (after the
-	// deterministic sort, so truncation is deterministic too).
-	MaxSpans int
 }
 
-// Defaults for Options zero values.
+// DefaultShards is the shard count of a zero Options.
+const DefaultShards = 16
+
 const (
-	DefaultShards   = 16
-	DefaultSpanCap  = 4096
-	DefaultDumpCap  = 64
-	DefaultMaxSpans = 512
+	// spanCap is the span capacity of each shard's ring. Dumps are
+	// byte-identical across worker counts only while rings do not wrap
+	// within an epoch, so it holds one epoch's worth of spans.
+	spanCap = 4096
+	// dumpCap bounds the retained recent-dump ring.
+	dumpCap = 64
+	// maxSpans bounds the spans serialized into one dump (after the
+	// deterministic sort, so truncation is deterministic too).
+	maxSpans = 512
 )
 
 // ringShard is one single-writer span ring. head counts appends
@@ -51,7 +49,6 @@ type ringShard struct {
 // nil-gating contract as internal/obs metrics.
 type Recorder struct {
 	shards []ringShard
-	max    int // per-dump span cap
 
 	mu     sync.Mutex
 	nextID uint64
@@ -59,27 +56,17 @@ type Recorder struct {
 	hook   func(Dump)
 }
 
-// New builds a Recorder. Zero Options fields take the defaults.
+// New builds a Recorder.
 func New(opts Options) *Recorder {
 	if opts.Shards <= 0 {
 		opts.Shards = DefaultShards
 	}
-	if opts.SpanCap <= 0 {
-		opts.SpanCap = DefaultSpanCap
-	}
-	if opts.DumpCap <= 0 {
-		opts.DumpCap = DefaultDumpCap
-	}
-	if opts.MaxSpans <= 0 {
-		opts.MaxSpans = DefaultMaxSpans
-	}
 	r := &Recorder{
 		shards: make([]ringShard, opts.Shards),
-		max:    opts.MaxSpans,
-		dumps:  make([]Dump, 0, opts.DumpCap),
+		dumps:  make([]Dump, 0, dumpCap),
 	}
 	for i := range r.shards {
-		r.shards[i].spans = make([]Span, opts.SpanCap)
+		r.shards[i].spans = make([]Span, spanCap)
 	}
 	return r
 }
@@ -129,7 +116,7 @@ func (r *Recorder) SetHook(fn func(Dump)) {
 
 // Trigger snapshots the rings into a black-box dump for the given
 // anomaly: every span whose trace ID is in traces, sorted by content,
-// truncated to MaxSpans. The dump lands in the recent ring and is
+// truncated to maxSpans. The dump lands in the recent ring and is
 // handed to the hook, if any. Callers must hold no recorder-visible
 // locks and must guarantee the writer shards are quiescent or
 // happens-before-ordered (the gateway triggers from fold/control,
@@ -141,8 +128,8 @@ func (r *Recorder) Trigger(kind Kind, epoch, channel, tag int, seq uint64, trace
 	}
 	spans := r.collect(traces)
 	sortSpans(spans)
-	if len(spans) > r.max {
-		spans = spans[:r.max]
+	if len(spans) > maxSpans {
+		spans = spans[:maxSpans]
 	}
 	tr := append([]uint64(nil), traces...)
 	sort.Slice(tr, func(i, j int) bool { return tr[i] < tr[j] })

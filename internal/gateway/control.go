@@ -10,6 +10,40 @@ import (
 	"saiyan/internal/mac"
 )
 
+// The control policy is the paper's one fixed feedback loop.
+const (
+	// statsWindow is the sliding-window length of the per-session PRR /
+	// SNR / offset accounting.
+	statsWindow = 16
+
+	// hopThresholdPRR commands a channel hop when a session's windowed
+	// PRR falls below it (and a better channel exists).
+	hopThresholdPRR = 0.6
+
+	// retryMax bounds retransmission commands per missing frame.
+	retryMax = 3
+
+	// Link-margin BER model (see berForRate): a rate K is usable when the
+	// session SNR clears baseSNRReqDB + snrStepPerRateDB*(K-1), with
+	// berSlopeDB dB of margin per decade of BER.
+	baseSNRReqDB     = 25
+	snrStepPerRateDB = 8
+	berSlopeDB       = 4
+
+	// recalThresholdDB re-anchors a session's calibration when its SNR
+	// belief drifts this far from the anchor.
+	recalThresholdDB = 3
+
+	// minHopEvidence is how many windowed PRR samples a session needs
+	// before the loop will command a channel hop on their strength.
+	minHopEvidence = 4
+)
+
+// adapter picks downlink rates from the link-margin BER estimate: the
+// fastest K in [1, 3] whose BER stays at or below 1e-3. Tags join at
+// adapter.MinK.
+var adapter = mac.RateAdapter{BERTarget: 1e-3, MinK: 1, MaxK: 3}
+
 // fold replays one epoch's decode outcomes into the session registry, in
 // schedule order (group by group, event by event) — never in worker
 // completion order — so every counter and sliding window is a pure
@@ -111,17 +145,17 @@ func (g *Gateway) fold(plan *epochPlan) {
 
 // berForRate extrapolates a session's link evidence to rate k: the margin
 // of the SNR belief over the rate's requirement sets a model BER (halving
-// the symbol alphabet spacing costs SNRStepPerRateDB per K step), and a
+// the symbol alphabet spacing costs snrStepPerRateDB per K step), and a
 // lossy delivery window vetoes anything above the floor rate — missing
 // frames are the loudest evidence the link cannot support more bits per
 // chirp.
 func (g *Gateway) berForRate(s *session, k int) float64 {
-	margin := s.snrEst - (g.cfg.BaseSNRReqDB + g.cfg.SNRStepPerRateDB*float64(k-1))
-	ber := 0.5 * math.Pow(10, -margin/g.cfg.BERSlopeDB)
+	margin := s.snrEst - (baseSNRReqDB + snrStepPerRateDB*float64(k-1))
+	ber := 0.5 * math.Pow(10, -margin/berSlopeDB)
 	if ber > 0.5 {
 		ber = 0.5
 	}
-	if k > g.cfg.Adapter.MinK && s.prr.count() > 0 {
+	if k > adapter.MinK && s.prr.count() > 0 {
 		if loss := 1 - s.prr.mean(); loss > 0.05 {
 			if ev := loss / 4; ev > ber {
 				ber = ev
@@ -180,10 +214,6 @@ func (g *Gateway) bestChannel() int {
 	return best
 }
 
-// minHopEvidence is how many windowed PRR samples a session needs before
-// the loop will command a channel hop on their strength.
-const minHopEvidence = 4
-
 // control runs the closed loop over every live session in ascending tag
 // order: rate adaptation, channel hopping, threshold re-calibration, and
 // retransmission of missing frames. Each decision synthesizes a real
@@ -193,6 +223,9 @@ const minHopEvidence = 4
 // cannot survive the bit codec) is a bug, not a lost packet — it
 // propagates instead of being dropped.
 func (g *Gateway) control(epoch int) error {
+	if g.cfg.openLoop {
+		return nil
+	}
 	rng := dsp.NewRand(g.cfg.Seed^commandSalt, uint64(epoch))
 	rec := g.cfg.Flight
 	for _, id := range g.aliveIDs() {
@@ -219,7 +252,7 @@ func (g *Gateway) control(epoch int) error {
 
 		// Rate adaptation: fastest K whose extrapolated BER meets the
 		// target; fall back to the floor rate when none does.
-		k, _, err := g.cfg.Adapter.Pick(func(k int) (float64, error) {
+		k, _, err := adapter.Pick(func(k int) (float64, error) {
 			return g.berForRate(s, k), nil
 		})
 		if err != nil {
@@ -245,7 +278,7 @@ func (g *Gateway) control(epoch int) error {
 		// better alternative moves the tag. A collapse that cannot hop
 		// (already on the best channel, or the command was lost) is its
 		// own anomaly.
-		if s.prr.count() >= minHopEvidence && s.prr.mean() < g.cfg.HopThresholdPRR {
+		if s.prr.count() >= minHopEvidence && s.prr.mean() < hopThresholdPRR {
 			hopped := false
 			if best := g.bestChannel(); best != t.channel {
 				ok, err := g.sendCommand(rng, s, mac.Command{Op: mac.OpHopChannel, Addr: addrOf(id), Arg: best})
@@ -269,7 +302,7 @@ func (g *Gateway) control(epoch int) error {
 
 		// Re-calibration: the SNR belief drifted away from the anchor the
 		// tag's thresholds (and the channel's hunt calibration) assume.
-		if math.Abs(s.snrEst-s.calAnchorSNR) > g.cfg.RecalThresholdDB {
+		if math.Abs(s.snrEst-s.calAnchorSNR) > recalThresholdDB {
 			rss := s.snrEst + g.noiseFloorDB
 			arg := int(math.Round(-rss))
 			arg = int(math.Min(255, math.Max(0, float64(arg))))
@@ -292,7 +325,7 @@ func (g *Gateway) control(epoch int) error {
 		retxNow := 0
 		var firstRetx uint64
 		for _, m := range s.missing {
-			if m.attempts >= g.cfg.RetryMax {
+			if m.attempts >= retryMax {
 				g.met.retxAbandon()
 				ctlSpan(flight.RetxAbandoned, float64(m.seq), float64(m.attempts))
 				continue // budget exhausted: the frame is abandoned

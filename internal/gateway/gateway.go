@@ -38,7 +38,6 @@ import (
 	"saiyan/internal/flight"
 	"saiyan/internal/health"
 	"saiyan/internal/lora"
-	"saiyan/internal/mac"
 	"saiyan/internal/obs"
 	"saiyan/internal/radio"
 	"saiyan/internal/sim"
@@ -95,24 +94,6 @@ type Config struct {
 	// churn, and downlink command delivery.
 	Seed uint64
 
-	// StatsWindow is the sliding-window length of the per-session PRR /
-	// SNR / offset accounting. Default 16.
-	StatsWindow int
-
-	// Adapter picks downlink rates from the link-margin BER estimate.
-	// Default: BER <= 1e-3 over K in [1, 3].
-	Adapter mac.RateAdapter
-
-	// InitialRateK is the rate tags join at. Default Adapter.MinK.
-	InitialRateK int
-
-	// HopThresholdPRR commands a channel hop when a session's windowed PRR
-	// falls below it (and a better channel exists). Default 0.6.
-	HopThresholdPRR float64
-
-	// RetryMax bounds retransmission commands per missing frame. Default 3.
-	RetryMax int
-
 	// JoinEvery / LeaveEvery schedule deployment churn: every JoinEvery
 	// epochs a new tag joins; every LeaveEvery epochs the oldest tag
 	// leaves. 0 disables.
@@ -124,17 +105,6 @@ type Config struct {
 
 	// Degrade schedules channel-quality changes.
 	Degrade []Degradation
-
-	// Link-margin BER model (see berForRate): a rate K is usable when the
-	// session SNR clears BaseSNRReqDB + SNRStepPerRateDB*(K-1), with
-	// BERSlopeDB dB of margin per decade of BER. Defaults 25 / 8 / 4.
-	BaseSNRReqDB     float64
-	SNRStepPerRateDB float64
-	BERSlopeDB       float64
-
-	// RecalThresholdDB re-anchors a session's calibration when its SNR
-	// belief drifts this far from the anchor. Default 3 dB.
-	RecalThresholdDB float64
 
 	// Metrics, when non-nil, receives the gateway's observability series —
 	// per-epoch stage timings, downlink command outcomes by opcode,
@@ -170,6 +140,11 @@ type Config struct {
 	// client behaviour and are excluded from the determinism bar the way
 	// EpochReport.Elapsed is.
 	Health *health.Store
+
+	// openLoop, when set, makes the control loop return at once: no
+	// command is ever synthesized. Test hook: it builds the open-loop
+	// reference the closed loop's recovery is measured against.
+	openLoop bool
 }
 
 // DefaultConfig returns a 2-channel, 8-tag gateway over the paper's
@@ -220,44 +195,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Workers < 1 {
 		return c, fmt.Errorf("gateway: %d workers < 1", c.Workers)
-	}
-	if c.StatsWindow == 0 {
-		c.StatsWindow = 16
-	}
-	if c.StatsWindow < 1 {
-		return c, fmt.Errorf("gateway: stats window %d < 1", c.StatsWindow)
-	}
-	if c.Adapter == (mac.RateAdapter{}) {
-		c.Adapter = mac.RateAdapter{BERTarget: 1e-3, MinK: 1, MaxK: 3}
-	}
-	if c.Adapter.MinK < 1 || c.Adapter.MaxK < c.Adapter.MinK || c.Adapter.MaxK > c.Demod.Params.SF {
-		return c, fmt.Errorf("gateway: adapter rate bounds [%d, %d] invalid for SF%d",
-			c.Adapter.MinK, c.Adapter.MaxK, c.Demod.Params.SF)
-	}
-	if c.InitialRateK == 0 {
-		c.InitialRateK = c.Adapter.MinK
-	}
-	if c.InitialRateK < c.Adapter.MinK || c.InitialRateK > c.Adapter.MaxK {
-		return c, fmt.Errorf("gateway: initial rate K=%d outside adapter bounds [%d, %d]",
-			c.InitialRateK, c.Adapter.MinK, c.Adapter.MaxK)
-	}
-	if c.HopThresholdPRR == 0 {
-		c.HopThresholdPRR = 0.6
-	}
-	if c.RetryMax == 0 {
-		c.RetryMax = 3
-	}
-	if c.BaseSNRReqDB == 0 {
-		c.BaseSNRReqDB = 25
-	}
-	if c.SNRStepPerRateDB == 0 {
-		c.SNRStepPerRateDB = 8
-	}
-	if c.BERSlopeDB == 0 {
-		c.BERSlopeDB = 4
-	}
-	if c.RecalThresholdDB == 0 {
-		c.RecalThresholdDB = 3
 	}
 	for _, d := range c.Degrade {
 		if d.Channel < 0 || d.Channel >= c.Channels {
@@ -382,7 +319,7 @@ func New(cfg Config) (*Gateway, error) {
 		return nil, err
 	}
 	// Validate the demodulator once at every rate the adapter may command.
-	for k := cfg.Adapter.MinK; k <= cfg.Adapter.MaxK; k++ {
+	for k := adapter.MinK; k <= adapter.MaxK; k++ {
 		probe := cfg.Demod
 		probe.Params.K = k
 		if _, err := core.New(probe); err != nil {
@@ -397,7 +334,7 @@ func New(cfg Config) (*Gateway, error) {
 		atten:        make([]float64, cfg.Channels),
 		chanNoise:    make([]noiseStats, cfg.Channels),
 		met:          newGatewayObs(cfg.Metrics),
-		health:       newGatewayHealth(cfg.Health, cfg.Channels, cfg.Adapter.MinK, cfg.Adapter.MaxK),
+		health:       newGatewayHealth(cfg.Health, cfg.Channels, adapter.MinK, adapter.MaxK),
 	}
 	// Initial placement is sim.NewTagSet's geometric spacing (one source of
 	// truth); channels are dealt round-robin.
@@ -415,9 +352,9 @@ func New(cfg Config) (*Gateway, error) {
 func (g *Gateway) admitTag(distanceM float64, channel int) *tagState {
 	id := g.nextID
 	g.nextID++
-	t := &tagState{id: id, distanceM: distanceM, channel: channel, rateK: g.cfg.InitialRateK}
+	t := &tagState{id: id, distanceM: distanceM, channel: channel, rateK: adapter.MinK}
 	g.tags[id] = t
-	g.sessions[id] = newSession(id, g.cfg.StatsWindow, g.snrAt(t))
+	g.sessions[id] = newSession(id, statsWindow, g.snrAt(t))
 	return t
 }
 
@@ -779,8 +716,8 @@ func (g *Gateway) OverrideRate(tag, k int) error {
 	if g.err != nil {
 		return g.err
 	}
-	if k < g.cfg.Adapter.MinK || k > g.cfg.Adapter.MaxK {
-		return fmt.Errorf("gateway: rate K=%d outside adapter bounds [%d, %d]", k, g.cfg.Adapter.MinK, g.cfg.Adapter.MaxK)
+	if k < adapter.MinK || k > adapter.MaxK {
+		return fmt.Errorf("gateway: rate K=%d outside adapter bounds [%d, %d]", k, adapter.MinK, adapter.MaxK)
 	}
 	apply := func(t *tagState) {
 		if t.rateK != k {

@@ -124,16 +124,7 @@ func TestGatewayRecoversAfterDegradation(t *testing.T) {
 		cfg := acceptanceConfig(4)
 		cfg.JoinEvery, cfg.LeaveEvery, cfg.MobilitySigma = 0, 0, 0
 		cfg.Degrade = []Degradation{{Epoch: 1, Channel: 0, AttenDB: 18}}
-		if openLoop {
-			// An unreachable hop threshold plus a one-rate adapter plus no
-			// retransmission budget disables every control lever; commands
-			// are never even synthesized.
-			cfg.HopThresholdPRR = -1
-			cfg.Adapter = mac.RateAdapter{BERTarget: 0.5, MinK: 1, MaxK: 1}
-			cfg.InitialRateK = 1
-			cfg.RetryMax = -1 // no retransmission commands
-			cfg.RecalThresholdDB = 1e9
-		}
+		cfg.openLoop = openLoop
 		g, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -173,10 +164,6 @@ func TestConfigValidation(t *testing.T) {
 		{"inverted distances", func(c *Config) { c.MinM, c.MaxM = 50, 10 }},
 		{"negative frames", func(c *Config) { c.FramesPerTag = -1 }},
 		{"negative workers", func(c *Config) { c.Workers = -3 }},
-		{"negative window", func(c *Config) { c.StatsWindow = -1 }},
-		{"adapter bounds", func(c *Config) { c.Adapter = mac.RateAdapter{BERTarget: 1e-3, MinK: 3, MaxK: 1} }},
-		{"adapter above SF", func(c *Config) { c.Adapter = mac.RateAdapter{BERTarget: 1e-3, MinK: 1, MaxK: 99} }},
-		{"initial rate outside bounds", func(c *Config) { c.InitialRateK = 9 }},
 		{"degrade channel range", func(c *Config) { c.Degrade = []Degradation{{Channel: 5}} }},
 		{"degrade negative epoch", func(c *Config) { c.Degrade = []Degradation{{Epoch: -1}} }},
 		{"bad demod", func(c *Config) { c.Demod.Oversample = 1 }},
@@ -279,8 +266,8 @@ func TestBERModelShape(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		lossy.prr.push(0)
 	}
-	if ber := g.berForRate(lossy, 2); ber <= cfg.Adapter.BERTarget {
-		t.Errorf("lossy window ber(K=2)=%g, want above target %g", ber, cfg.Adapter.BERTarget)
+	if ber := g.berForRate(lossy, 2); ber <= adapter.BERTarget {
+		t.Errorf("lossy window ber(K=2)=%g, want above target %g", ber, adapter.BERTarget)
 	}
 	if ber := g.berForRate(lossy, 1); ber > 0.5 {
 		t.Errorf("floor rate ber=%g escaped clamp", ber)

@@ -254,8 +254,8 @@ func (g *Gateway) ingestRateGroup(ctx context.Context, groups []*ingestGroup) er
 		Workers: g.cfg.Workers,
 		Seed:    g.cfg.Seed,
 		Metrics: g.cfg.Metrics,
-		// Workers write flight shards 1..Workers (pipeline defaults
-		// FlightShard to 1), keeping shard 0 to the segmenter above.
+		// Workers write flight shards 1..Workers, keeping shard 0 to
+		// the segmenter above.
 		Flight: g.cfg.Flight,
 	}
 	pcfg.Demod.Params = g.params(groups[0].k)

@@ -5,7 +5,7 @@
 //
 // The store is RRD-style: every series owns a fixed ladder of ring
 // buffers. Tier 0 holds raw per-epoch points; each higher tier holds
-// min/max/sum/count bins covering FanIn bins of the tier below, so a
+// min/max/sum/count bins covering fanIn bins of the tier below, so a
 // 512-point ladder with fan-in 8 remembers ~512 epochs at full
 // resolution, ~4k epochs at tier 1, and ~32k at tier 2 — all in fixed
 // memory decided at registration. Appends are pure index arithmetic:
@@ -37,79 +37,32 @@ import (
 	"sync"
 )
 
-// Defaults applied by New when the corresponding Options field is zero.
+// The rollup ladder and ring shapes.
 const (
-	DefaultRawCap      = 512
-	DefaultFanIn       = 8
-	DefaultTiers       = 3
-	DefaultJournalCap  = 256
-	DefaultExemplarCap = 8
-
-	maxTiers = 6
+	// rawCap is the per-tier ring capacity in bins. Every tier of every
+	// series holds exactly rawCap bins, so one series costs
+	// tiers*rawCap*sizeof(Bin) up front and never grows.
+	rawCap = 512
+	// fanIn is how many tier-N bins roll into one tier-N+1 bin.
+	fanIn = 8
+	// tiers is the ladder depth including the raw tier.
+	tiers = 3
+	// journalCap bounds the alert journal ring.
+	journalCap = 256
+	// exemplarCap bounds the per-series exemplar trace ring fed by
+	// AppendTrace; firing alerts harvest their trace lists from it.
+	exemplarCap = 8
 )
 
-// Options configures a Store. The zero value is usable: every field
-// falls back to its Default* constant.
+// Options configures a Store. The zero value is usable: a store with no
+// rules.
 type Options struct {
-	// RawCap is the per-tier ring capacity in bins. Every tier of every
-	// series holds exactly RawCap bins, so one series costs
-	// Tiers*RawCap*sizeof(Bin) up front and never grows.
-	RawCap int
-	// FanIn is how many tier-N bins roll into one tier-N+1 bin.
-	FanIn int
-	// Tiers is the ladder depth including the raw tier (1..6).
-	Tiers int
-	// JournalCap bounds the alert journal ring.
-	JournalCap int
-	// ExemplarCap bounds the per-series exemplar trace ring fed by
-	// AppendTrace; firing alerts harvest their trace lists from it.
-	ExemplarCap int
 	// Rules is the SLO rule set evaluated at every EndEpoch.
 	Rules []Rule
 }
 
-func (o Options) withDefaults() (Options, error) {
-	def := func(v *int, d int, name string) error {
-		if *v == 0 {
-			*v = d
-		}
-		if *v < 0 {
-			return fmt.Errorf("health: %s %d < 0", name, *v)
-		}
-		return nil
-	}
-	if err := def(&o.RawCap, DefaultRawCap, "RawCap"); err != nil {
-		return o, err
-	}
-	if err := def(&o.FanIn, DefaultFanIn, "FanIn"); err != nil {
-		return o, err
-	}
-	if err := def(&o.Tiers, DefaultTiers, "Tiers"); err != nil {
-		return o, err
-	}
-	if err := def(&o.JournalCap, DefaultJournalCap, "JournalCap"); err != nil {
-		return o, err
-	}
-	if err := def(&o.ExemplarCap, DefaultExemplarCap, "ExemplarCap"); err != nil {
-		return o, err
-	}
-	if o.RawCap < 2 {
-		return o, fmt.Errorf("health: RawCap %d < 2", o.RawCap)
-	}
-	if o.FanIn < 2 {
-		return o, fmt.Errorf("health: FanIn %d < 2", o.FanIn)
-	}
-	if o.Tiers < 1 || o.Tiers > maxTiers {
-		return o, fmt.Errorf("health: Tiers %d outside 1..%d", o.Tiers, maxTiers)
-	}
-	if o.JournalCap < 1 {
-		return o, fmt.Errorf("health: JournalCap %d < 1", o.JournalCap)
-	}
-	return o, nil
-}
-
 // Bin is one rollup cell. At tier 0 a bin is a single point (Count 1,
-// Min == Max == Sum); higher tiers merge FanIn lower bins. Epoch is the
+// Min == Max == Sum); higher tiers merge fanIn lower bins. Epoch is the
 // first epoch the bin covers. Mean() is Sum/Count.
 type Bin struct {
 	Epoch uint32
@@ -219,7 +172,7 @@ func (se *Series) append(epoch int, v float64, trace uint64) {
 	se.cascade(b)
 	se.last = b
 	se.total++
-	if trace != 0 && len(se.exem) > 0 {
+	if trace != 0 {
 		se.exem[se.exHead] = exemplar{epoch: uint32(epoch), trace: trace}
 		se.exHead++
 		if se.exHead == len(se.exem) {
@@ -249,7 +202,7 @@ func (se *Series) cascade(b Bin) {
 			a.merge(b)
 		}
 		se.accN[t]++
-		if se.accN[t] < se.st.opt.FanIn {
+		if se.accN[t] < fanIn {
 			return
 		}
 		b = *a
@@ -294,7 +247,6 @@ type Delta struct {
 // per epoch, not per frame, so the lock is nowhere near any hot loop.
 type Store struct {
 	mu     sync.Mutex
-	opt    Options
 	series []*Series
 	byName map[string]*Series
 
@@ -310,18 +262,12 @@ type Store struct {
 	delta   Delta
 }
 
-// New builds a Store. Zero Options fields take their Default*
-// constants; rules are validated up front so a malformed rule fails at
-// construction, not mid-run.
+// New builds a Store. Rules are validated up front so a malformed rule
+// fails at construction, not mid-run.
 func New(opt Options) (*Store, error) {
-	opt, err := opt.withDefaults()
-	if err != nil {
-		return nil, err
-	}
 	s := &Store{
-		opt:     opt,
 		byName:  make(map[string]*Series),
-		journal: make([]Alert, opt.JournalCap),
+		journal: make([]Alert, journalCap),
 	}
 	for i, r := range opt.Rules {
 		rr, err := r.withDefaults()
@@ -350,15 +296,13 @@ func (s *Store) Series(name string) *Series {
 	se := &Series{
 		st:    s,
 		name:  name,
-		tiers: make([]ring, s.opt.Tiers),
-		acc:   make([]Bin, s.opt.Tiers),
-		accN:  make([]int, s.opt.Tiers),
+		tiers: make([]ring, tiers),
+		acc:   make([]Bin, tiers),
+		accN:  make([]int, tiers),
+		exem:  make([]exemplar, exemplarCap),
 	}
 	for t := range se.tiers {
-		se.tiers[t].bins = make([]Bin, s.opt.RawCap)
-	}
-	if s.opt.ExemplarCap > 0 {
-		se.exem = make([]exemplar, s.opt.ExemplarCap)
+		se.tiers[t].bins = make([]Bin, rawCap)
 	}
 	s.byName[name] = se
 	s.series = append(s.series, se)

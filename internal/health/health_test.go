@@ -41,35 +41,43 @@ func mustStore(t *testing.T, opt Options) *Store {
 }
 
 func TestRollupCascade(t *testing.T) {
-	s := mustStore(t, Options{RawCap: 8, FanIn: 4, Tiers: 3})
+	s := mustStore(t, Options{})
 	se := s.Series("x")
-	// 16 points 0..15: tier 1 gets 4 bins of 4, tier 2 gets 1 bin of 16.
-	for i := 0; i < 16; i++ {
+	// 2*rawCap points 0..n-1: the raw ring wraps to the newest rawCap,
+	// tier 1 gets n/fanIn bins of fanIn, tier 2 n/fanIn² bins of fanIn².
+	const n = 2 * rawCap
+	for i := 0; i < n; i++ {
 		se.Append(i, float64(i))
 	}
 	raw := storeBins(s, "x", 0)
-	if len(raw) != 8 {
-		t.Fatalf("raw bins = %d, want 8 (ring cap)", len(raw))
+	if len(raw) != rawCap {
+		t.Fatalf("raw bins = %d, want %d (ring cap)", len(raw), rawCap)
 	}
-	if raw[0].Epoch != 8 || raw[7].Epoch != 15 {
-		t.Errorf("raw ring holds epochs %d..%d, want 8..15", raw[0].Epoch, raw[7].Epoch)
+	if raw[0].Epoch != n-rawCap || raw[rawCap-1].Epoch != n-1 {
+		t.Errorf("raw ring holds epochs %d..%d, want %d..%d", raw[0].Epoch, raw[rawCap-1].Epoch, n-rawCap, n-1)
 	}
 	t1 := storeBins(s, "x", 1)
-	if len(t1) != 4 {
-		t.Fatalf("tier-1 bins = %d, want 4", len(t1))
+	if len(t1) != n/fanIn {
+		t.Fatalf("tier-1 bins = %d, want %d", len(t1), n/fanIn)
 	}
-	// Second tier-1 bin covers epochs 4..7.
+	// Second tier-1 bin covers epochs fanIn..2*fanIn-1.
 	b := t1[1]
-	if b.Epoch != 4 || b.Min != 4 || b.Max != 7 || b.Count != 4 || b.Mean() != 5.5 {
-		t.Errorf("tier-1 bin 1 = %+v (mean %g), want epoch=4 min=4 max=7 count=4 mean=5.5", b, b.Mean())
+	if b.Epoch != fanIn || b.Min != fanIn || b.Max != 2*fanIn-1 || b.Count != fanIn || b.Mean() != (3*fanIn-1)/2.0 {
+		t.Errorf("tier-1 bin 1 = %+v (mean %g), want epoch=min=%d max=%d count=%d mean=%g",
+			b, b.Mean(), fanIn, 2*fanIn-1, fanIn, (3*fanIn-1)/2.0)
 	}
+	const span = fanIn * fanIn
 	t2 := storeBins(s, "x", 2)
-	if len(t2) != 1 {
-		t.Fatalf("tier-2 bins = %d, want 1", len(t2))
+	if len(t2) != n/span {
+		t.Fatalf("tier-2 bins = %d, want %d", len(t2), n/span)
 	}
 	b = t2[0]
-	if b.Epoch != 0 || b.Min != 0 || b.Max != 15 || b.Count != 16 || b.Mean() != 7.5 {
-		t.Errorf("tier-2 bin = %+v (mean %g), want epoch=0 min=0 max=15 count=16 mean=7.5", b, b.Mean())
+	if b.Epoch != 0 || b.Min != 0 || b.Max != span-1 || b.Count != span || b.Mean() != (span-1)/2.0 {
+		t.Errorf("tier-2 bin = %+v (mean %g), want epoch=0 min=0 max=%d count=%d mean=%g",
+			b, b.Mean(), span-1, span, (span-1)/2.0)
+	}
+	if got := storeBins(s, "x", tiers); got != nil {
+		t.Errorf("ladder has a tier %d: %d bins", tiers, len(got))
 	}
 }
 
@@ -117,11 +125,6 @@ func TestNilHandles(t *testing.T) {
 
 func TestOptionsValidation(t *testing.T) {
 	bad := []Options{
-		{RawCap: 1},
-		{RawCap: -1},
-		{FanIn: 1},
-		{Tiers: 7},
-		{Tiers: -2},
 		{Rules: []Rule{{}}},
 		{Rules: []Rule{{Name: "r"}}},
 		{Rules: []Rule{{Name: "r", Series: "x"}}},
@@ -314,13 +317,14 @@ func TestAlertIDsDeterministic(t *testing.T) {
 }
 
 func TestJournalRingWraps(t *testing.T) {
-	s := mustStore(t, Options{JournalCap: 4, Rules: []Rule{
+	s := mustStore(t, Options{Rules: []Rule{
 		{Name: "r", Series: "x", Kind: KindThreshold, Op: OpAbove, Threshold: 0},
 	}})
 	se := s.Series("x")
 	order := []*Series{se}
 	// Alternate breach/clear: every epoch journals one edge.
-	for e := 0; e < 10; e++ {
+	const last = journalCap + 5
+	for e := 0; e <= last; e++ {
 		v := 1.0
 		if e%2 == 1 {
 			v = -1
@@ -328,27 +332,30 @@ func TestJournalRingWraps(t *testing.T) {
 		seal(s, e, map[*Series]float64{se: v}, order)
 	}
 	j := s.Journal(0)
-	if len(j) != 4 {
-		t.Fatalf("journal holds %d, want cap 4", len(j))
+	if len(j) != journalCap {
+		t.Fatalf("journal holds %d, want cap %d", len(j), journalCap)
 	}
 	for i := 1; i < len(j); i++ {
 		if j[i].Epoch <= j[i-1].Epoch {
 			t.Fatalf("journal out of order: %+v", j)
 		}
 	}
-	if j[len(j)-1].Epoch != 9 {
-		t.Errorf("newest entry epoch = %d, want 9", j[len(j)-1].Epoch)
+	if j[0].Epoch != last-journalCap+1 || j[len(j)-1].Epoch != last {
+		t.Errorf("journal holds epochs %d..%d, want %d..%d", j[0].Epoch, j[len(j)-1].Epoch, last-journalCap+1, last)
 	}
-	if got := s.Journal(2); len(got) != 2 || got[1].Epoch != 9 {
+	if got := s.Journal(2); len(got) != 2 || got[1].Epoch != last {
 		t.Errorf("Journal(2) = %+v", got)
 	}
 }
 
 func TestExemplarHarvest(t *testing.T) {
-	s := mustStore(t, Options{ExemplarCap: 4, Rules: []Rule{
-		{Name: "r", Series: "x", Kind: KindWindowMean, Op: OpBelow, Threshold: 0.5, Window: 2},
-	}})
-	se := s.Series("x")
+	store := func() (*Store, *Series) {
+		s := mustStore(t, Options{Rules: []Rule{
+			{Name: "r", Series: "x", Kind: KindWindowMean, Op: OpBelow, Threshold: 0.5, Window: 2},
+		}})
+		return s, s.Series("x")
+	}
+	s, se := store()
 	se.AppendTrace(0, 1, 0xaaaa) // healthy, outside harvest window later
 	s.EndEpoch(0)
 	se.AppendTrace(1, 0, 0xbbbb)
@@ -368,6 +375,21 @@ func TestExemplarHarvest(t *testing.T) {
 		if j[0].Traces[i] != want[i] {
 			t.Errorf("trace %d = %s, want %s", i, j[0].Traces[i], want[i])
 		}
+	}
+
+	// The ring keeps the newest exemplarCap traces: one more than that
+	// inside the window evicts the oldest.
+	s, se = store()
+	for i := 0; i <= exemplarCap; i++ {
+		se.AppendTrace(0, 0, uint64(0x100+i))
+	}
+	s.EndEpoch(0)
+	j = s.Journal(0)
+	if len(j) != 1 || len(j[0].Traces) != exemplarCap {
+		t.Fatalf("journal = %+v, want one firing alert with %d traces", j, exemplarCap)
+	}
+	if j[0].Traces[0] != "0000000000000101" {
+		t.Errorf("oldest harvested trace = %s, want the evicted 0x100's successor", j[0].Traces[0])
 	}
 }
 
@@ -510,10 +532,11 @@ func TestSealZeroAllocSteadyState(t *testing.T) {
 // JSON planes — store state is a pure function of its inputs.
 func TestDeterministicReplay(t *testing.T) {
 	run := func() (health, ts, delta []byte) {
-		s := mustStore(t, Options{RawCap: 16, FanIn: 4, Rules: DefaultRules()})
+		s := mustStore(t, Options{Rules: DefaultRules()})
 		prr := s.Series("channel.0.prr")
 		ratio := s.Series("gateway.delivery_ratio")
-		for e := 0; e < 40; e++ {
+		// Run past rawCap epochs so the raw ring wraps.
+		for e := 0; e < rawCap+40; e++ {
 			v := 1.0
 			if e >= 10 && e < 20 {
 				v = 0.2

@@ -89,7 +89,7 @@ func (s *Store) TimeseriesJSON(series string, tier int) []byte {
 			doc.Series = append(doc.Series, seriesInfo{
 				Name:   se.name,
 				Tiers:  len(se.tiers),
-				FanIn:  s.opt.FanIn,
+				FanIn:  fanIn,
 				Points: se.total,
 				Last:   se.last.Sum,
 			})
@@ -101,7 +101,7 @@ func (s *Store) TimeseriesJSON(series string, tier int) []byte {
 		return nil
 	}
 	r := &se.tiers[tier]
-	doc := seriesDoc{Series: se.name, Tier: tier, FanIn: s.opt.FanIn, Bins: []binJSON{}}
+	doc := seriesDoc{Series: se.name, Tier: tier, FanIn: fanIn, Bins: []binJSON{}}
 	for i := 0; i < r.n; i++ {
 		b := r.at(i)
 		doc.Bins = append(doc.Bins, binJSON{

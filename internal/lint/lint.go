@@ -34,10 +34,10 @@
 // One check is whole-program and so is not an Analyzer: the dead-code
 // guard (TestNoUnreferencedDecls in this package) loads the repository
 // root and bench/ with Load and fails on every package-level declaration
-// of the root package and internal/... that is not reachable from a main,
-// an init, or a declaration marked //lint:allow unused <reason>. The mark
-// keeps reference code that tests compare live code against, and
-// everything it names.
+// of the root package, internal/..., cmd/... and examples/... that is
+// not reachable from a main, an init, or a declaration marked
+// //lint:allow unused <reason>. The mark keeps reference code that tests
+// compare live code against, and everything it names.
 //
 // # Annotation grammar
 //

@@ -8,10 +8,12 @@ import (
 )
 
 // TestNoUnreferencedDecls is the dead-code guard: every package-level
-// declaration in the root package and internal/... must be reachable from
-// a main of module saiyan or saiyan/bench (cmd/, examples/, bench/), an
-// init, or a //lint:allow unused declaration. It runs under -short too,
-// so the blocking race job keeps dead code from regrowing.
+// declaration in the root package, internal/..., cmd/... and examples/...
+// must be reachable from a main of module saiyan or saiyan/bench (cmd/,
+// examples/, bench/), an init, or a //lint:allow unused declaration.
+// bench/ is loaded for its references but not checked itself. It runs
+// under -short too, so the blocking race job keeps dead code from
+// regrowing.
 func TestNoUnreferencedDecls(t *testing.T) {
 	var pkgs []*Package
 	for _, dir := range []string{"../..", "../../bench"} {
@@ -22,7 +24,12 @@ func TestNoUnreferencedDecls(t *testing.T) {
 		pkgs = append(pkgs, ps...)
 	}
 	inScope := func(path string) bool {
-		return path == "saiyan" || strings.HasPrefix(path, "saiyan/internal/")
+		for _, prefix := range []string{"saiyan/internal/", "saiyan/cmd/", "saiyan/examples/"} {
+			if strings.HasPrefix(path, prefix) {
+				return true
+			}
+		}
+		return path == "saiyan"
 	}
 	unused(pkgs, inScope, func(pkg *Package, d Diagnostic) {
 		t.Errorf("%s", FormatDiagnostic(pkg.Fset, d))

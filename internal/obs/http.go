@@ -11,9 +11,6 @@ import (
 type HandlerConfig struct {
 	// Registry backs /metrics. May be nil (an empty exposition).
 	Registry *Registry
-	// Health, when set, backs /healthz: nil means healthy (200), an error
-	// is reported with a 503. A nil Health is always healthy.
-	Health func() error
 	// Snapshot, when set, backs /snapshot with a cached JSON document
 	// (the gateway snapshot is not safe to take concurrently with the
 	// epoch loop, so the server caches the latest marshaled bytes).
@@ -73,7 +70,8 @@ func validTrace(s string) bool {
 }
 
 // NewHandler builds the telemetry mux: /metrics (Prometheus text
-// exposition 0.0.4), /healthz, /snapshot (cached JSON), /flight (recent
+// exposition 0.0.4), /healthz (a liveness probe that always answers
+// ok), /snapshot (cached JSON), /flight (recent
 // anomaly dumps, or one trace's dumps via ?trace=), /health (link-health
 // rules, alerts, and journal), /timeseries (rollup tiers, or the series
 // listing), and the /debug/pprof/* profiling endpoints — on a private
@@ -87,12 +85,6 @@ func NewHandler(cfg HandlerConfig) http.Handler {
 		cfg.Registry.WritePrometheus(w)
 	}))
 	mux.HandleFunc("/healthz", get(func(w http.ResponseWriter, r *http.Request) {
-		if cfg.Health != nil {
-			if err := cfg.Health(); err != nil {
-				http.Error(w, err.Error(), http.StatusServiceUnavailable)
-				return
-			}
-		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
 	}))

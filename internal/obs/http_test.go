@@ -116,8 +116,8 @@ func TestHandlerNilCallbacks(t *testing.T) {
 			t.Errorf("GET %s with no backing plane: code %d, want 503", path, resp.StatusCode)
 		}
 	}
-	// A nil Registry still serves an (empty) exposition and a nil Health
-	// is healthy.
+	// A nil Registry still serves an (empty) exposition, and /healthz
+	// always answers ok.
 	for _, path := range []string{"/metrics", "/healthz"} {
 		resp, err := srv.Client().Get(srv.URL + path)
 		if err != nil {

@@ -248,7 +248,6 @@ func TestHTTPHandler(t *testing.T) {
 	var snapshot []byte
 	h := NewHandler(HandlerConfig{
 		Registry: r,
-		Health:   func() error { return nil },
 		Snapshot: func() []byte { return snapshot },
 	})
 	srv := httptest.NewServer(h)

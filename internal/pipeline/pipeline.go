@@ -47,16 +47,6 @@ type Config struct {
 	// Workers is the demodulator pool size. Default: runtime.GOMAXPROCS(0).
 	Workers int
 
-	// QueueDepth bounds the batch queue between Submit and the workers;
-	// Submit blocks once QueueDepth batches are in flight (backpressure).
-	// Default: 2 * Workers.
-	QueueDepth int
-
-	// ResultBuffer sizes the Results channel. Default: 4 * Workers frames.
-	// Unless DiscardResults is set, the consumer must drain Results
-	// concurrently with submission or the workers stall once it fills.
-	ResultBuffer int
-
 	// DiscardResults drops per-frame results and keeps only Stats; use for
 	// throughput measurements where the aggregate is the product.
 	DiscardResults bool
@@ -90,13 +80,17 @@ type Config struct {
 	// processed job that carries a trace ID (Job.Trace != 0), and trace
 	// IDs ride into the latency/cycle histogram buckets as exemplars.
 	// Write-only like Metrics: nothing is read back into a decode, so the
-	// symbol stream is identical with the recorder on or off.
+	// symbol stream is identical with the recorder on or off. Worker w
+	// writes shard 1+w (see flight.Options.Shards).
 	Flight *flight.Recorder
-	// FlightShard is the recorder shard of worker 0; worker w writes
-	// shard FlightShard+w. Defaults to 1 when Flight is set, leaving
-	// shard 0 to the submission-side segmenter.
-	FlightShard int
 }
+
+// Channel sizes per worker: the batch queue between Submit and the
+// workers, and the Results buffer.
+const (
+	queuePerWorker   = 2
+	resultsPerWorker = 4
+)
 
 // withDefaults fills zero fields and validates.
 func (c Config) withDefaults() (Config, error) {
@@ -106,26 +100,11 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Workers < 1 {
 		return c, fmt.Errorf("pipeline: workers %d < 1", c.Workers)
 	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 2 * c.Workers
-	}
-	if c.QueueDepth < 1 {
-		return c, fmt.Errorf("pipeline: queue depth %d < 1", c.QueueDepth)
-	}
-	if c.ResultBuffer == 0 {
-		c.ResultBuffer = 4 * c.Workers
-	}
-	if c.ResultBuffer < 1 {
-		return c, fmt.Errorf("pipeline: result buffer %d < 1", c.ResultBuffer)
-	}
 	if c.CalibrationQuantumDB == 0 {
 		c.CalibrationQuantumDB = 1
 	}
 	if c.CalibrationQuantumDB < 0 {
 		return c, fmt.Errorf("pipeline: calibration quantum %g dB < 0", c.CalibrationQuantumDB)
-	}
-	if c.Flight != nil && c.FlightShard == 0 {
-		c.FlightShard = 1
 	}
 	return c, nil
 }
@@ -312,8 +291,8 @@ func New(cfg Config) (*Pipeline, error) {
 
 	p := &Pipeline{
 		cfg:      cfg,
-		jobs:     make(chan []job, cfg.QueueDepth),
-		results:  make(chan Result, cfg.ResultBuffer),
+		jobs:     make(chan []job, queuePerWorker*cfg.Workers),
+		results:  make(chan Result, resultsPerWorker*cfg.Workers),
 		calCache: make(map[float64]*core.Demodulator),
 	}
 	p.met = newPipelineMetrics(cfg.Metrics, cfg.Workers)
@@ -328,8 +307,9 @@ func New(cfg Config) (*Pipeline, error) {
 	return p, nil
 }
 
-// Submit enqueues a batch of frames, blocking while the bounded queue is
-// full. Jobs are stamped with a global sequence number in submission order;
+// Submit enqueues a batch of frames. The queue holds 2*Workers batches;
+// once it is full Submit blocks until a worker takes one (backpressure).
+// Jobs are stamped with a global sequence number in submission order;
 // calling Submit from a single goroutine therefore yields a deterministic
 // symbol stream for a fixed seed, independent of worker count. Submit
 // returns ErrDrained once Drain has been called.
@@ -367,8 +347,10 @@ func (p *Pipeline) Precalibrate(rssDBm ...float64) {
 }
 
 // Results delivers per-frame outcomes. The channel is closed by Drain
-// after the last in-flight frame completes. When Config.DiscardResults is
-// set, nothing is ever sent.
+// after the last in-flight frame completes. It buffers 4*Workers
+// results: unless Config.DiscardResults is set (then nothing is ever
+// sent), the consumer must drain it concurrently with submission or the
+// workers stall once it fills.
 func (p *Pipeline) Results() <-chan Result {
 	return p.results
 }
@@ -682,7 +664,7 @@ func (p *Pipeline) process(ws *workerState, sc *core.FrameScratch, j job, w int)
 		if res.Err != nil || !res.Detected {
 			dec = flight.DecodeErr
 		}
-		p.cfg.Flight.Append(p.cfg.FlightShard+w, flight.Span{
+		p.cfg.Flight.Append(1+w, flight.Span{
 			Trace:    j.Trace,
 			Tag:      uint16(j.Tag),
 			Stage:    flight.StageDecode,

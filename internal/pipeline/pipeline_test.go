@@ -259,8 +259,9 @@ func TestDrainGraceful(t *testing.T) {
 	jobs := testTraffic(t, 3, 2)
 	cfg := DefaultConfig()
 	cfg.Seed = testSeed
-	cfg.Workers = 2
-	cfg.QueueDepth = 1 // force Submit to exercise backpressure
+	// One worker queues 2 batches: submitting 6 one at a time exercises
+	// Submit's backpressure.
+	cfg.Workers = 1
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -301,8 +302,9 @@ func TestDiscardResults(t *testing.T) {
 	jobs := testTraffic(t, 3, 2)
 	cfg := DefaultConfig()
 	cfg.Seed = testSeed
-	cfg.Workers = 2
-	cfg.ResultBuffer = 1
+	// One worker buffers 4 results, fewer than the 6 jobs: an unread
+	// Results channel would stall the worker if results were kept.
+	cfg.Workers = 1
 	cfg.DiscardResults = true
 	p, err := New(cfg)
 	if err != nil {
@@ -339,8 +341,6 @@ func TestNilFrameSurfacesError(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Workers: -1},
-		{QueueDepth: -2},
-		{ResultBuffer: -3},
 		{CalibrationQuantumDB: -1},
 	}
 	for i, cfg := range bad {

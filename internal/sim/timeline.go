@@ -25,6 +25,16 @@ const (
 	noiseStream    = 1<<30 + 1
 )
 
+const (
+	// leadSymbols is the idle air before the first frame and after the
+	// last, in symbol times (so segmentation never sees a frame at sample
+	// zero).
+	leadSymbols = 4
+	// overlapSymbols is the collision depth of an OverlapEvery frame, in
+	// symbol times.
+	overlapSymbols = 4
+)
+
 // TimelineConfig shapes a continuous capture.
 type TimelineConfig struct {
 	// FramesPerTag schedules this many frames from every tag, round-robin.
@@ -35,18 +45,11 @@ type TimelineConfig struct {
 	// floor that keeps adjacent frames unambiguous to Match.
 	MinGapSymbols, MaxGapSymbols float64
 
-	// LeadSymbols is the idle air before the first frame and after the last
-	// (so segmentation never sees a frame at sample zero). Default 4.
-	LeadSymbols float64
-
 	// OverlapEvery, when positive, schedules every OverlapEvery-th frame to
-	// start OverlapSymbols symbol times before the previous frame ends — a
+	// start overlapSymbols symbol times before the previous frame ends — a
 	// collision the segmenter is expected to lose, the way a real gateway
 	// loses colliding backscatter packets.
 	OverlapEvery int
-
-	// OverlapSymbols is the collision depth in symbol times. Default 4.
-	OverlapSymbols float64
 
 	// SeqBase offsets every scheduled frame's per-tag sequence number: tag
 	// payloads are pure functions of (Seed, tag, seq), so a long-running
@@ -82,18 +85,6 @@ func (tl TimelineConfig) withDefaults() (TimelineConfig, error) {
 	}
 	if tl.MinGapSymbols < 1 || tl.MaxGapSymbols < tl.MinGapSymbols {
 		return tl, fmt.Errorf("sim: gap range [%g, %g] symbols invalid (min >= 1)", tl.MinGapSymbols, tl.MaxGapSymbols)
-	}
-	if tl.LeadSymbols == 0 {
-		tl.LeadSymbols = 4
-	}
-	if tl.LeadSymbols < 0 {
-		return tl, fmt.Errorf("sim: lead %g symbols negative", tl.LeadSymbols)
-	}
-	if tl.OverlapSymbols == 0 {
-		tl.OverlapSymbols = 4
-	}
-	if tl.OverlapSymbols < 0 {
-		return tl, fmt.Errorf("sim: overlap %g symbols negative", tl.OverlapSymbols)
 	}
 	return tl, nil
 }
@@ -164,7 +155,7 @@ func (ts *TagSet) RenderTimeline(cfg core.Config, tl TimelineConfig) (*Stream, e
 	total := regular + len(tl.Retransmits)
 	events := make([]StreamFrame, 0, total)
 	frames := make([]*lora.Frame, 0, total)
-	at := symSamples(tl.LeadSymbols)
+	at := symSamples(leadSymbols)
 	prevEnd := at
 	for i := 0; i < total; i++ {
 		var tag SimTag
@@ -194,7 +185,7 @@ func (ts *TagSet) RenderTimeline(cfg core.Config, tl TimelineConfig) (*Stream, e
 		start := prevEnd + symSamples(gap)
 		collides := false
 		if tl.OverlapEvery > 0 && i > 0 && i%tl.OverlapEvery == 0 {
-			start = prevEnd - symSamples(tl.OverlapSymbols)
+			start = prevEnd - symSamples(overlapSymbols)
 			if start < 0 {
 				start = 0
 			}
@@ -217,7 +208,7 @@ func (ts *TagSet) RenderTimeline(cfg core.Config, tl TimelineConfig) (*Stream, e
 
 	// Compose the superposed antenna signal and render the whole capture
 	// through the chain once.
-	x := make([]complex128, prevEnd+symSamples(tl.LeadSymbols))
+	x := make([]complex128, prevEnd+symSamples(leadSymbols))
 	var traj []float64
 	for i, ev := range events {
 		traj = frames[i].FreqTrajectory(traj[:0], fsSim)

@@ -290,8 +290,6 @@ func TestTimelineValidation(t *testing.T) {
 		{},                                    // no frames
 		{FramesPerTag: 1, MinGapSymbols: 0.5}, // gap floor below 1
 		{FramesPerTag: 1, MinGapSymbols: 8, MaxGapSymbols: 4}, // inverted range
-		{FramesPerTag: 1, LeadSymbols: -1},
-		{FramesPerTag: 1, OverlapSymbols: -2},
 	}
 	for i, tl := range bad {
 		if _, err := ts.RenderTimeline(core.DefaultConfig(), tl); err == nil {

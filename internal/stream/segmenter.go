@@ -54,12 +54,9 @@ type Config struct {
 	// Flight, when non-nil, receives a segment-stage flight span for
 	// every matched window, and matched jobs leave the source stamped
 	// with their trace ID. Write-only, like Metrics: segmentation never
-	// reads the recorder back.
+	// reads the recorder back. Segmentation runs on the submission
+	// goroutine, so it writes the control-plane shard 0.
 	Flight *flight.Recorder
-	// FlightShard is the recorder shard the segmenter writes
-	// (segmentation runs on the submission goroutine, so the gateway
-	// hands every segmenter the control-plane shard 0).
-	FlightShard int
 	// FlightEpoch and FlightChannel locate this capture in the
 	// deployment schedule; together with (tag, seq) they derive each
 	// frame's trace ID. Standalone captures leave them zero.

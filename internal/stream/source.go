@@ -49,7 +49,7 @@ func NewSource(cfg Config, chunks []sim.Chunk, match Matcher) (*Source, error) {
 				s.matched++
 				if cfg.Flight != nil {
 					j.Trace = flight.TraceID(cfg.FlightEpoch, cfg.FlightChannel, tag, seq)
-					cfg.Flight.Append(cfg.FlightShard, flight.Span{
+					cfg.Flight.Append(0, flight.Span{
 						Trace:    j.Trace,
 						Seq:      uint32(seq),
 						Epoch:    uint32(cfg.FlightEpoch),

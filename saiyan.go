@@ -422,8 +422,9 @@ type (
 	// FlightRecorder is the sharded span ring set; build with
 	// NewFlightRecorder.
 	FlightRecorder = flight.Recorder
-	// FlightOptions sizes a recorder (shards, ring capacity, dump
-	// retention). Zero value: every field defaults.
+	// FlightOptions sets a recorder's shard count; the zero value picks
+	// 16 shards. Every shard rings 4096 spans, and the recorder keeps the
+	// 64 most recent dumps of at most 512 spans each.
 	FlightOptions = flight.Options
 	// FlightDump is one anomaly-triggered black-box dump.
 	FlightDump = flight.Dump
@@ -453,8 +454,9 @@ type (
 	// HealthStore holds the rollup rings, rule state, and alert journal;
 	// build with NewHealthStore.
 	HealthStore = health.Store
-	// HealthOptions sizes a store and declares its rules. Zero value:
-	// every field defaults (512 raw bins, fan-in 8, 3 tiers, no rules).
+	// HealthOptions declares a store's rules; the zero value is a store
+	// with no rules. Every store keeps 512 raw bins per tier, fan-in 8,
+	// and 3 tiers.
 	HealthOptions = health.Options
 	// HealthRule is one declarative SLO rule.
 	HealthRule = health.Rule
