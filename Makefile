@@ -1,9 +1,11 @@
-# Local targets mirroring .github/workflows/ci.yml, so `make ci` reproduces
-# exactly what the blocking CI job runs.
+# Local targets mirroring .github/workflows/ci.yml: `make ci` runs the
+# blocking CI job's build, vet, lint, gofmt, short race test, example,
+# golden-replay and bench-module steps. `make bench` runs the repository
+# benchmark (bench/), the one source of performance numbers.
 
 GO ?= go
 
-.PHONY: build test test-short examples bench bench.txt bench-json golden fuzz fuzz-sweep fmt fmt-check vet lint ci
+.PHONY: build test test-short examples bench bench-check golden fuzz fuzz-sweep fmt fmt-check vet lint ci
 
 build:
 	$(GO) build ./...
@@ -19,50 +21,18 @@ examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/wire
 
+# The repository benchmark (bench/, BENCHMARK.json): every workload once on
+# seed 7 at the end-to-end tier. run.sh exits non-zero on a failed
+# correctness check, and the loop stops there.
 bench:
-	$(GO) test -bench=. -benchtime=1x -benchmem ./...
+	@for w in capture capture-fxp sparse service; do \
+		bash bench/run.sh --workload $$w --seed 7 --seconds 20 --trace 0 || exit 1; \
+	done
 
-# Bench smoke with results archived as JSON (what the CI full job uploads).
-# One pattern rule cuts every benchmark family's artifact from the same
-# bench.txt, filtering by benchmark name prefix; adding a family is one
-# variable line. BENCH_pipeline.json carries the per-frame pipeline's
-# worker-scaling runs (BenchmarkPipeline*) only: the BenchmarkFig*/Table*
-# experiment regenerations and the BenchmarkAblation* runs are
-# reproduction workloads, not performance measurements, and stay out of
-# every artifact.
-BENCH_FAMILIES        = pipeline stream gateway fxp flight health render
-BENCH_FILTER_pipeline = BenchmarkPipeline
-BENCH_FILTER_stream   = BenchmarkStream
-BENCH_FILTER_gateway  = BenchmarkGateway
-# BENCH_fxp.json carries both sides of the float-vs-fxp ns/frame
-# comparison: the BenchmarkFxpPipeline* variants run the integer MCU
-# datapath, the BenchmarkFxpFloatRef* twins run the float reference.
-BENCH_FILTER_fxp      = BenchmarkFxp
-# BENCH_flight.json carries the flight-recorder on/off twins; their B/op
-# and allocs/op columns must stay identical (the ring append path is
-# zero-alloc, pinned by TestFlightRecorderAllocNeutral).
-BENCH_FILTER_flight   = BenchmarkFlight
-# BENCH_health.json carries the link-health plane's cost twins: the
-# store-level BenchmarkHealthOn/Off pair (identical 0 allocs/op — the
-# plane's marginal epoch cost) plus the gateway-loop throughput context.
-BENCH_FILTER_health   = BenchmarkHealth
-# BENCH_render.json tracks the render layer (stage sim.render):
-# BenchmarkRenderTimeline's ns/frame and allocs/frame over one 16-tag x
-# 8-frame ModeFull capture.
-BENCH_FILTER_render   = BenchmarkRender
-
-# Redirect instead of piping through tee so a bench failure stops make.
-# -benchmem keeps B/op and allocs/op in the archived JSON, which is what
-# pins the "metrics on = zero extra allocations" budget over time.
-bench.txt:
-	$(GO) test -bench=. -benchtime=1x -benchmem ./... > $@
-	@cat $@
-
-BENCH_%.json: bench.txt
-	grep -E '^(goos|goarch|cpu|pkg):|^$(BENCH_FILTER_$*)' bench.txt \
-		| $(GO) run ./cmd/benchjson > $@
-
-bench-json: $(BENCH_FAMILIES:%=BENCH_%.json)
+# The bench module's vet and tests: a tiny-scale run of every workload with
+# its correctness checks, plus the BENCHMARK.json pin (blocking in CI).
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 # Replay the checked-in golden trace (blocking in CI); regenerate it after
 # an intentional demodulator behavior change with:
@@ -112,4 +82,4 @@ lint:
 	$(GO) build -o bin/saiyanvet ./cmd/saiyanvet
 	$(GO) vet -vettool=$(CURDIR)/bin/saiyanvet ./...
 
-ci: build vet lint fmt-check test-short examples golden
+ci: build vet lint fmt-check test-short examples golden bench-check

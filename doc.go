@@ -139,7 +139,8 @@
 // and SNR drift re-anchors calibration — by synthesizing downlink
 // Commands through the real 24-bit codec and applying delivered commands
 // to the simulated deployment. Snapshots are byte-identical at any worker
-// count for a fixed seed; see `saiyan serve` and BenchmarkGateway.
+// count for a fixed seed; see `saiyan serve` and the service workload in
+// bench/.
 //
 // # Serving over the network
 //
@@ -279,9 +280,10 @@
 // cmd/saiyanvet, a custom static-analysis suite (package internal/lint)
 // that runs blocking in CI and locally via `make lint` or
 // `go vet -vettool`. Hot functions are annotated //saiyan:hotpath;
-// deliberate exceptions carry //lint:allow <analyzer> <reason>. The
-// companion cmd/benchjson archives benchmark runs as JSON and, with
-// -compare, gates CI on ns/op regressions against the previous run.
+// deliberate exceptions carry //lint:allow <analyzer> <reason>.
+// Performance numbers come from the repository benchmark, the separate
+// saiyan/bench module (`make bench`); CI runs its tests, a tiny-scale run
+// of every workload, as a blocking step.
 //
 // # Trace format and compatibility
 //
