@@ -44,13 +44,15 @@ golden:
 fuzz:
 	$(GO) test -run FuzzTraceRoundTrip -fuzz FuzzTraceRoundTrip -fuzztime 30s ./internal/trace
 
-# Scheduled CI fuzz sweep: ~7.5 minutes split across the six codec/datapath
-# fuzzers (go test allows one -fuzz target per invocation). FuzzChunkRead
-# covers the framing shared by traces, the wire and flight dumps; the trace
-# and wire fuzzers cover their payload codecs. FuzzFIRApply holds the
-# interleaved FIR kernel bit-exact to the one-output-at-a-time reference
-# loop.
-FUZZ_TIME ?= 75s
+# Scheduled CI fuzz sweep: ~8 minutes split across the eight codec,
+# datapath and render fuzzers (go test allows one -fuzz target per
+# invocation). FuzzChunkRead covers the framing shared by traces, the wire
+# and flight dumps; the trace and wire fuzzers cover their payload codecs.
+# FuzzFIRApply holds the interleaved FIR kernel bit-exact to the
+# one-output-at-a-time reference loop, FuzzFusedIF holds the fused IF
+# filter to the two-stage chain, and FuzzFirstPeriodicRun checks the
+# preamble hunt's periodic-run search.
+FUZZ_TIME ?= 60s
 fuzz-sweep:
 	$(GO) test -run FuzzChunkRead -fuzz FuzzChunkRead -fuzztime $(FUZZ_TIME) ./internal/chunk
 	$(GO) test -run FuzzTraceRoundTrip -fuzz FuzzTraceRoundTrip -fuzztime $(FUZZ_TIME) ./internal/trace
@@ -58,6 +60,8 @@ fuzz-sweep:
 	$(GO) test -run FuzzCommandRoundTrip -fuzz FuzzCommandRoundTrip -fuzztime $(FUZZ_TIME) ./internal/mac
 	$(GO) test -run FuzzFxpOps -fuzz FuzzFxpOps -fuzztime $(FUZZ_TIME) ./internal/fxp
 	$(GO) test -run FuzzFIRApply -fuzz FuzzFIRApply -fuzztime $(FUZZ_TIME) ./internal/dsp
+	$(GO) test -run FuzzFusedIF -fuzz FuzzFusedIF -fuzztime $(FUZZ_TIME) ./internal/core
+	$(GO) test -run FuzzFirstPeriodicRun -fuzz FuzzFirstPeriodicRun -fuzztime $(FUZZ_TIME) ./internal/core
 
 fmt:
 	gofmt -w .

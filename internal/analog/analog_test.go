@@ -227,35 +227,45 @@ func TestLastHighIndex(t *testing.T) {
 	}
 }
 
+// TestOscillatorToneAndMix checks the oscillator's clock tables against
+// the per-sample cosine they replace, then mixes with them: a tone mixed
+// with itself yields cos^2 with mean 1/2, and a real clock halves complex
+// power.
 func TestOscillatorToneAndMix(t *testing.T) {
-	o := Oscillator{FreqHz: 1000}
-	const fs = 16000.0
-	// MixReal against its own tone yields cos^2 with mean 1/2.
+	for _, period := range []int{4, 8} {
+		for _, phase := range []float64{0, 0.3} {
+			tab := ClockTable(period, phase)
+			w := 2 * math.Pi / float64(period)
+			for i := range 4096 {
+				if got, want := tab[i%period], math.Cos(w*float64(i)+phase); math.Abs(got-want) > 1e-12 {
+					t.Fatalf("period %d phase %g: sample %d = %v, cosine %v", period, phase, i, got, want)
+				}
+			}
+		}
+	}
+	tab := ClockTable(8, 0)
 	x := make([]float64, 4096)
 	for i := range x {
-		x[i] = math.Cos(2 * math.Pi * o.FreqHz / fs * float64(i))
+		x[i] = tab[i%8] * tab[i%8]
 	}
-	o.MixReal(x, fs, 0)
-	if m := dsp.Mean(x); math.Abs(m-0.5) > 0.01 {
+	if m := dsp.Mean(x); math.Abs(m-0.5) > 1e-12 {
 		t.Errorf("mean of cos^2 = %g, want 0.5", m)
 	}
-	// MixComplex halves the complex power on average (|cos|^2 mean 1/2).
 	xc := make([]complex128, 4096)
 	for i := range xc {
-		xc[i] = 1
+		xc[i] = complex(tab[i%8], 0)
 	}
-	o.MixComplex(xc, fs, 0)
-	if p := dsp.ComplexPower(xc); math.Abs(p-0.5) > 0.01 {
+	if p := dsp.ComplexPower(xc); math.Abs(p-0.5) > 1e-12 {
 		t.Errorf("mixed power = %g, want 0.5", p)
 	}
 }
 
 func TestIFAmplifierGain(t *testing.T) {
-	a := IFAmplifier{GainDB: 20}
-	x := []float64{1, -2}
-	a.Apply(x)
-	if math.Abs(x[0]-10) > 1e-9 || math.Abs(x[1]+20) > 1e-9 {
-		t.Errorf("x = %v, want [10 -20]", x)
+	if g := (IFAmplifier{GainDB: 20}).Gain(); math.Abs(g-10) > 1e-12 {
+		t.Errorf("20 dB gain = %g, want 10", g)
+	}
+	if g := (IFAmplifier{GainDB: -6}).Gain(); math.Abs(g-0.501187) > 1e-6 {
+		t.Errorf("-6 dB gain = %g, want 0.501187", g)
 	}
 }
 
@@ -274,7 +284,7 @@ func TestSamplerDecimation(t *testing.T) {
 	}
 	// SampleFiltered reads a filter's output on the same grid.
 	f := dsp.NewFIR([]float64{0.25, 0.5, 0.25})
-	want := dsp.Decimate(nil, f.Apply(nil, x), 4, 2)
+	want := dsp.Decimate(nil, f.ApplyDecimated(nil, x, 1, 0), 4, 2)
 	got := s.SampleFiltered(nil, x, f)
 	if len(got) != len(want) {
 		t.Fatalf("SampleFiltered len = %d, want %d", len(got), len(want))

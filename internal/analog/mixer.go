@@ -2,39 +2,27 @@ package analog
 
 import "math"
 
-// Oscillator generates the clock tones of the cyclic-frequency-shifting
-// circuit. The hardware prototype uses a micro-power LTC6907 whose output is
-// copied through a transmission delay line to obtain the second clock
-// (Section 3.1, Eq. (5)); PhaseError models an imperfectly tuned delay line.
-type Oscillator struct {
-	FreqHz     float64
-	PhaseError float64 // radians of CLKout misalignment (0 when tuned)
-}
-
-// MixReal multiplies a real series by the oscillator tone in place
-// (output mixer / down-conversion to baseband).
-func (o Oscillator) MixReal(x []float64, sampleRate, phase float64) {
-	w := 2 * math.Pi * o.FreqHz / sampleRate
-	for i := range x {
-		x[i] *= math.Cos(w*float64(i) + phase)
+// ClockTable returns one period of a clock tone running at exactly
+// 1/period of the sample rate: entry i is cos(2*pi*i/period + phase), and
+// the tone at sample n is entry n mod period. The cyclic-frequency-shifting
+// circuit mixes with such tones, so a table lookup replaces a per-sample
+// cosine without approximating the phase. The hardware prototype uses a
+// micro-power LTC6907 whose output is copied through a transmission delay
+// line to obtain the second clock (Section 3.1, Eq. (5)); phase models an
+// imperfectly tuned delay line (0 when tuned).
+func ClockTable(period int, phase float64) []float64 {
+	t := make([]float64, period)
+	for i := range t {
+		t[i] = math.Cos(2*math.Pi*float64(i)/float64(period) + phase)
 	}
-}
-
-// MixComplex multiplies the RF complex envelope by the real clock tone in
-// place (input mixer): in passband terms this splits the signal into the
-// two sidebands S(F±Δf) of Figure 9(b).
-func (o Oscillator) MixComplex(x []complex128, sampleRate, phase float64) {
-	w := 2 * math.Pi * o.FreqHz / sampleRate
-	for i := range x {
-		c := math.Cos(w*float64(i) + phase)
-		x[i] *= complex(c, 0)
-	}
+	return t
 }
 
 // IFAmplifier is the low-power transistor amplifier (2N222 in the
 // prototype) that boosts the intermediate-frequency signal between the two
-// mixers. Frequency selectivity is applied separately via a band-pass FIR
-// so the gain here is a plain scalar.
+// mixers. It is a plain scalar gain: the IF band-pass supplies the
+// frequency selectivity, and the demodulator folds both into its fused IF
+// filter.
 type IFAmplifier struct {
 	GainDB float64
 }
@@ -42,10 +30,5 @@ type IFAmplifier struct {
 // DefaultIFAmplifier returns the prototype's ~20 dB IF gain.
 func DefaultIFAmplifier() IFAmplifier { return IFAmplifier{GainDB: 20} }
 
-// Apply scales the series by the linear amplitude gain in place.
-func (a IFAmplifier) Apply(x []float64) {
-	g := math.Pow(10, a.GainDB/20)
-	for i := range x {
-		x[i] *= g
-	}
-}
+// Gain returns the linear amplitude gain.
+func (a IFAmplifier) Gain() float64 { return math.Pow(10, a.GainDB/20) }

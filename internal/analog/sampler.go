@@ -18,9 +18,9 @@ type Sampler struct {
 // the window center.
 func (s Sampler) Phase() int { return s.Oversample / 2 }
 
-// SampleFiltered reads f.Apply(x) on the sampler grid — every Oversample-th
-// output starting at Phase — computing only the filter outputs the sampler
-// reads. dst must not overlap x.
+// SampleFiltered reads the output of filter f over x on the sampler grid —
+// every Oversample-th output starting at Phase — computing only the filter
+// outputs the sampler reads. dst must not overlap x.
 func (s Sampler) SampleFiltered(dst, x []float64, f *dsp.FIR) []float64 {
 	return f.ApplyDecimated(dst, x, s.Oversample, s.Phase())
 }

@@ -27,9 +27,9 @@ type Demodulator struct {
 	// residue.
 	spbSimInt int
 
-	lpf  *dsp.FIR // post-detection video filter
-	bpf  *dsp.FIR // IF band-pass (cyclic-frequency shifting)
-	ifHz float64  // intermediate frequency (2x the clock, from cos^2)
+	// fe is the front-end filter design, shared with every Demodulator of
+	// the same design.
+	fe *frontEnd
 
 	// gains memoizes SAW gains across renders (see sawMemo).
 	gains sawMemo
@@ -56,9 +56,10 @@ type Demodulator struct {
 	fx *fxp.Decoder
 
 	// Scratch buffers to keep the per-frame hot path allocation-free.
-	// chainEnvelope detects into scratchEnv, draws flicker noise into
-	// scratchBuf, then band-passes scratchEnv into scratchBuf: the two
-	// never share an array, so a filter never reads its own output.
+	// chainEnvelope detects into scratchEnv and draws flicker noise into
+	// scratchBuf; videoSample filters scratchEnv and may stage a sampler
+	// sub-grid in scratchBuf: the two never share an array, so a filter
+	// never reads its own output.
 	scratchIQ  []complex128
 	scratchEnv []float64
 	scratchBuf []float64
@@ -89,20 +90,16 @@ func New(cfg Config) (*Demodulator, error) {
 	d.spbSimInt = cfg.Params.SamplesPerSymbol(d.fsSim)
 	d.gains = newSAWMemo(cfg, d.spbSimInt)
 
-	cutoff := cfg.VideoCutoffFrac * d.fsSamp
-	d.lpf, err = dsp.NewLowPass(cutoff, d.fsSim, 63, dsp.Hamming)
-	if err != nil {
-		return nil, fmt.Errorf("core: video filter: %w", err)
-	}
+	key := frontEndKey{fsSim: d.fsSim, cutoff: cfg.VideoCutoffFrac * d.fsSamp}
 	if cfg.Mode != ModeVanilla {
 		// The MCU clock runs at fsSim/8; squaring the mixed signal lands
-		// the IF at twice the clock, fsSim/4 (see mixer.go).
-		d.ifHz = d.fsSim / 4
-		half := cutoff
-		d.bpf, err = dsp.NewBandPass(d.ifHz-half, d.ifHz+half, d.fsSim, 63, dsp.Hamming)
-		if err != nil {
-			return nil, fmt.Errorf("core: IF filter: %w", err)
-		}
+		// the IF at twice the clock, fsSim/4 (see frontEnd).
+		key.ifHz = d.fsSim / 4
+		key.phaseErr = cfg.ClockPhaseError
+		key.gainDB = cfg.IFAmp.GainDB
+	}
+	if d.fe, err = frontEndFor(key); err != nil {
+		return nil, err
 	}
 	if cfg.Datapath == DatapathFixed {
 		d.fx, err = fxp.NewDecoder(fxp.Config{
@@ -164,48 +161,41 @@ func (d *Demodulator) ComposeSignal(x []complex128, at int, trajHz []float64, rs
 	}
 }
 
-// chainEnvelope pushes an antenna-level IQ series through the configured
-// analog chain — envelope detection and optionally cyclic-frequency
-// shifting — and returns the envelope at the simulation rate, ready for
-// the post-detection video filter. Every consumer only reads that filter
-// at sampler instants, so the filter itself runs decimated in videoSample.
-// The returned slice aliases the demodulator's scratch buffers and is only
-// valid until the next render; x is mutated in place by the mixers.
+// chainEnvelope pushes an antenna-level IQ series through the analog chain
+// up to the square-law detector — in the cyclic-frequency-shifting modes,
+// the input mixer first — adds the detector's baseband impairments, and
+// returns the detector output at the simulation rate. Everything after the
+// detector is linear and only read at sampler instants, so videoSample
+// runs it on the sampler grid. The returned slice aliases the
+// demodulator's scratch buffers and is only valid until the next render;
+// x is mutated in place by the mixer.
 func (d *Demodulator) chainEnvelope(x []complex128, rng *rand.Rand) []float64 {
 	env := d.cfg.Envelope
 	if d.cfg.Mode != ModeVanilla {
-		// Cyclic-frequency shifting (Figure 9): mix up, square, band-pass
-		// at the IF, amplify, mix down, low-pass.
-		clock := analog.Oscillator{FreqHz: d.ifHz / 2}
-		clock.MixComplex(x, d.fsSim, 0)
+		// Cyclic-frequency shifting (Figure 9): mix up, then square.
+		up := &d.fe.up
+		for i := range x {
+			x[i] *= complex(up[i&7], 0)
+		}
 	}
 	y := env.Detect(d.scratchEnv, x)
 	d.scratchEnv = y
 	if rng != nil {
 		d.scratchBuf = env.AddBasebandImpairments(y, d.scratchBuf, d.fsSim, rng)
 	}
-	if d.cfg.Mode == ModeVanilla {
-		return y
-	}
-	y = d.bpf.Apply(d.scratchBuf, y)
-	d.scratchBuf = y
-	d.cfg.IFAmp.Apply(y)
-	out := analog.Oscillator{FreqHz: d.ifHz}
-	out.MixReal(y, d.fsSim, d.cfg.ClockPhaseError)
-	// Makeup gain: cos^2 halves the signal twice (up-mix and
-	// down-mix); restore the vanilla scale so thresholds compare.
-	g := 4 / math.Pow(10, d.cfg.IFAmp.GainDB/20)
-	for i := range y {
-		y[i] *= g
-	}
 	return y
 }
 
-// videoSample runs the post-detection video low-pass over the simulation-
-// rate envelope y and reads it with a sampler decimating by decim. Only the
-// sampled outputs are computed.
+// videoSample reads the video output for the detector output y (see
+// chainEnvelope) with a sampler decimating by decim, computing only the
+// sampled outputs: the video low-pass alone in ModeVanilla, the fused IF
+// chain in the shifting modes.
 func (d *Demodulator) videoSample(dst, y []float64, decim int) []float64 {
-	return analog.Sampler{Oversample: decim}.SampleFiltered(dst, y, d.lpf)
+	if d.cfg.Mode == ModeVanilla {
+		return analog.Sampler{Oversample: decim}.SampleFiltered(dst, y, d.fe.lpf)
+	}
+	dst, d.scratchBuf = d.fe.sample(dst, y, d.scratchBuf, decim)
+	return dst
 }
 
 // RenderEnvelope pushes an instantaneous-frequency trajectory (Hz offsets

@@ -8,15 +8,13 @@ import (
 
 // FIR is a finite-impulse-response filter. The zero value is unusable; build
 // one with NewLowPass, NewBandPass, or NewFIR. FIR values are safe for
-// concurrent use because filtering via Apply is stateless.
+// concurrent use because filtering is stateless.
 type FIR struct {
 	taps []float64
 	rev  []float64 // taps in reverse order, for dot4's bounds-check-free walk
 }
 
 // NewFIR wraps an explicit tap vector as a filter. The taps are copied.
-//
-//lint:allow unused the FIR kernel and sampler-grid tests build their explicit-tap reference filters with it
 func NewFIR(taps []float64) *FIR {
 	t := make([]float64, len(taps), 2*len(taps))
 	copy(t, taps)
@@ -97,29 +95,27 @@ func NewBandPass(lowHz, highHz, sampleRateHz float64, taps int, w Window) (*FIR,
 	return newFIR(h), nil
 }
 
-// Apply convolves x with the filter and writes the "same"-length result into
-// dst (allocated or grown as needed), compensating for the filter's group
-// delay so features in the output stay aligned with the input. It returns
-// dst, which must not overlap x.
+// Taps returns a copy of the filter's coefficients, h[0..L-1].
+func (f *FIR) Taps() []float64 { return slices.Clone(f.taps) }
+
+// ApplyDecimated filters x and keeps every factor-th output starting at
+// offset, computing only the outputs it keeps. The filter output is the
+// "same"-length convolution compensated for the group delay, so features
+// stay aligned with the input: output i is
+// y[i] = sum_k h[k] * x[i + half - k], with half = L/2 and taps that fall
+// outside x skipped. dst[m] is y[offset + m*factor]; dst is allocated or
+// grown as needed and returned, and must not overlap x. factor < 1 counts
+// as 1 and offset < 0 as 0, as in Decimate.
 //
-// Output i is y[i] = sum_k h[k] * x[i + half - k], summed into one
-// accumulator that starts at zero and adds the terms in tap order
-// k = 0..L-1, skipping taps that fall outside x. That order is a contract:
-// float addition is not associative, so the bits of every output depend on
-// it, and the golden trace and determinism pins hash those bits. The kernel
-// may therefore interleave independent outputs — interior outputs (whose
-// taps all land inside x) are computed four at a time, each in its own
+// Each output sums into one accumulator that starts at zero and adds the
+// terms in tap order k = 0..L-1. That order is a contract: float addition
+// is not associative, so the bits of every output depend on it, and the
+// golden trace and determinism pins hash those bits. The kernel may
+// therefore interleave independent outputs — interior outputs (whose taps
+// all land inside x) are computed four at a time, each in its own
 // accumulator, which hides the add latency and drops the per-tap bounds
 // test — but it must never reorder, split or fold (symmetric-tap) the sum
-// within one output. Edge outputs keep the per-tap bounds test.
-func (f *FIR) Apply(dst, x []float64) []float64 {
-	return f.ApplyDecimated(dst, x, 1, 0)
-}
-
-// ApplyDecimated is Apply followed by Decimate(dst, y, factor, offset), but
-// computes only the outputs the decimator keeps: dst[m] is bit-identical to
-// Apply's output at offset + m*factor. factor < 1 counts as 1 and offset < 0
-// as 0, as in Decimate. It returns dst, which must not overlap x.
+// within one output. Edge outputs go through At.
 func (f *FIR) ApplyDecimated(dst, x []float64, factor, offset int) []float64 {
 	factor = max(factor, 1)
 	offset = max(offset, 0)
@@ -138,20 +134,21 @@ func (f *FIR) ApplyDecimated(dst, x []float64, factor, offset int) []float64 {
 	first, last := len(taps)-1-half, n-1-half
 	m := 0
 	for ; m < count && offset+m*factor < first; m++ {
-		dst[m] = f.edgeOutput(x, offset+m*factor)
+		dst[m] = f.At(x, offset+m*factor)
 	}
 	for ; m+3 < count && offset+(m+3)*factor <= last; m += 4 {
 		dst[m], dst[m+1], dst[m+2], dst[m+3] = dot4(f.rev, x, offset+m*factor+half, factor)
 	}
 	for ; m < count; m++ {
-		dst[m] = f.edgeOutput(x, offset+m*factor)
+		dst[m] = f.At(x, offset+m*factor)
 	}
 	return dst
 }
 
-// edgeOutput computes output i with a bounds test per tap, for outputs
-// whose window hangs over either end of x.
-func (f *FIR) edgeOutput(x []float64, i int) float64 {
+// At computes filter output i of x on its own, in the summation order
+// ApplyDecimated's contract fixes, with a bounds test per tap: taps whose
+// sample falls outside x are skipped, as if x were zero-padded.
+func (f *FIR) At(x []float64, i int) float64 {
 	half := len(f.taps) / 2
 	acc := 0.0
 	for k, tap := range f.taps {
@@ -166,8 +163,8 @@ func (f *FIR) edgeOutput(x []float64, i int) float64 {
 
 // dot4 computes four interior outputs whose k = 0 samples sit at x[j0],
 // x[j0+stride], x[j0+2*stride] and x[j0+3*stride]. Each output has its own
-// accumulator and sums its taps in order k = 0..L-1, exactly as
-// edgeOutput does, so the results are bit-identical to it.
+// accumulator and sums its taps in order k = 0..L-1, exactly as At
+// does, so the results are bit-identical to it.
 func dot4(rev, x []float64, j0, stride int) (a0, a1, a2, a3 float64) {
 	// Window u of output u holds its samples in ascending index order, so
 	// tap k multiplies w[L-1-k]; walking i = L-1-k downward keeps the

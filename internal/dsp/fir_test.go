@@ -14,7 +14,7 @@ func toneResponse(t *testing.T, f *FIR, freqHz, fs float64) float64 {
 	for i := range x {
 		x[i] = math.Sin(2 * math.Pi * freqHz * float64(i) / fs)
 	}
-	y := f.Apply(nil, x)
+	y := f.ApplyDecimated(nil, x, 1, 0)
 	// Skip the edges where the convolution is partial.
 	m := len(f.taps)
 	energy := func(v []float64) float64 {
@@ -104,7 +104,7 @@ func TestApplyPreservesAlignment(t *testing.T) {
 	}
 	x := make([]float64, 101)
 	x[50] = 1
-	y := f.Apply(nil, x)
+	y := f.ApplyDecimated(nil, x, 1, 0)
 	if len(y) != len(x) {
 		t.Fatalf("len(y) = %d, want %d", len(y), len(x))
 	}
@@ -115,8 +115,8 @@ func TestApplyPreservesAlignment(t *testing.T) {
 }
 
 // referenceApply is the straightforward one-output-at-a-time convolution
-// with a bounds test on every tap: the oracle FIR.Apply and
-// FIR.ApplyDecimated must reproduce bit for bit.
+// with a bounds test on every tap: the oracle FIR.ApplyDecimated and
+// FIR.At must reproduce bit for bit.
 func referenceApply(taps, x []float64) []float64 {
 	n := len(x)
 	dst := make([]float64, n)
@@ -185,7 +185,8 @@ func TestApplyMatchesReference(t *testing.T) {
 		for _, n := range []int{0, 1, 2, 3, taps - 1, taps, taps + 1, 2*taps + 3, 257} {
 			f, x := firFixture(uint64(taps*1000+n), taps, n)
 			want := referenceApply(f.taps, x)
-			checkBitExact(t, f.Apply(nil, x), want, 1, 0)
+			checkBitExact(t, f.ApplyDecimated(nil, x, 1, 0), want, 1, 0)
+			checkAt(t, f, x, want)
 			for _, dec := range [][2]int{{4, 2}, {16, 8}, {3, 0}, {5, 4}, {1, 7}} {
 				checkBitExact(t, f.ApplyDecimated(nil, x, dec[0], dec[1]), want, dec[0], dec[1])
 			}
@@ -193,10 +194,21 @@ func TestApplyMatchesReference(t *testing.T) {
 	}
 }
 
-// FuzzFIRApply checks the interleaved FIR kernel against referenceApply over
-// tap counts 3..101 (odd), input lengths 0..400 (including n < taps and
-// n not a multiple of 4), and decimation factors and offsets: every output
-// must be bit-identical to the oracle.
+// checkAt fails unless f.At(x, i) has the same bits as want[i] for every
+// output i.
+func checkAt(t *testing.T, f *FIR, x, want []float64) {
+	t.Helper()
+	for i := range want {
+		if got := f.At(x, i); math.Float64bits(got) != math.Float64bits(want[i]) {
+			t.Fatalf("At(x, %d) = %v, oracle %v", i, got, want[i])
+		}
+	}
+}
+
+// FuzzFIRApply checks the interleaved FIR kernel and the one-output At
+// against referenceApply over tap counts 3..101 (odd), input lengths
+// 0..400 (including n < taps and n not a multiple of 4), and decimation
+// factors and offsets: every output must be bit-identical to the oracle.
 func FuzzFIRApply(f *testing.F) {
 	f.Add(uint64(1), uint8(30), uint16(400), uint8(16), uint8(8))
 	f.Add(uint64(2), uint8(0), uint16(0), uint8(1), uint8(0))
@@ -206,7 +218,8 @@ func FuzzFIRApply(f *testing.F) {
 		taps := 2*int(halfTaps%50) + 3
 		fir, x := firFixture(seed, taps, int(n%401))
 		want := referenceApply(fir.taps, x)
-		checkBitExact(t, fir.Apply(nil, x), want, 1, 0)
+		checkBitExact(t, fir.ApplyDecimated(nil, x, 1, 0), want, 1, 0)
+		checkAt(t, fir, x, want)
 		fac, off := 1+int(factor%32), int(offset%40)
 		checkBitExact(t, fir.ApplyDecimated(nil, x, fac, off), want, fac, off)
 	})
@@ -217,7 +230,7 @@ func BenchmarkFIRApply(b *testing.B) {
 	dst := make([]float64, len(x))
 	b.SetBytes(int64(8 * len(x)))
 	for b.Loop() {
-		dst = f.Apply(dst, x)
+		dst = f.ApplyDecimated(dst, x, 1, 0)
 	}
 }
 
@@ -277,6 +290,11 @@ func TestNewFIRCopiesTaps(t *testing.T) {
 	}
 	if len(f.taps) != 3 {
 		t.Errorf("len(taps) = %d, want 3", len(f.taps))
+	}
+	got := f.Taps()
+	got[1] = 99
+	if f.taps[1] != 2 {
+		t.Error("Taps aliased the filter's coefficients")
 	}
 }
 
