@@ -44,14 +44,15 @@ golden:
 fuzz:
 	$(GO) test -run FuzzTraceRoundTrip -fuzz FuzzTraceRoundTrip -fuzztime 30s ./internal/trace
 
-# Scheduled CI fuzz sweep: ~8 minutes split across the eight codec,
-# datapath and render fuzzers (go test allows one -fuzz target per
-# invocation). FuzzChunkRead covers the framing shared by traces, the wire
-# and flight dumps; the trace and wire fuzzers cover their payload codecs.
-# FuzzFIRApply holds the interleaved FIR kernel bit-exact to the
-# one-output-at-a-time reference loop, FuzzFusedIF holds the fused IF
-# filter to the two-stage chain, and FuzzFirstPeriodicRun checks the
-# preamble hunt's periodic-run search.
+# Scheduled CI fuzz sweep: ~9 minutes split across the nine codec,
+# datapath, render and segmentation fuzzers (go test allows one -fuzz
+# target per invocation). FuzzChunkRead covers the framing shared by
+# traces, the wire and flight dumps; the trace and wire fuzzers cover their
+# payload codecs. FuzzFIRApply holds the interleaved FIR kernel bit-exact
+# to the one-output-at-a-time reference loop, FuzzFusedIF holds the fused
+# IF filter to the two-stage chain, FuzzFirstPeriodicRun checks the
+# preamble hunt's periodic-run search, and FuzzSegmenterChunking holds the
+# stream segmenter's windows invariant to how the capture is chunked.
 FUZZ_TIME ?= 60s
 fuzz-sweep:
 	$(GO) test -run FuzzChunkRead -fuzz FuzzChunkRead -fuzztime $(FUZZ_TIME) ./internal/chunk
@@ -62,6 +63,7 @@ fuzz-sweep:
 	$(GO) test -run FuzzFIRApply -fuzz FuzzFIRApply -fuzztime $(FUZZ_TIME) ./internal/dsp
 	$(GO) test -run FuzzFusedIF -fuzz FuzzFusedIF -fuzztime $(FUZZ_TIME) ./internal/core
 	$(GO) test -run FuzzFirstPeriodicRun -fuzz FuzzFirstPeriodicRun -fuzztime $(FUZZ_TIME) ./internal/core
+	$(GO) test -run FuzzSegmenterChunking -fuzz FuzzSegmenterChunking -fuzztime $(FUZZ_TIME) ./internal/stream
 
 fmt:
 	gofmt -w .

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sort"
 
 	"saiyan/internal/analog"
 	"saiyan/internal/dsp"
@@ -36,13 +37,19 @@ func DefaultAGCConfig() AGCConfig {
 //
 // Template shapes are RSS independent (the chain downstream of the square
 // law is linear, and the correlation decoder normalizes), so templates are
-// rendered once at a nominal level.
+// rendered once at a nominal level. The envelope is copied and sorted
+// once, into receiver scratch, for all three percentile reads.
+//
+//saiyan:hotpath
 func (d *Demodulator) AutoCalibrate(env []float64, agc AGCConfig) {
 	if agc.PeakPercentile <= 0 || agc.PeakPercentile > 100 {
 		agc = DefaultAGCConfig()
 	}
-	peak := dsp.Percentile(env, agc.PeakPercentile)
-	floor := dsp.Percentile(env, agc.FloorPercentile)
+	d.scratchSort = append(d.scratchSort[:0], env...)
+	sorted := d.scratchSort
+	sort.Float64s(sorted)
+	peak := dsp.SortedPercentile(sorted, agc.PeakPercentile)
+	floor := dsp.SortedPercentile(sorted, agc.FloorPercentile)
 	if floor > peak {
 		floor = peak
 	}
@@ -50,7 +57,7 @@ func (d *Demodulator) AutoCalibrate(env []float64, agc AGCConfig) {
 	d.amax = peak
 	// Noise scale: spread of the lower half of the envelope, where only
 	// the band-bottom response plus noise lives.
-	low := dsp.Percentile(env, 45)
+	low := dsp.SortedPercentile(sorted, 45)
 	d.noiseSigma = math.Max((low-floor)/0.6745, 1e-12) // MAD-style robust sigma
 
 	headroom := math.Pow(10, -d.cfg.ThresholdGapDB/20)

@@ -54,16 +54,19 @@ func (d *Demodulator) NoiseStats() (baseline, sigma float64) {
 }
 
 // comparatorTails quantizes the envelope and returns the index of every
-// high-run tail — the t_F markers of Figure 7.
+// high-run tail — the t_F markers of Figure 7. The result lives in receiver
+// scratch and is valid until the next comparatorTails or correlationPeaks
+// call.
 func (d *Demodulator) comparatorTails(env []float64) []int {
 	d.scratchBit = d.comparator.Quantize(d.scratchBit, env)
 	bits := d.scratchBit
-	var tails []int
+	tails := d.scratchMarks[:0]
 	for i := 0; i < len(bits); i++ {
 		if bits[i] && (i+1 == len(bits) || !bits[i+1]) {
 			tails = append(tails, i)
 		}
 	}
+	d.scratchMarks = tails
 	return tails
 }
 
@@ -75,14 +78,19 @@ func (d *Demodulator) comparatorTails(env []float64) []int {
 // positive minPeak additionally demands the envelope within each peak's
 // symbol window actually rises to that level (0 disables the gate,
 // preserving the maximum sensitivity of the synchronized per-frame path).
+// The correlation and the returned peaks live in receiver scratch; the
+// peaks are valid until the next correlationPeaks or comparatorTails call.
+//
+//saiyan:hotpath
 func (d *Demodulator) correlationPeaks(env []float64, minPeak float64) []int {
-	tmpl := d.detectionTemplate()
+	tmpl, norm := d.detectionTemplate()
 	if len(tmpl) == 0 || len(env) < len(tmpl) {
 		return nil
 	}
-	c := dsp.NormalizedCrossCorrelate(nil, env, tmpl)
+	d.scratchCorr = dsp.NormalizedCrossCorrelateCentered(d.scratchCorr, env, tmpl, norm)
+	c := d.scratchCorr
 	spb := int(math.Round(d.spbSamp))
-	var peaks []int
+	peaks := d.scratchMarks[:0]
 	for i := 0; i < len(c); i++ {
 		if c[i] < corrDetectThreshold {
 			continue
@@ -94,6 +102,7 @@ func (d *Demodulator) correlationPeaks(env []float64, minPeak float64) []int {
 			peaks = append(peaks, i)
 		}
 	}
+	d.scratchMarks = peaks
 	return peaks
 }
 
@@ -159,17 +168,19 @@ func (d *Demodulator) DetectFrameSync(env []float64) (int, bool) {
 }
 
 // detectionTemplate lazily renders the noise-free one-symbol envelope at
-// the sampler rate used for detection.
-func (d *Demodulator) detectionTemplate() []float64 {
+// the sampler rate used for detection, and returns it centered (zero mean)
+// with its L2 norm, ready for dsp.NormalizedCrossCorrelateCentered.
+func (d *Demodulator) detectionTemplate() ([]float64, float64) {
 	if d.detTmpl == nil {
 		p := d.cfg.Params
 		traj := p.FreqTrajectory(nil, 0, d.fsSim)
 		// Render at a nominal strong RSS: the template's *shape* is RSS
 		// independent (the chain is linear after the square law for a
 		// noise-free input).
-		d.detTmpl = d.RenderEnvelope(nil, traj, -40, nil)
+		env := d.RenderEnvelope(nil, traj, -40, nil)
+		d.detTmpl, d.detNorm = dsp.CenterTemplate(env)
 	}
-	return d.detTmpl
+	return d.detTmpl, d.detNorm
 }
 
 // periodicRun finds the first run of at least minPreamblePeaks markers

@@ -48,7 +48,11 @@ type Demodulator struct {
 	// the correlation decoder's hot loop makes a single fused pass per
 	// template; nil when template lengths are not uniform (exact fallback).
 	tmplStats []templateStat
-	detTmpl   []float64 // one-symbol detection template (lazy)
+	// detTmpl is the one-symbol detection template, centered once by
+	// dsp.CenterTemplate when it is materialized (lazily, or eagerly by
+	// Calibrate/PrewarmAuto), with detNorm its L2 norm.
+	detTmpl []float64
+	detNorm float64
 
 	// fx is the fixed-point MCU datapath (Config.Datapath ==
 	// DatapathFixed): the payload decoders run on ADC-quantized integer
@@ -67,6 +71,13 @@ type Demodulator struct {
 	scratchOwn []edgeInfo
 	scratchBnd []bool
 	scratchEnd []bool
+	// The preamble hunt and per-window AGC reuse these: scratchCorr holds
+	// the detection correlation, scratchMarks the comparator tails or
+	// correlation peaks handed to periodicRun, and scratchSort the sorted
+	// copy AutoCalibrate reads its percentiles from.
+	scratchCorr  []float64
+	scratchMarks []int
+	scratchSort  []float64
 }
 
 // edgeInfo records a symbol window's own mid-window falling edge for the

@@ -82,6 +82,7 @@ func (d *Demodulator) Clone() *Demodulator {
 	c.templates = d.templates
 	c.tmplStats = d.tmplStats
 	c.detTmpl = d.detTmpl
+	c.detNorm = d.detNorm
 	if d.fx != nil {
 		// Clone the integer twin too: private scratch and cycle ledger,
 		// shared immutable template bank.

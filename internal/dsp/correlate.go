@@ -5,8 +5,34 @@ import "math"
 // NormalizedCrossCorrelate computes the normalized cross-correlation
 // (cosine similarity of the zero-mean template with each zero-mean window of
 // x), yielding values in [-1, 1]. Windows with zero variance correlate to 0.
+// Callers that correlate against one template repeatedly center it once
+// with CenterTemplate and call NormalizedCrossCorrelateCentered.
 func NormalizedCrossCorrelate(dst, x, h []float64) []float64 {
-	n := len(x) - len(h) + 1
+	hc, hNorm := CenterTemplate(h)
+	return NormalizedCrossCorrelateCentered(dst, x, hc, hNorm)
+}
+
+// CenterTemplate returns the zero-mean copy of template h and its L2 norm:
+// the template half of NormalizedCrossCorrelate, in the same arithmetic
+// order.
+func CenterTemplate(h []float64) ([]float64, float64) {
+	hc := make([]float64, len(h))
+	hm := Mean(h)
+	var hEnergy float64
+	for i, v := range h {
+		hc[i] = v - hm
+		hEnergy += hc[i] * hc[i]
+	}
+	return hc, math.Sqrt(hEnergy)
+}
+
+// NormalizedCrossCorrelateCentered is NormalizedCrossCorrelate against a
+// template already centered by CenterTemplate (hc, with norm hNorm). Its
+// results are bit-identical to NormalizedCrossCorrelate on the original
+// template, and it allocates only when dst is too small.
+func NormalizedCrossCorrelateCentered(dst, x, hc []float64, hNorm float64) []float64 {
+	m := len(hc)
+	n := len(x) - m + 1
 	if n <= 0 {
 		return dst[:0]
 	}
@@ -14,21 +40,12 @@ func NormalizedCrossCorrelate(dst, x, h []float64) []float64 {
 		dst = make([]float64, n)
 	}
 	dst = dst[:n]
-	m := len(h)
-	hm := Mean(h)
-	hc := make([]float64, m)
-	var hEnergy float64
-	for i, v := range h {
-		hc[i] = v - hm
-		hEnergy += hc[i] * hc[i]
-	}
-	if hEnergy == 0 {
+	if hNorm == 0 {
 		for i := range dst {
 			dst[i] = 0
 		}
 		return dst
 	}
-	hNorm := math.Sqrt(hEnergy)
 	// Sliding sums for the window mean and energy.
 	var sum, sumSq float64
 	for _, v := range x[:m] {

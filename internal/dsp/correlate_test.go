@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -61,5 +62,96 @@ func TestArgmaxArgmin(t *testing.T) {
 	}
 	if i, _ := Argmax(nil); i != -1 {
 		t.Errorf("Argmax(nil) = %d, want -1", i)
+	}
+}
+
+// refNormalizedCrossCorrelate is NormalizedCrossCorrelate as written before
+// the template centering split off: the reference the centered kernel must
+// match bit for bit.
+func refNormalizedCrossCorrelate(x, h []float64) []float64 {
+	n := len(x) - len(h) + 1
+	if n <= 0 {
+		return nil
+	}
+	dst := make([]float64, n)
+	m := len(h)
+	hm := Mean(h)
+	hc := make([]float64, m)
+	var hEnergy float64
+	for i, v := range h {
+		hc[i] = v - hm
+		hEnergy += hc[i] * hc[i]
+	}
+	if hEnergy == 0 {
+		return dst
+	}
+	hNorm := math.Sqrt(hEnergy)
+	var sum, sumSq float64
+	for _, v := range x[:m] {
+		sum += v
+		sumSq += v * v
+	}
+	for lag := 0; lag < n; lag++ {
+		if lag > 0 {
+			out := x[lag-1]
+			in := x[lag+m-1]
+			sum += in - out
+			sumSq += in*in - out*out
+		}
+		mean := sum / float64(m)
+		energy := sumSq - float64(m)*mean*mean
+		if energy <= 0 {
+			continue
+		}
+		var dot float64
+		seg := x[lag : lag+m]
+		for i, hv := range hc {
+			dot += hv * seg[i]
+		}
+		dst[lag] = dot / (hNorm * math.Sqrt(energy))
+	}
+	return dst
+}
+
+// TestNormalizedCrossCorrelateCenteredBitIdentical holds the centered
+// kernel, fed a CenterTemplate result and a reused output buffer, and the
+// NormalizedCrossCorrelate wrapper, bit-identical to the reference on
+// random, offset, flat and too-short inputs.
+func TestNormalizedCrossCorrelateCenteredBitIdentical(t *testing.T) {
+	rng := NewRand(11, 13)
+	var dst []float64
+	for trial := 0; trial < 200; trial++ {
+		h := make([]float64, 1+rng.IntN(40))
+		x := make([]float64, rng.IntN(200))
+		offset := 10 * rng.NormFloat64()
+		for i := range h {
+			h[i] = offset + rng.NormFloat64()
+		}
+		for i := range x {
+			x[i] = offset + rng.NormFloat64()
+		}
+		switch trial % 5 {
+		case 1: // flat template
+			for i := range h {
+				h[i] = offset
+			}
+		case 2: // flat stretch in x
+			for i := 0; i < len(x)/2; i++ {
+				x[i] = offset
+			}
+		}
+		hc, norm := CenterTemplate(h)
+		want := refNormalizedCrossCorrelate(x, h)
+		dst = NormalizedCrossCorrelateCentered(dst, x, hc, norm)
+		for name, got := range map[string][]float64{"centered": dst, "wrapper": NormalizedCrossCorrelate(nil, x, h)} {
+			if len(got) != len(want) {
+				t.Fatalf("trial %d %s: %d lags, want %d", trial, name, len(got), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("trial %d %s: lag %d = %v, want %v", trial, name, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }

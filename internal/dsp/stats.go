@@ -68,6 +68,16 @@ func Percentile(x []float64, p float64) float64 {
 	sorted := make([]float64, len(x))
 	copy(sorted, x)
 	sort.Float64s(sorted)
+	return SortedPercentile(sorted, p)
+}
+
+// SortedPercentile is Percentile over x already sorted by sort.Float64s: it
+// reads the order statistics in place, so callers that want several
+// percentiles of one slice sort it once.
+func SortedPercentile(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
+		return math.NaN()
+	}
 	if p <= 0 {
 		return sorted[0]
 	}

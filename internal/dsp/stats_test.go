@@ -2,6 +2,7 @@ package dsp
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -101,6 +102,70 @@ func TestSincAtZeroAndIntegers(t *testing.T) {
 	for _, k := range []float64{1, 2, -3} {
 		if math.Abs(Sinc(k)) > 1e-12 {
 			t.Errorf("Sinc(%g) = %g, want 0", k, Sinc(k))
+		}
+	}
+}
+
+// refPercentile is Percentile as written before SortedPercentile split off
+// its order-statistic read: the reference both must match bit for bit.
+func refPercentile(x []float64, p float64) float64 {
+	if len(x) == 0 {
+		return math.NaN()
+	}
+	sorted := make([]float64, len(x))
+	copy(sorted, x)
+	sort.Float64s(sorted)
+	if p <= 0 {
+		return sorted[0]
+	}
+	if p >= 100 {
+		return sorted[len(sorted)-1]
+	}
+	pos := p / 100 * float64(len(sorted)-1)
+	lo := int(pos)
+	frac := pos - float64(lo)
+	if lo+1 >= len(sorted) {
+		return sorted[lo]
+	}
+	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+}
+
+// TestSortedPercentileMatchesPercentile holds SortedPercentile over one
+// sorted copy, and Percentile, bit-identical to the reference at every
+// percentile AutoCalibrate reads and at the p <= 0 and p >= 100 edges, on
+// inputs with NaN, infinities, signed zeros and duplicates.
+func TestSortedPercentileMatchesPercentile(t *testing.T) {
+	nan := math.NaN()
+	inputs := [][]float64{
+		nil,
+		{7},
+		{5, 1, 3, 2, 4},
+		{2, 2, 2, 1, 1},
+		{0, math.Copysign(0, -1), 3, -1},
+		{3, nan, 1, 2},
+		{nan, nan},
+		{math.Inf(1), 1, math.Inf(-1), nan, 0.5},
+	}
+	rng := NewRand(5, 17)
+	for n := 1; n <= 64; n *= 2 {
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = rng.NormFloat64()
+		}
+		inputs = append(inputs, x)
+	}
+	ps := []float64{math.Inf(-1), -5, 0, 1e-300, 12.5, 25, 45, 50, 98, 99, 99.999, 100, 150, math.Inf(1)}
+	for _, x := range inputs {
+		sorted := append([]float64(nil), x...)
+		sort.Float64s(sorted)
+		for _, p := range ps {
+			want := refPercentile(x, p)
+			if got := SortedPercentile(sorted, p); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("SortedPercentile(%v, %g) = %v, want %v", x, p, got, want)
+			}
+			if got := Percentile(x, p); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("Percentile(%v, %g) = %v, want %v", x, p, got, want)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"saiyan/internal/core"
 	"saiyan/internal/dsp"
@@ -277,16 +278,28 @@ func (s *Stream) Chunks(chunkSamples int) []Chunk {
 // stream-extracted frame is degraded by the noise-to-signal transition);
 // three symbols of slack absorbs that while staying far below the
 // ~46-symbol spacing between consecutive frame starts.
+//
+// Of equally near starts the lowest index wins. Events is in start order,
+// so the nearest start is one of the two that bracket startSamp, found by
+// binary search.
 func (s *Stream) Match(startSamp int64) (int, bool) {
-	tol := 3 * s.SamplesPerSymbol
+	ev := s.Events
+	// above is the first event starting at or after startSamp. The
+	// candidate below it is the first event sharing the start of the last
+	// one before it.
+	above := sort.Search(len(ev), func(i int) bool { return int64(ev[i].StartSamp) >= startSamp })
 	best, bestDist := -1, math.Inf(1)
-	for i := range s.Events {
-		dist := math.Abs(float64(startSamp - int64(s.Events[i].StartSamp)))
-		if dist < bestDist {
-			best, bestDist = i, dist
+	if above > 0 {
+		prev := ev[above-1].StartSamp
+		best = sort.Search(above, func(i int) bool { return ev[i].StartSamp >= prev })
+		bestDist = math.Abs(float64(startSamp - int64(prev)))
+	}
+	if above < len(ev) {
+		if dist := math.Abs(float64(startSamp - int64(ev[above].StartSamp))); dist < bestDist {
+			best, bestDist = above, dist
 		}
 	}
-	if best >= 0 && bestDist <= tol {
+	if best >= 0 && bestDist <= 3*s.SamplesPerSymbol {
 		return best, true
 	}
 	return -1, false

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"saiyan/internal/core"
@@ -301,5 +302,81 @@ func TestTimelineValidation(t *testing.T) {
 	cfg.Params.K = 3
 	if _, err := ts.RenderTimeline(cfg, TimelineConfig{FramesPerTag: 1}); err == nil {
 		t.Error("mismatched demod params accepted")
+	}
+}
+
+// linearMatch is the reference Stream.Match: a scan over every event that
+// keeps the first of equally near starts.
+func linearMatch(s *Stream, startSamp int64) (int, bool) {
+	tol := 3 * s.SamplesPerSymbol
+	best, bestDist := -1, math.Inf(1)
+	for i := range s.Events {
+		dist := math.Abs(float64(startSamp - int64(s.Events[i].StartSamp)))
+		if dist < bestDist {
+			best, bestDist = i, dist
+		}
+	}
+	if best >= 0 && bestDist <= tol {
+		return best, true
+	}
+	return -1, false
+}
+
+// TestMatchMatchesLinearScan holds the binary-search Match to the linear
+// scan: at every sampler index of a capture with collisions and
+// retransmits, and on hand-built schedules with exact midpoints between
+// starts, duplicate starts and no events at all.
+func TestMatchMatchesLinearScan(t *testing.T) {
+	check := func(name string, s *Stream, lo, hi int64) {
+		t.Helper()
+		for at := lo; at <= hi; at++ {
+			gi, gok := s.Match(at)
+			wi, wok := linearMatch(s, at)
+			if gi != wi || gok != wok {
+				t.Fatalf("%s: Match(%d) = (%d, %v), linear scan (%d, %v)", name, at, gi, gok, wi, wok)
+			}
+		}
+	}
+
+	ts := testTagSet(t, 3)
+	capture, err := ts.RenderTimeline(core.DefaultConfig(), TimelineConfig{
+		FramesPerTag: 3, OverlapEvery: 3,
+		Retransmits: []Retransmit{{Tag: 0, Seq: 1}, {Tag: 2, Seq: 0}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	collides, retx := false, false
+	for _, ev := range capture.Events {
+		collides = collides || ev.Collides
+		retx = retx || ev.Retransmitted
+	}
+	if !collides || !retx {
+		t.Fatalf("capture lacks collisions (%v) or retransmits (%v)", collides, retx)
+	}
+	check("capture", capture, -1, int64(len(capture.Env)))
+
+	events := func(starts ...int) []StreamFrame {
+		ev := make([]StreamFrame, len(starts))
+		for i, at := range starts {
+			ev[i].StartSamp = at
+		}
+		return ev
+	}
+	for _, tc := range []struct {
+		name   string
+		starts []int
+		spb    float64
+	}{
+		{"empty", nil, 10},
+		{"single", []int{50}, 10},
+		// 115 and 145 are exact midpoints; the tolerance (3 spb) covers
+		// both neighbours there, so the lower index must win the tie.
+		{"midpoints", []int{100, 130, 160, 190}, 10},
+		{"duplicates", []int{0, 100, 100, 130, 160, 160, 160, 300, 300}, 10},
+		{"wide tolerance", []int{10, 10, 20, 40, 40, 41, 1000}, 1000},
+	} {
+		s := &Stream{Events: events(tc.starts...), SamplesPerSymbol: tc.spb}
+		check(tc.name, s, -100, 1200)
 	}
 }

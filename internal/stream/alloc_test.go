@@ -1,0 +1,102 @@
+package stream
+
+import (
+	"math"
+	"testing"
+
+	"saiyan/internal/core"
+	"saiyan/internal/lora"
+	"saiyan/internal/sim"
+)
+
+// idleChunks cuts the idle air between the two frames of a wide-gap
+// capture into 64-sample delivery chunks.
+func idleChunks(t *testing.T) []sim.Chunk {
+	t.Helper()
+	capture := testCapture(t, 2, 1, sim.TimelineConfig{MinGapSymbols: 200, MaxGapSymbols: 200})
+	spb := capture.SamplesPerSymbol
+	frame := float64(lora.PreambleUpchirps) + lora.SyncSymbols + float64(capture.PayloadSymbols)
+	lo := capture.Events[0].StartSamp + int(math.Ceil((frame+4)*spb))
+	hi := capture.Events[1].StartSamp - int(math.Ceil(4*spb))
+	r := capture.CorrOversample
+	idle := &sim.Stream{Env: capture.Env[lo:hi], EnvC: capture.EnvC[lo*r : hi*r], CorrOversample: r}
+	return idle.Chunks(64)
+}
+
+// TestSegmenterPushIdleAllocs pins the steady-state hunt over idle air at
+// zero allocations: each chunk is copied once into the carry buffer, and
+// the carrier-sense scans and their buffer advances allocate nothing.
+func TestSegmenterPushIdleAllocs(t *testing.T) {
+	chunks := idleChunks(t)
+	_, scfg := testConfigs()
+	seg, err := NewSegmenter(scfg, func(Window) error {
+		t.Fatal("window emitted over idle air")
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	push := func() {
+		for _, c := range chunks {
+			if err := seg.Push(c.Env, c.EnvC); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	push()
+	if allocs := testing.AllocsPerRun(20, push); allocs != 0 {
+		t.Errorf("steady-state Push over idle air: %.1f allocations per %d chunks, want 0", allocs, len(chunks))
+	}
+}
+
+// TestDetectPreambleGatedAllocs pins the segmenter's preamble detector at
+// zero allocations: the correlation and its peak list live in demodulator
+// scratch, and the detection template is centered once at calibration.
+func TestDetectPreambleGatedAllocs(t *testing.T) {
+	capture := testCapture(t, 2, 1, sim.TimelineConfig{})
+	_, scfg := testConfigs()
+	seg, err := NewSegmenter(scfg, func(Window) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := capture.Events[0].StartSamp
+	hunt := capture.Env[at : at+seg.huntLen]
+	if _, ok := seg.d.DetectPreambleGated(hunt, seg.gate); !ok {
+		t.Fatal("no preamble detected at a scheduled frame start")
+	}
+	allocs := testing.AllocsPerRun(20, func() { seg.d.DetectPreambleGated(hunt, seg.gate) })
+	if allocs != 0 {
+		t.Errorf("DetectPreambleGated: %.1f allocations, want 0", allocs)
+	}
+}
+
+// TestDecodeStreamWindowAllocs pins window decode on both datapaths at one
+// allocation, the returned symbol slice: AutoCalibrate sorts into scratch
+// and frame sync reuses the detection scratch.
+func TestDecodeStreamWindowAllocs(t *testing.T) {
+	capture := testCapture(t, 2, 1, sim.TimelineConfig{})
+	windows := segmentWindows(t, capture, capture.Chunks(0))
+	if len(windows) == 0 {
+		t.Fatal("no windows emitted")
+	}
+	w := windows[0]
+	agc := core.DefaultAGCConfig()
+	for _, dp := range []core.Datapath{core.DatapathFloat, core.DatapathFixed} {
+		cfg := core.DefaultConfig()
+		cfg.Datapath = dp
+		master, err := core.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		master.PrewarmAuto()
+		d := master.Clone()
+		syms, ok, err := d.DecodeStreamWindow(w.Env, w.EnvC, w.NSymbols, agc)
+		if err != nil || !ok || len(syms) != w.NSymbols {
+			t.Fatalf("datapath %v: decode = %d symbols, ok=%v, err=%v; want %d symbols", dp, len(syms), ok, err, w.NSymbols)
+		}
+		allocs := testing.AllocsPerRun(20, func() { d.DecodeStreamWindow(w.Env, w.EnvC, w.NSymbols, agc) })
+		if allocs > 1 {
+			t.Errorf("datapath %v: DecodeStreamWindow %.1f allocations, want at most 1 (the symbol slice)", dp, allocs)
+		}
+	}
+}

@@ -96,6 +96,13 @@ type Window struct {
 // with Push (any chunk sizes, including sizes that split frames) and finish
 // with Flush; every detected frame is handed to the emit callback in
 // capture order. A Segmenter is not safe for concurrent use.
+//
+// The carry buffer is a live view into a backing array sized once by
+// NewSegmenter: Push copies each chunk into it once, and consumed samples
+// are dropped by moving the view's head, not by shifting the samples. The
+// live tail moves to the front of the array only when a chunk does not fit
+// behind it. Emitted windows are still owned copies, so they outlive the
+// buffer.
 type Segmenter struct {
 	cfg  Config
 	d    *core.Demodulator
@@ -108,8 +115,10 @@ type Segmenter struct {
 	preambLen int     // preamble length in sampler samples
 	gate      float64 // minimum envelope excursion for a detection marker
 
-	buf     []float64 // sampler-rate samples not yet consumed
-	bufC    []float64 // correlator-rate counterpart
+	buf     []float64 // sampler-rate samples not yet consumed: a view into store
+	bufC    []float64 // correlator-rate counterpart: a view into storeC
+	store   []float64 // backing array of buf
+	storeC  []float64 // backing array of bufC
 	base    int64     // absolute sampler index of buf[0]
 	pending int       // detected preamble start awaiting a full window (-1 = none)
 
@@ -158,6 +167,15 @@ func NewSegmenter(cfg Config, emit func(Window) error) (*Segmenter, error) {
 	// the window's leading stride, plus margin for the detector's periodic
 	// peak run.
 	s.huntLen = s.preambLen + int(math.Ceil(6*s.spb))
+	// Between pushes less than a hunt window plus a frame stays live; as
+	// much again of slack takes chunks up to that size without growing,
+	// and keeps front compactions to a few per frame length pushed.
+	s.store = make([]float64, 2*(s.huntLen+s.frameLen))
+	s.buf = s.store[:0]
+	if s.ratio > 0 {
+		s.storeC = make([]float64, len(s.store)*s.ratio)
+		s.bufC = s.storeC[:0]
+	}
 	s.scans = cfg.Metrics.Counter("saiyan_stream_scans_total", "carrier-sense scans over the hunt window")
 	s.emitted = cfg.Metrics.Counter("saiyan_stream_windows_emitted_total", "frame windows extracted and emitted")
 	s.rejected = cfg.Metrics.Counter("saiyan_stream_windows_rejected_total", "hunt windows with carrier but no preamble lock")
@@ -179,15 +197,40 @@ func (s *Segmenter) SamplesIn() int64 { return s.samples }
 
 // Push appends one delivery chunk (envC may be nil outside ModeFull) and
 // scans as far as the buffered samples allow. Frames straddling the chunk
-// boundary stay pending until the rest arrives.
+// boundary stay pending until the rest arrives. Each chunk is copied once,
+// into the carry buffer; Push allocates only when a chunk does not fit
+// there even after the live tail moves to the front.
+//
+//saiyan:hotpath
 func (s *Segmenter) Push(env, envC []float64) error {
 	if s.pending >= 0 {
 		s.carries.Inc()
 	}
-	s.buf = append(s.buf, env...)
-	s.bufC = append(s.bufC, envC...)
+	s.store, s.buf = carry(s.store, s.buf, env)
+	if s.ratio > 0 {
+		s.storeC, s.bufC = carry(s.storeC, s.bufC, envC)
+	}
 	s.samples += int64(len(env))
 	return s.scan(false)
+}
+
+// carry appends x to live, a view into store. When x does not fit behind
+// live, live first moves to the front of store, and store grows only if
+// even that leaves too little room. It returns the new store and view.
+//
+//saiyan:hotpath
+func carry(store, live, x []float64) ([]float64, []float64) {
+	if len(x) <= cap(live)-len(live) {
+		return store, append(live, x...)
+	}
+	n := len(live)
+	if n+len(x) > len(store) {
+		// Keep the slack after the chunk, so a stream of chunks this large
+		// does not grow the buffer again.
+		store = make([]float64, n+len(x)+len(store)) //lint:allow hotalloc amortized: runs only when a chunk outgrows the buffer
+	}
+	copy(store, live)
+	return store, append(store[:n], x...)
 }
 
 // Flush scans whatever remains after the final chunk, emitting a trailing
@@ -197,7 +240,9 @@ func (s *Segmenter) Flush() error {
 	return s.scan(true)
 }
 
-// advance drops n consumed samples off the buffer head.
+// advance drops n consumed samples off the buffer head by re-slicing.
+//
+//saiyan:hotpath
 func (s *Segmenter) advance(n int) {
 	if n <= 0 {
 		return
@@ -205,10 +250,9 @@ func (s *Segmenter) advance(n int) {
 	if n > len(s.buf) {
 		n = len(s.buf)
 	}
-	s.buf = append(s.buf[:0], s.buf[n:]...)
+	s.buf = s.buf[n:]
 	if s.ratio > 0 {
-		nc := min(n*s.ratio, len(s.bufC))
-		s.bufC = append(s.bufC[:0], s.bufC[nc:]...)
+		s.bufC = s.bufC[min(n*s.ratio, len(s.bufC)):]
 	}
 	s.base += int64(n)
 }

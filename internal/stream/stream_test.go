@@ -2,6 +2,8 @@ package stream
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"testing"
 
 	"saiyan/internal/core"
@@ -81,12 +83,30 @@ func TestStreamEndToEnd(t *testing.T) {
 }
 
 // TestStreamChunkInvariance verifies segmentation is a pure function of the
-// capture: any chunking — one giant chunk, tiny chunks, odd sizes — yields
-// identical windows and identical decode outcomes.
+// capture: any chunking — one giant chunk, single samples, odd sizes, chunks
+// larger than the segmenter's carry buffer — yields byte-identical windows
+// and identical decode outcomes.
 func TestStreamChunkInvariance(t *testing.T) {
 	capture := testCapture(t, 3, 2, sim.TimelineConfig{})
+	_, scfg := testConfigs()
+	probe, err := NewSegmenter(scfg, func(Window) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Larger than the whole carry buffer, so delivery must grow it.
+	big := len(probe.store) + 7
+	if big >= len(capture.Env) {
+		t.Fatalf("capture of %d samples too short for a %d-sample chunk", len(capture.Env), big)
+	}
+	ref := segmentWindows(t, capture, capture.Chunks(0))
+	if len(ref) == 0 {
+		t.Fatal("one-chunk delivery emitted no windows")
+	}
 	var first Stats
-	for i, chunk := range []int{0, 64, 97, 1000} {
+	for i, chunk := range []int{0, 1, 64, 97, 1000, big} {
+		if diff := diffWindows(ref, segmentWindows(t, capture, capture.Chunks(chunk))); diff != "" {
+			t.Errorf("chunk=%d: windows differ from one-chunk delivery: %s", chunk, diff)
+		}
 		pcfg, scfg := testConfigs()
 		pcfg.Workers = 2
 		st, err := Demodulate(context.Background(), pcfg, scfg, capture, chunk)
@@ -102,6 +122,129 @@ func TestStreamChunkInvariance(t *testing.T) {
 	if first.Recovery() < 0.95 {
 		t.Errorf("recovery %.2f, want >= 0.95", first.Recovery())
 	}
+}
+
+// segmentWindows runs one Segmenter over the given delivery chunks and
+// returns every window it emits.
+func segmentWindows(t testing.TB, capture *sim.Stream, chunks []sim.Chunk) []Window {
+	t.Helper()
+	_, scfg := testConfigs()
+	scfg.PayloadSymbols = capture.PayloadSymbols
+	var got []Window
+	seg, err := NewSegmenter(scfg, func(w Window) error {
+		got = append(got, w)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range chunks {
+		if err := seg.Push(c.Env, c.EnvC); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := seg.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// diffWindows describes the first difference between two window lists,
+// comparing Start, NSymbols and every Env/EnvC sample bit for bit, or
+// returns "" when they are identical.
+func diffWindows(want, got []Window) string {
+	if len(want) != len(got) {
+		return fmt.Sprintf("%d windows, want %d", len(got), len(want))
+	}
+	for i := range want {
+		w, g := want[i], got[i]
+		if w.Start != g.Start || w.NSymbols != g.NSymbols {
+			return fmt.Sprintf("window %d: start %d (%d symbols), want %d (%d symbols)", i, g.Start, g.NSymbols, w.Start, w.NSymbols)
+		}
+		if d := diffSamples(w.Env, g.Env); d != "" {
+			return fmt.Sprintf("window %d Env: %s", i, d)
+		}
+		if d := diffSamples(w.EnvC, g.EnvC); d != "" {
+			return fmt.Sprintf("window %d EnvC: %s", i, d)
+		}
+	}
+	return ""
+}
+
+func diffSamples(want, got []float64) string {
+	if len(want) != len(got) {
+		return fmt.Sprintf("%d samples, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+			return fmt.Sprintf("sample %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+	return ""
+}
+
+// FuzzSegmenterChunking delivers a small capture (with collisions) in
+// fuzzed chunk-size sequences: whatever the chunking, the segmenter must
+// emit exactly the windows a one-chunk delivery emits. Each input byte b
+// is one chunk of b*b/16 samples (0–4064, so small chunks dominate and
+// zero-length pushes occur); the sequence repeats until the capture runs
+// out.
+func FuzzSegmenterChunking(f *testing.F) {
+	capture := testCapture(f, 2, 2, sim.TimelineConfig{OverlapEvery: 3})
+	ref := segmentWindows(f, capture, capture.Chunks(0))
+	if len(ref) == 0 {
+		f.Fatal("one-chunk delivery emitted no windows")
+	}
+	f.Add([]byte{4})
+	f.Add([]byte{40, 3, 0, 255, 17})
+	f.Add([]byte{255, 255, 255})
+	f.Add([]byte{1, 200, 2, 90})
+	f.Fuzz(func(t *testing.T, sizes []byte) {
+		got := segmentWindows(t, capture, cutChunks(capture, sizes))
+		if diff := diffWindows(ref, got); diff != "" {
+			t.Fatalf("chunk sizes %v: %s", sizes, diff)
+		}
+	})
+}
+
+// cutChunks cuts capture into consecutive chunks whose sampler-rate sizes
+// cycle through sizes (b*b/16 samples per byte b; no sizes, or a cycle of
+// zeros, delivers the rest in one chunk). Correlator-rate slices align the
+// way sim.Stream.Chunks aligns them: the final chunk takes whatever EnvC
+// remains.
+func cutChunks(capture *sim.Stream, sizes []byte) []sim.Chunk {
+	var out []sim.Chunk
+	cut := func(lo, hi int) {
+		c := sim.Chunk{Env: capture.Env[lo:hi]}
+		if capture.EnvC != nil {
+			r := capture.CorrOversample
+			cHi := min(hi*r, len(capture.EnvC))
+			if hi == len(capture.Env) {
+				cHi = len(capture.EnvC)
+			}
+			c.EnvC = capture.EnvC[min(lo*r, len(capture.EnvC)):cHi]
+		}
+		out = append(out, c)
+	}
+	at := 0
+	for len(sizes) > 0 && at < len(capture.Env) {
+		from := at
+		for _, b := range sizes {
+			if at == len(capture.Env) {
+				break
+			}
+			hi := min(at+int(b)*int(b)/16, len(capture.Env))
+			cut(at, hi)
+			at = hi
+		}
+		if at == from {
+			break
+		}
+	}
+	if at < len(capture.Env) {
+		cut(at, len(capture.Env))
+	}
+	return out
 }
 
 // TestStreamCollisionsAreLostNotFatal schedules every 4th frame to collide
