@@ -34,11 +34,14 @@ bench:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
-# Replay the checked-in golden trace (blocking in CI); regenerate it after
-# an intentional demodulator behavior change with:
+# Replay the checked-in golden trace and check the gateway output pin
+# (blocking in CI). After an intentional demodulator behavior change,
+# regenerate the trace with:
 #   go test ./internal/pipeline -run TestGoldenTraceReplay -update-golden
+# and set gatewayOutputPin (internal/gateway/pin_test.go) to the hash
+# TestGatewayOutputPinned reports.
 golden:
-	$(GO) test -run 'TestGoldenTraceReplay' -count=1 -v ./internal/pipeline
+	$(GO) test -run 'TestGoldenTraceReplay|TestGatewayOutputPinned' -count=1 -v ./internal/pipeline ./internal/gateway
 
 # Short fuzz session over the trace codec.
 fuzz:

@@ -47,8 +47,8 @@ func TestRunEpochCancel(t *testing.T) {
 			t.Errorf("served epoch %d after a refused call, want 0", rep.Epoch)
 		}
 	})
-	// An epoch checks its context about 17-19 times; every cut-off below
-	// lands inside the epoch.
+	// The first epoch checks its context once per capture chunk and once
+	// per window, 39 times in all; every cut-off below lands inside it.
 	for _, n := range []int64{2, 5, 10} {
 		t.Run(fmt.Sprintf("after%d", n), func(t *testing.T) {
 			base := runtime.NumGoroutine()

@@ -12,11 +12,12 @@
 // degradations; (2) renders every channel's tag population into a
 // continuous multi-tag capture (grouped by the tags' current downlink
 // rate, since the rate sets the PHY alphabet) and demodulates all captures
-// through one shared worker pool per rate group, segmentation interleaved
-// round-robin across channels; (3) folds the decode results into the
-// session registry — frame dedup by per-tag payload sequence number,
-// sliding-window PRR/SNR/offset accounting; and (4) runs the control loop,
-// whose commands take effect on the next epoch's schedule.
+// through one shared worker pool per rate group, segmenting that rate's
+// channels one after another straight into the pool; (3) folds the decode
+// results into the session registry — frame dedup by per-tag payload
+// sequence number, sliding-window PRR/SNR/offset accounting; and (4) runs
+// the control loop, whose commands take effect on the next epoch's
+// schedule.
 //
 // Everything is deterministic in Config.Seed: results are folded in
 // schedule order (not worker completion order), command RNG draws are

@@ -3,11 +3,11 @@ package gateway
 import (
 	"context"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"time"
 
+	"saiyan/internal/flight"
 	"saiyan/internal/pipeline"
 	"saiyan/internal/sim"
 	"saiyan/internal/stream"
@@ -29,21 +29,12 @@ type ingestGroup struct {
 	tl      sim.TimelineConfig
 
 	capture *sim.Stream
-	src     *stream.Source
-
-	// matches records, in window-emission order, which schedule event each
-	// matched window resolved to and at what detection offset.
-	matches []matchInfo
 	// outcomes is the per-event decode outcome, filled by the result fold.
 	outcomes []eventOutcome
 
-	windows   int // windows emitted by this group's segmenter
-	unmatched int // windows that resolved to no schedule entry
-}
-
-type matchInfo struct {
-	event  int
-	offset int64 // detection offset in sampler samples
+	windows   int        // windows emitted by this group's segmenter
+	unmatched int        // windows that resolved to no schedule entry
+	noise     noiseStats // the segmenter's calibrated envelope noise
 }
 
 // eventOutcome is what happened to one scheduled transmission.
@@ -112,11 +103,11 @@ func (g *Gateway) huntRSS(grp *ingestGroup) float64 {
 }
 
 // ingest renders every group's capture (concurrently, see renderGroups),
-// segments each in group order, and demodulates all groups of each rate
-// through one shared worker pool, interleaving submission round-robin
-// across that rate's channels. Decode results are folded back into each
-// group's per-event outcomes in schedule order, so the fold is independent
-// of worker scheduling.
+// then demodulates all groups of each rate through one shared worker pool,
+// segmenting that rate's groups one after another in (K, channel) order.
+// Decode results are folded back into each group's per-event outcomes by
+// the schedule event each window claimed, so the fold is independent of
+// worker scheduling.
 func (g *Gateway) ingest(ctx context.Context, plan *epochPlan) error {
 	if len(plan.groups) == 0 {
 		return nil
@@ -127,28 +118,6 @@ func (g *Gateway) ingest(ctx context.Context, plan *epochPlan) error {
 	}
 	if err := g.renderGroups(plan.groups); err != nil {
 		return err
-	}
-	for _, grp := range plan.groups {
-		demod := g.cfg.Demod
-		demod.Params = g.params(grp.k)
-		grp.outcomes = make([]eventOutcome, len(grp.capture.Events))
-		scfg := stream.Config{
-			Demod:          demod,
-			PayloadSymbols: grp.capture.PayloadSymbols,
-			HuntRSSDBm:     g.huntRSS(grp),
-			Seed:           g.cfg.Seed,
-			Metrics:        g.cfg.Metrics,
-			// Segmentation runs on this (submission) goroutine, so every
-			// segmenter shares the control-plane flight shard 0.
-			Flight:        g.cfg.Flight,
-			FlightEpoch:   plan.epoch,
-			FlightChannel: grp.channel,
-		}
-		src, err := stream.NewSource(scfg, grp.capture.Chunks(g.cfg.ChunkSamples), grp.matcher())
-		if err != nil {
-			return fmt.Errorf("segmenting K=%d channel %d: %w", grp.k, grp.channel, err)
-		}
-		grp.src = src
 	}
 	g.met.stageSince(stageRender, renderStart)
 
@@ -163,7 +132,7 @@ func (g *Gateway) ingest(ctx context.Context, plan *epochPlan) error {
 		for hi < len(plan.groups) && plan.groups[hi].k == plan.groups[lo].k {
 			hi++
 		}
-		if err := g.ingestRateGroup(ctx, plan.groups[lo:hi]); err != nil {
+		if err := g.ingestRateGroup(ctx, plan.epoch, plan.groups[lo:hi]); err != nil {
 			return err
 		}
 		lo = hi
@@ -173,12 +142,9 @@ func (g *Gateway) ingest(ctx context.Context, plan *epochPlan) error {
 	// Channel-level accounting: windows, noise stats (last group of a
 	// channel wins — deterministic, since groups are ordered).
 	for _, grp := range plan.groups {
-		grp.windows = grp.src.Windows()
-		grp.unmatched = grp.windows - grp.src.Matched()
 		g.agg.windowsEmitted += uint64(grp.windows)
 		g.agg.windowsUnmatched += uint64(grp.unmatched)
-		baseline, sigma := grp.src.NoiseStats()
-		g.chanNoise[grp.channel] = noiseStats{baseline: baseline, sigma: sigma}
+		g.chanNoise[grp.channel] = grp.noise
 	}
 	return nil
 }
@@ -215,47 +181,28 @@ func (g *Gateway) renderGroups(groups []*ingestGroup) error {
 	return nil
 }
 
-// matcher resolves extracted windows against the group's schedule while
-// recording, in emission order, which event each matched window claimed
-// and its detection offset — the identity the result fold needs. Each
-// event is claimed at most once; duplicate windows go through unmatched.
-func (grp *ingestGroup) matcher() stream.Matcher {
-	claimed := make([]bool, len(grp.capture.Events))
-	return func(startSamp int64) (int, uint64, []int, bool) {
-		idx, ok := grp.capture.Match(startSamp)
-		if !ok || claimed[idx] {
-			return 0, 0, nil, false
-		}
-		claimed[idx] = true
-		ev := grp.capture.Events[idx]
-		grp.matches = append(grp.matches, matchInfo{
-			event:  idx,
-			offset: startSamp - int64(ev.StartSamp),
-		})
-		return ev.Tag, ev.Seq, ev.Want, true
-	}
+// jobRef is what the result fold needs of one submitted window: the group
+// it came from and the schedule event it claimed (-1 for an unmatched
+// window), with its detection offset in sampler samples.
+type jobRef struct {
+	grp    *ingestGroup
+	event  int
+	offset int64
 }
 
-// submission bookkeeping: which group a pipeline job came from and, for
-// matched windows, its ordinal among the group's matches.
-type jobMeta struct {
-	group int // index into the rate-group slice passed to ingestRateGroup
-	match int // ordinal into group.matches, -1 for unmatched windows
-}
-
-// ingestRateGroup drives one rate's groups through a shared pipeline:
-// submission pulls one window at a time from each group's source in
-// round-robin, results are collected and replayed in submission order.
-// Cancelling ctx aborts between submissions; windows already submitted
-// still decode before Drain returns.
-func (g *Gateway) ingestRateGroup(ctx context.Context, groups []*ingestGroup) error {
+// ingestRateGroup drives one rate's groups through a shared pipeline: each
+// group is segmented in turn straight into the worker pool, and every
+// result lands on the one event its window claimed. Cancelling ctx aborts
+// between chunk pushes and before each submission; windows already
+// submitted still decode before Drain returns.
+func (g *Gateway) ingestRateGroup(ctx context.Context, epoch int, groups []*ingestGroup) error {
 	pcfg := pipeline.Config{
 		Demod:   g.cfg.Demod,
 		Workers: g.cfg.Workers,
 		Seed:    g.cfg.Seed,
 		Metrics: g.cfg.Metrics,
 		// Workers write flight shards 1..Workers, keeping shard 0 to
-		// the segmenter above.
+		// the segmenters.
 		Flight: g.cfg.Flight,
 	}
 	pcfg.Demod.Params = g.params(groups[0].k)
@@ -264,7 +211,7 @@ func (g *Gateway) ingestRateGroup(ctx context.Context, groups []*ingestGroup) er
 		return err
 	}
 
-	var metas []jobMeta
+	var refs []jobRef
 	results := make([]pipeline.Result, 0, 64)
 	done := make(chan struct{})
 	go func() {
@@ -274,39 +221,10 @@ func (g *Gateway) ingestRateGroup(ctx context.Context, groups []*ingestGroup) er
 		}
 	}()
 
-	matched := make([]int, len(groups))
-	live := len(groups)
-	exhausted := make([]bool, len(groups))
 	var submitErr error
-	for live > 0 && submitErr == nil {
-		for gi := range groups {
-			if err := ctx.Err(); err != nil {
-				submitErr = err
-				break
-			}
-			if exhausted[gi] {
-				continue
-			}
-			job, err := groups[gi].src.Next()
-			if err == io.EOF {
-				exhausted[gi] = true
-				live--
-				continue
-			}
-			if err != nil {
-				submitErr = fmt.Errorf("segmenting K=%d channel %d: %w", groups[gi].k, groups[gi].channel, err)
-				break
-			}
-			meta := jobMeta{group: gi, match: -1}
-			if job.Tag >= 0 {
-				meta.match = matched[gi]
-				matched[gi]++
-			}
-			metas = append(metas, meta)
-			if err := p.Submit(job); err != nil {
-				submitErr = err
-				break
-			}
+	for _, grp := range groups {
+		if submitErr = g.segment(ctx, p, epoch, grp, &refs); submitErr != nil {
+			break
 		}
 	}
 	st := p.Drain()
@@ -319,27 +237,92 @@ func (g *Gateway) ingestRateGroup(ctx context.Context, groups []*ingestGroup) er
 		return submitErr
 	}
 
-	// Fold in submission order: results arrive in worker-completion order,
-	// but every result carries its submission sequence number.
-	sort.Slice(results, func(i, j int) bool { return results[i].Seq < results[j].Seq })
+	// Results arrive in worker-completion order, but each writes only the
+	// event its window claimed, so the order cannot show.
 	for _, res := range results {
-		if res.Seq >= uint64(len(metas)) {
+		if res.Seq >= uint64(len(refs)) {
 			return fmt.Errorf("gateway: result for unknown submission %d", res.Seq)
 		}
-		meta := metas[res.Seq]
-		grp := groups[meta.group]
-		if meta.match < 0 {
-			continue // ghost window: counted via src.Matched accounting
+		ref := refs[res.Seq]
+		if ref.event < 0 {
+			continue // ghost window: counted in the group's unmatched windows
 		}
-		mi := grp.matches[meta.match]
-		out := eventOutcome{
-			decoded:  res.Err == nil,
-			detected: res.Detected,
-			offset:   mi.offset,
+		ref.grp.outcomes[ref.event] = eventOutcome{
+			decoded:    res.Err == nil,
+			detected:   res.Detected,
+			symbolErrs: res.SymbolErrs,
+			correct:    res.Err == nil && res.Detected && res.SymbolErrs == 0,
+			offset:     ref.offset,
 		}
-		out.symbolErrs = res.SymbolErrs
-		out.correct = res.Err == nil && res.Detected && res.SymbolErrs == 0
-		grp.outcomes[mi.event] = out
 	}
+	return nil
+}
+
+// segment cuts grp's capture into frame windows and submits each to
+// p as it is cut, so segmentation overlaps decode. Each window is resolved
+// against the group's schedule, and each event is claimed at most once: a
+// duplicate window goes through unmatched. A matched window carries its
+// frame's trace ID and leaves a segment-stage span on flight shard 0, which
+// belongs to this (submission) goroutine. refs gains one entry per
+// submission, in submission order.
+func (g *Gateway) segment(ctx context.Context, p *pipeline.Pipeline, epoch int, grp *ingestGroup, refs *[]jobRef) error {
+	demod := g.cfg.Demod
+	demod.Params = g.params(grp.k)
+	hunt := g.huntRSS(grp)
+	grp.outcomes = make([]eventOutcome, len(grp.capture.Events))
+	claimed := make([]bool, len(grp.capture.Events))
+	seg, err := stream.NewSegmenter(stream.Config{
+		Demod:          demod,
+		PayloadSymbols: grp.capture.PayloadSymbols,
+		HuntRSSDBm:     hunt,
+		Seed:           g.cfg.Seed,
+		Metrics:        g.cfg.Metrics,
+	}, func(w stream.Window) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		j := pipeline.Job{Tag: -1, Env: w.Env, EnvC: w.EnvC, NSymbols: w.NSymbols}
+		ref := jobRef{grp: grp, event: -1}
+		if idx, ok := grp.capture.Match(w.Start); ok && !claimed[idx] {
+			claimed[idx] = true
+			ev := grp.capture.Events[idx]
+			j.Tag, j.Want = ev.Tag, ev.Want
+			ref.event, ref.offset = idx, w.Start-int64(ev.StartSamp)
+			if rec := g.cfg.Flight; rec != nil {
+				j.Trace = flight.TraceID(epoch, grp.channel, ev.Tag, ev.Seq)
+				rec.Append(0, flight.Span{
+					Trace:    j.Trace,
+					Seq:      uint32(ev.Seq),
+					Epoch:    uint32(epoch),
+					Tag:      uint16(ev.Tag),
+					Channel:  uint16(grp.channel),
+					Stage:    flight.StageSegment,
+					Decision: flight.WindowMatched,
+					A:        hunt,
+					B:        float64(w.Start),
+				})
+			}
+		} else {
+			grp.unmatched++
+		}
+		*refs = append(*refs, ref)
+		return p.Submit(j)
+	})
+	if err != nil {
+		return fmt.Errorf("segmenting K=%d channel %d: %w", grp.k, grp.channel, err)
+	}
+	for _, c := range grp.capture.Chunks(g.cfg.ChunkSamples) {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := seg.Push(c.Env, c.EnvC); err != nil {
+			return err
+		}
+	}
+	if err := seg.Flush(); err != nil {
+		return err
+	}
+	grp.windows = seg.Windows()
+	grp.noise.baseline, grp.noise.sigma = seg.NoiseStats()
 	return nil
 }

@@ -1,10 +1,12 @@
 // Package stream turns a continuous envelope capture into demodulation
 // work: a Segmenter hunts LoRa preambles across arbitrarily-chunked
 // envelope deliveries — carrier-sense gate, preamble detection, then
-// symbol-aligned window extraction — and a Source feeds the extracted
-// windows into the concurrent pipeline as stream-decode jobs, so
-// segmentation (single goroutine, cheap) overlaps demodulation (worker
-// pool, expensive).
+// symbol-aligned window extraction — and a Source feeds the windows of a
+// rendered capture into the concurrent pipeline as stream-decode jobs,
+// scored against the capture's own schedule, so segmentation (single
+// goroutine, cheap) overlaps demodulation (worker pool, expensive). The
+// gateway drives Segmenters directly, submitting each window from the
+// emit callback.
 //
 // This is the receive path the paper's Section 3.2 packet detection
 // implies and the per-frame pipeline skipped: nothing here knows frame
@@ -19,7 +21,6 @@ import (
 
 	"saiyan/internal/core"
 	"saiyan/internal/dsp"
-	"saiyan/internal/flight"
 	"saiyan/internal/lora"
 	"saiyan/internal/obs"
 )
@@ -50,18 +51,6 @@ type Config struct {
 	// cross-chunk pending carries. Write-only; segmentation decisions
 	// never read them back.
 	Metrics *obs.Registry
-
-	// Flight, when non-nil, receives a segment-stage flight span for
-	// every matched window, and matched jobs leave the source stamped
-	// with their trace ID. Write-only, like Metrics: segmentation never
-	// reads the recorder back. Segmentation runs on the submission
-	// goroutine, so it writes the control-plane shard 0.
-	Flight *flight.Recorder
-	// FlightEpoch and FlightChannel locate this capture in the
-	// deployment schedule; together with (tag, seq) they derive each
-	// frame's trace ID. Standalone captures leave them zero.
-	FlightEpoch   int
-	FlightChannel int
 }
 
 // withDefaults fills zero fields and validates.

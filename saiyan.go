@@ -264,7 +264,7 @@ func RenderTimeline(ts *TagSet, cfg Config, tl TimelineConfig) (*TagStream, erro
 // stream-decode job, so segmentation overlaps demodulation. Extracted
 // windows are matched back to the capture's schedule for scoring.
 func NewStreamSource(cfg StreamConfig, capture *TagStream, chunkSamples int) (*StreamSource, error) {
-	return stream.NewSource(cfg, capture.Chunks(chunkSamples), stream.SimMatcher(capture))
+	return stream.NewSource(cfg, capture, chunkSamples)
 }
 
 // DemodulateStream runs a rendered capture end to end — segmentation,
