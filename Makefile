@@ -34,14 +34,17 @@ bench:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
-# Replay the checked-in golden trace and check the gateway output pin
-# (blocking in CI). After an intentional demodulator behavior change,
-# regenerate the trace with:
+# Replay the checked-in golden trace and check the gateway and
+# peak-tracking output pins (blocking in CI). After an intentional
+# demodulator behavior change, regenerate the trace with:
 #   go test ./internal/pipeline -run TestGoldenTraceReplay -update-golden
 # and set gatewayOutputPin (internal/gateway/pin_test.go) to the hash
-# TestGatewayOutputPinned reports.
+# TestGatewayOutputPinned reports. After an intentional change to the
+# comparator (ModeVanilla/ModeFreqShift) decoders on either datapath, set
+# peakTrackingPin (internal/core/pin_test.go) to the hash
+# TestPeakTrackingPinned reports.
 golden:
-	$(GO) test -run 'TestGoldenTraceReplay|TestGatewayOutputPinned' -count=1 -v ./internal/pipeline ./internal/gateway
+	$(GO) test -run 'TestGoldenTraceReplay|TestGatewayOutputPinned|TestPeakTrackingPinned' -count=1 -v ./internal/pipeline ./internal/gateway ./internal/core
 
 # Short fuzz session over the trace codec.
 fuzz:

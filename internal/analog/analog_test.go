@@ -227,6 +227,37 @@ func TestLastHighIndex(t *testing.T) {
 	}
 }
 
+// TestPeakEdges walks the classifier through each case on hand-built
+// windows: own mid-window edges (the last one wins), boundary-region edges
+// on both sides of a boundary, a window high at its end, an erasure and an
+// empty window.
+func TestPeakEdges(t *testing.T) {
+	bits := make([]bool, 35)
+	for _, i := range []int{3, 4, 7, 8, 9, 10, 12, 13, 14, 15, 16, 17, 18, 29, 30, 32} {
+		bits[i] = true
+	}
+	bounds := []int{0, 10, 20, 25, 25, 35}
+	want := []PeakEdge{
+		{Edge: 4, Len: 10, Own: true, Boundary: true}, // own edge, high at end, edge 0 of the next window
+		{Len: 10, Boundary: true},                     // edge 8 is within two samples of the end
+		{Len: 5},                                      // erasure
+		{Len: 0},                                      // empty window
+		{Edge: 7, Len: 10, Own: true},                 // edges 5 and 7: the last one wins
+	}
+	got := PeakEdges(nil, bits, bounds)
+	if !slices.Equal(got, want) {
+		t.Fatalf("PeakEdges = %+v, want %+v", got, want)
+	}
+	// A reused buffer is overwritten entry by entry, not accumulated into.
+	dst := []PeakEdge{{Edge: 9, Own: true, Boundary: true}, {Boundary: true}, {Own: true}, {Own: true}, {Own: true}, {Own: true}}
+	if got := PeakEdges(dst, bits, bounds); !slices.Equal(got, want) || &got[0] != &dst[0] {
+		t.Fatalf("PeakEdges into a reused buffer = %+v, want %+v in place", got, want)
+	}
+	if got := PeakEdges(nil, bits, nil); len(got) != 0 {
+		t.Fatalf("PeakEdges with no bounds = %+v, want none", got)
+	}
+}
+
 // TestOscillatorToneAndMix checks the oscillator's clock tables against
 // the per-sample cosine they replace, then mixes with them: a tone mixed
 // with itself yields cos^2 with mean 1/2, and a real clock halves complex

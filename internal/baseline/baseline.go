@@ -24,6 +24,7 @@ import (
 	"saiyan/internal/dsp"
 	"saiyan/internal/lora"
 	"saiyan/internal/radio"
+	"saiyan/internal/sim"
 )
 
 // ConventionalReceiver models the tag-side envelope-detection front end
@@ -118,29 +119,16 @@ func DetectionProbability(c ConventionalReceiver, det Detector, rssDBm float64, 
 }
 
 // DetectionRange finds the maximum distance at which the detector fires
-// with probability >= probTarget over the given link budget. The packet
-// duration is that of a default LoRa frame preamble at SF7/BW500.
+// with probability >= probTarget over the given link budget, bisecting
+// 1-800 m geometrically to 2% with sim.BisectRange. The packet duration
+// is that of a default LoRa frame preamble at SF7/BW500.
 func DetectionRange(c ConventionalReceiver, det Detector, budget radio.LinkBudget, probTarget float64, trials int, seed uint64) float64 {
 	p := lora.DefaultParams()
 	dur := (lora.PreambleUpchirps + lora.SyncSymbols) * p.SymbolDuration()
-	lo, hi := 1.0, 800.0
-	okAt := func(d float64) bool {
+	okAt := func(d float64) (bool, error) {
 		rng := dsp.NewRand(seed, math.Float64bits(d))
-		return DetectionProbability(c, det, budget.RSSDBm(d), dur, trials, rng) >= probTarget
+		return DetectionProbability(c, det, budget.RSSDBm(d), dur, trials, rng) >= probTarget, nil
 	}
-	if !okAt(lo) {
-		return 0
-	}
-	if okAt(hi) {
-		return hi
-	}
-	for hi/lo > 1.02 {
-		mid := math.Sqrt(lo * hi)
-		if okAt(mid) {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	r, _ := sim.BisectRange(okAt, 1, 800, 0.02) // okAt never fails
+	return r
 }

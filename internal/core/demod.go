@@ -205,90 +205,33 @@ func (d *Demodulator) symbolWindow(s, decim, n int) (int, int) {
 }
 
 // decodeByPeakTracking implements the Section 2.2 decoder: quantize the
-// envelope with the double-threshold comparator, then within each symbol
-// window locate the amplitude peak and map its position to a chirp value.
-//
-// The peak marker is the last *falling edge* of the comparator output (the
-// t_F of Figure 7e): when the chirp wraps, the envelope collapses from the
-// response top to the band bottom, forcing the high run to end. A window
-// that is still high at its final sample peaked exactly at the symbol
-// boundary (position 0 chirps). Using the falling edge rather than the raw
-// last-high sample matters because for early-peaking symbols the envelope
-// ramps back up toward the *next* symbol's peak and re-crosses U_H before
-// the window closes.
+// envelope with the double-threshold comparator, find each symbol window's
+// peak marker with analog.PeakEdges, and map its position to a chirp
+// value. fxp.DecodePeakTracking is the integer twin on the same classifier.
 //
 //saiyan:hotpath
 func (d *Demodulator) decodeByPeakTracking(env []float64, nSymbols int) []int {
 	p := d.cfg.Params
 	d.scratchBit = d.comparator.Quantize(d.scratchBit, env)
-	bits := d.scratchBit
+	if cap(d.scratchBounds) < nSymbols+1 {
+		d.scratchBounds = make([]int, nSymbols+1) //lint:allow hotalloc amortized: runs only on scratch growth
+	}
+	bounds := d.scratchBounds[:nSymbols+1]
+	for s := range bounds {
+		bounds[s], _ = d.symbolWindow(s, d.cfg.Oversample, len(d.scratchBit))
+	}
+	d.scratchEdges = analog.PeakEdges(d.scratchEdges, d.scratchBit, bounds)
 	out := make([]int, nSymbols) //lint:allow hotalloc the returned symbol slice is the function's contract
-
-	// Symbol boundaries are delicate: a chirp that peaks exactly at its
-	// window end (position ~0) produces its falling edge within a sample
-	// or two of the boundary — on either side of it, depending on window
-	// rounding — while a chirp that peaked early keeps ramping toward the
-	// next symbol's start, and if the next chirp begins at a lower
-	// frequency the discontinuity fakes a falling edge in the same
-	// boundary region. Resolve both cases in two passes: collect each
-	// window's own mid-window edges first, then treat boundary-region
-	// edges as "peak at the boundary" (position ~0) only for symbols that
-	// found no peak of their own.
-	startMargin := 2
-	endMargin := 2
-
-	// Edge bookkeeping lives in receiver scratch: writes below are sparse,
-	// so the reused buffers must be cleared, not just resliced.
-	if cap(d.scratchOwn) < nSymbols {
-		d.scratchOwn = make([]edgeInfo, nSymbols) //lint:allow hotalloc amortized: runs only on scratch growth
-		d.scratchBnd = make([]bool, nSymbols)     //lint:allow hotalloc amortized: runs only on scratch growth
-		d.scratchEnd = make([]bool, nSymbols)     //lint:allow hotalloc amortized: runs only on scratch growth
-	}
-	own := d.scratchOwn[:nSymbols]
-	boundary := d.scratchBnd[:nSymbols]
-	highAtEnd := d.scratchEnd[:nSymbols]
-	clear(own)
-	clear(boundary)
-	clear(highAtEnd)
-
-	for s := 0; s < nSymbols; s++ {
-		lo, hi := d.symbolWindow(s, d.cfg.Oversample, len(bits))
-		if lo >= hi {
-			continue
-		}
-		win := bits[lo:hi]
-		highAtEnd[s] = win[len(win)-1]
-		for i := 1; i < len(win); i++ {
-			if !win[i-1] || win[i] {
-				continue
-			}
-			edge := i - 1
-			switch {
-			case edge < startMargin:
-				// Just past the previous boundary: the previous symbol
-				// peaked at its window end.
-				if s > 0 {
-					boundary[s-1] = true
-				}
-			case edge >= len(win)-endMargin:
-				// Just before our own end boundary.
-				boundary[s] = true
-			default:
-				own[s] = edgeInfo{frac: (float64(edge) + 0.5) / float64(len(win)), ok: true}
-			}
-		}
-	}
-	for s := 0; s < nSymbols; s++ {
+	for s, e := range d.scratchEdges {
 		var frac float64
 		switch {
-		case own[s].ok:
-			frac = own[s].frac
-		case boundary[s] || highAtEnd[s]:
+		case e.Own:
+			frac = (float64(e.Edge) + 0.5) / float64(e.Len)
+		case e.Boundary:
 			frac = 1 // peak rides the symbol boundary: position ~0
 		default:
 			// No peak found: erasure. Decode as symbol 0; the BER
 			// accounting charges it fully.
-			out[s] = 0
 			continue
 		}
 		out[s] = p.NearestSymbol(p.PositionFromPeak(frac - d.peakBias))

@@ -68,9 +68,9 @@ type Demodulator struct {
 	scratchEnv []float64
 	scratchBuf []float64
 	scratchBit []bool
-	scratchOwn []edgeInfo
-	scratchBnd []bool
-	scratchEnd []bool
+	// The peak tracker's symbol window bounds and analog.PeakEdges output.
+	scratchBounds []int
+	scratchEdges  []analog.PeakEdge
 	// The preamble hunt and per-window AGC reuse these: scratchCorr holds
 	// the detection correlation, scratchMarks the comparator tails or
 	// correlation peaks handed to periodicRun, and scratchSort the sorted
@@ -78,13 +78,6 @@ type Demodulator struct {
 	scratchCorr  []float64
 	scratchMarks []int
 	scratchSort  []float64
-}
-
-// edgeInfo records a symbol window's own mid-window falling edge for the
-// peak-tracking decoder's two-pass bookkeeping.
-type edgeInfo struct {
-	frac float64
-	ok   bool
 }
 
 // New builds a demodulator from cfg, applying defaults and validating.

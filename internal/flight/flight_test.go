@@ -63,6 +63,8 @@ func TestFormatParseTraceRoundTrip(t *testing.T) {
 // IDs, sign characters, underscore grouping — all of which
 // strconv.ParseUint would accept) must be rejected, because a trace ID
 // mangled in transit should fail the query, not hit a different frame.
+// The obs telemetry plane validates /flight?trace= with ParseTrace, so
+// these cases cover that endpoint's grammar too.
 func TestParseTraceStrictGrammar(t *testing.T) {
 	accept := []string{
 		"0123456789abcdef",
@@ -70,6 +72,9 @@ func TestParseTraceStrictGrammar(t *testing.T) {
 		"0x0123456789abcdef",
 		"0Xfedcba9876543210",
 		"0000000000000000", // zero parses; it is only unreachable as an ID
+		"ffffffffffffffff",
+		"00000000DEADBEEF",
+		"0XAAAAAAAAAAAAAAAA",
 	}
 	for _, s := range accept {
 		if _, ok := ParseTrace(s); !ok {
@@ -94,6 +99,14 @@ func TestParseTraceStrictGrammar(t *testing.T) {
 		"00x0123456789abcdef", // misplaced prefix
 		"0123456789abcdef\n",  // trailing newline from a log paste
 		"٠123456789abcdef",    // non-ASCII digit
+		"abc",                 // short, no prefix
+		"0xabc",               // short after prefix
+		"00000000deadbee",     // 15 digits
+		"00000000deadbeef0",   // 17 digits
+		"zz000000deadbeef",    // non-hex prefix letters
+		"0x0x000000000000",    // double prefix, 16 bytes long
+		" 000000000000000",    // leading space, 16 bytes long
+		"0000000000000000 ",   // trailing space
 	}
 	for _, s := range reject {
 		if v, ok := ParseTrace(s); ok {

@@ -4,6 +4,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"saiyan/internal/ring"
 )
 
 // Options sizes a Recorder. A zero Shards picks DefaultShards.
@@ -35,7 +37,10 @@ const (
 // ringShard is one single-writer span ring. head counts appends
 // monotonically; the slot index is head % len(spans). The counter is
 // atomic only so resets and reads from the trigger path are visible
-// without a lock — appenders never contend on it.
+// without a lock — appenders never contend on it. Unlike the recorder's
+// other bounded histories it is not a ring.Ring: each shard is written
+// from its own worker goroutine, so it needs the atomic head and the
+// cache-line padding.
 type ringShard struct {
 	spans []Span
 	head  atomic.Uint64
@@ -52,7 +57,7 @@ type Recorder struct {
 
 	mu     sync.Mutex
 	nextID uint64
-	dumps  []Dump // ring, dumps[n%cap] holds dump id n+1
+	dumps  ring.Ring[Dump] // the dumpCap most recent dumps
 	hook   func(Dump)
 }
 
@@ -63,7 +68,7 @@ func New(opts Options) *Recorder {
 	}
 	r := &Recorder{
 		shards: make([]ringShard, opts.Shards),
-		dumps:  make([]Dump, 0, dumpCap),
+		dumps:  ring.New[Dump](dumpCap),
 	}
 	for i := range r.shards {
 		r.shards[i].spans = make([]Span, spanCap)
@@ -146,11 +151,7 @@ func (r *Recorder) Trigger(kind Kind, epoch, channel, tag int, seq uint64, trace
 		Traces:  tr,
 		Spans:   spans,
 	}
-	if len(r.dumps) < cap(r.dumps) {
-		r.dumps = append(r.dumps, d)
-	} else {
-		r.dumps[(d.ID-1)%uint64(cap(r.dumps))] = d
-	}
+	r.dumps.Push(d)
 	hook := r.hook
 	r.mu.Unlock()
 	if hook != nil {
@@ -220,18 +221,14 @@ func (r *Recorder) Recent(n int) []Dump {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	total := r.nextID
-	have := uint64(len(r.dumps))
+	have := r.dumps.Len()
 	if have == 0 {
 		return nil
 	}
-	want := uint64(n)
-	if want > have {
-		want = have
-	}
-	out := make([]Dump, 0, want)
-	for id := total - want + 1; id <= total; id++ {
-		out = append(out, r.dumps[(id-1)%uint64(cap(r.dumps))])
+	n = min(n, have)
+	out := make([]Dump, n)
+	for i := range out {
+		out[i] = r.dumps.At(have - n + i)
 	}
 	return out
 }
@@ -242,7 +239,7 @@ func (r *Recorder) Find(trace uint64) []Dump {
 	if r == nil {
 		return nil
 	}
-	all := r.Recent(cap(r.dumps))
+	all := r.Recent(dumpCap)
 	var out []Dump
 	for _, d := range all {
 		for _, t := range d.Traces {

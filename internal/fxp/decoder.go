@@ -3,6 +3,7 @@ package fxp
 import (
 	"fmt"
 
+	"saiyan/internal/analog"
 	"saiyan/internal/lora"
 )
 
@@ -63,16 +64,9 @@ type Decoder struct {
 	ops        OpCounts
 	scratchQ   []Q15
 	scratchBit []bool
-	scratchOwn []edgeInfo
-	scratchBnd []bool
-	scratchEnd []bool
-}
-
-// edgeInfo records a symbol window's own mid-window falling edge for the
-// peak-tracking decoder's two-pass bookkeeping.
-type edgeInfo struct {
-	edge, n int
-	ok      bool
+	// The peak tracker's symbol window bounds and analog.PeakEdges output.
+	scratchBounds []int
+	scratchEdges  []analog.PeakEdge
 }
 
 // NewDecoder validates cfg and returns an uncalibrated decoder.
@@ -210,9 +204,9 @@ func roundDiv(a, b int64) int64 {
 
 // DecodePeakTracking is the integer Section 2.2 decoder: hysteresis-quantize
 // the ADC codes against the calibrated thresholds, then map each symbol
-// window's last falling edge to a chirp position. The edge bookkeeping (own
-// mid-window edges first, boundary-region edges only for symbols without
-// one) mirrors the float decoder exactly; only the arithmetic changed.
+// window's peak marker to a chirp position. The markers come from
+// analog.PeakEdges, the classifier the float decoder uses too, over this
+// decoder's own integer-exact windows; only the arithmetic differs.
 //
 //saiyan:hotpath
 func (x *Decoder) DecodePeakTracking(env []Q15, nSymbols int) []int {
@@ -233,58 +227,26 @@ func (x *Decoder) DecodePeakTracking(env []Q15, nSymbols int) []int {
 	x.ops.Load += uint64(len(env))
 	x.ops.Cmp += uint64(len(env))
 
+	if cap(x.scratchBounds) < nSymbols+1 {
+		x.scratchBounds = make([]int, nSymbols+1) //lint:allow hotalloc amortized: runs only on scratch growth
+	}
+	bounds := x.scratchBounds[:nSymbols+1]
+	for s := range bounds {
+		bounds[s], _ = x.window(s, x.cfg.SamplerDecim, len(bits))
+	}
+	x.scratchEdges = analog.PeakEdges(x.scratchEdges, bits, bounds)
 	out := make([]int, nSymbols) //lint:allow hotalloc the returned symbol slice is the function's contract
-	const startMargin, endMargin = 2, 2
-
-	// Edge bookkeeping lives in receiver scratch: writes below are sparse,
-	// so the reused buffers must be cleared, not just resliced.
-	if cap(x.scratchOwn) < nSymbols {
-		x.scratchOwn = make([]edgeInfo, nSymbols) //lint:allow hotalloc amortized: runs only on scratch growth
-		x.scratchBnd = make([]bool, nSymbols)     //lint:allow hotalloc amortized: runs only on scratch growth
-		x.scratchEnd = make([]bool, nSymbols)     //lint:allow hotalloc amortized: runs only on scratch growth
-	}
-	own := x.scratchOwn[:nSymbols]
-	boundary := x.scratchBnd[:nSymbols]
-	highAtEnd := x.scratchEnd[:nSymbols]
-	clear(own)
-	clear(boundary)
-	clear(highAtEnd)
-
-	for s := 0; s < nSymbols; s++ {
-		lo, hi := x.window(s, x.cfg.SamplerDecim, len(bits))
-		if lo >= hi {
-			continue
-		}
-		win := bits[lo:hi]
-		highAtEnd[s] = win[len(win)-1]
-		for i := 1; i < len(win); i++ {
-			if !win[i-1] || win[i] {
-				continue
-			}
-			edge := i - 1
-			switch {
-			case edge < startMargin:
-				if s > 0 {
-					boundary[s-1] = true
-				}
-			case edge >= len(win)-endMargin:
-				boundary[s] = true
-			default:
-				own[s] = edgeInfo{edge: edge, n: len(win), ok: true}
-			}
-		}
-		x.ops.Load += uint64(len(win))
-		x.ops.Cmp += uint64(len(win))
-	}
-	for s := 0; s < nSymbols; s++ {
+	for s, e := range x.scratchEdges {
+		// The edge scan reads and compares every window sample.
+		x.ops.Load += uint64(e.Len)
+		x.ops.Cmp += uint64(e.Len)
 		switch {
-		case own[s].ok:
-			out[s] = x.symbolFromEdge(own[s].edge, own[s].n, false)
-		case boundary[s] || highAtEnd[s]:
+		case e.Own:
+			out[s] = x.symbolFromEdge(e.Edge, e.Len, false)
+		case e.Boundary:
 			out[s] = x.symbolFromEdge(0, 1, true) // peak rides the boundary
 		default:
-			out[s] = 0 // erasure
-			continue
+			continue // erasure: symbol 0
 		}
 		// Position mapping: one widening multiply, one rounding division.
 		x.ops.Mul += 2

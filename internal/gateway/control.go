@@ -72,9 +72,9 @@ func (g *Gateway) fold(plan *epochPlan) {
 				g.agg.framesScheduled++
 			}
 			if o.correct {
-				s.prr.push(1)
+				s.prr.Push(1)
 			} else {
-				s.prr.push(0)
+				s.prr.Push(0)
 			}
 			if o.decoded && o.symbolErrs >= 0 {
 				g.agg.symbolsChecked += uint64(len(ev.Want))
@@ -93,8 +93,8 @@ func (g *Gateway) fold(plan *epochPlan) {
 			}
 			fresh := false
 			if o.correct {
-				s.snr.push(ev.RSSDBm - g.noiseFloorDB)
-				s.offset.push(math.Abs(float64(o.offset)))
+				s.snr.Push(ev.RSSDBm - g.noiseFloorDB)
+				s.offset.Push(math.Abs(float64(o.offset)))
 				if s.markDelivered(ev.Seq) {
 					fresh = true
 					g.agg.framesDelivered++
@@ -137,8 +137,8 @@ func (g *Gateway) fold(plan *epochPlan) {
 	}
 	// Refresh each session's SNR belief from its delivery window.
 	for _, id := range g.aliveIDs() {
-		if s := g.sessions[id]; s.snr.count() > 0 {
-			s.snrEst = s.snr.mean()
+		if s := g.sessions[id]; s.snr.Len() > 0 {
+			s.snrEst = windowMean(&s.snr)
 		}
 	}
 }
@@ -155,8 +155,8 @@ func (g *Gateway) berForRate(s *session, k int) float64 {
 	if ber > 0.5 {
 		ber = 0.5
 	}
-	if k > adapter.MinK && s.prr.count() > 0 {
-		if loss := 1 - s.prr.mean(); loss > 0.05 {
+	if k > adapter.MinK && s.prr.Len() > 0 {
+		if loss := 1 - windowMean(&s.prr); loss > 0.05 {
 			if ev := loss / 4; ev > ber {
 				ber = ev
 			}
@@ -271,14 +271,14 @@ func (g *Gateway) control(epoch int) error {
 				ctlSpan(flight.RateChange, float64(old), float64(k))
 			}
 		} else {
-			ctlSpan(flight.RateHold, s.prr.mean(), float64(k))
+			ctlSpan(flight.RateHold, windowMean(&s.prr), float64(k))
 		}
 
 		// Channel hop: a collapsed delivery window on a channel with a
 		// better alternative moves the tag. A collapse that cannot hop
 		// (already on the best channel, or the command was lost) is its
 		// own anomaly.
-		if s.prr.count() >= minHopEvidence && s.prr.mean() < hopThresholdPRR {
+		if s.prr.Len() >= minHopEvidence && windowMean(&s.prr) < hopThresholdPRR {
 			hopped := false
 			if best := g.bestChannel(); best != t.channel {
 				ok, err := g.sendCommand(rng, s, mac.Command{Op: mac.OpHopChannel, Addr: addrOf(id), Arg: best})

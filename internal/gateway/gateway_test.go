@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"saiyan/internal/mac"
+	"saiyan/internal/ring"
 )
 
 // runEpochs serves n epochs and returns their reports; on an error it
@@ -199,19 +200,31 @@ func TestEpochFailureLatches(t *testing.T) {
 var errSentinel = fmt.Errorf("gateway: test sentinel failure")
 
 func TestSlidingWindow(t *testing.T) {
-	w := newWindow(3)
-	if w.count() != 0 || w.mean() != 0 {
-		t.Fatalf("fresh window: count=%d mean=%g", w.count(), w.mean())
+	w := ring.New[float64](3)
+	if w.Len() != 0 || windowMean(&w) != 0 {
+		t.Fatalf("fresh window: count=%d mean=%g", w.Len(), windowMean(&w))
 	}
-	w.push(1)
-	w.push(2)
-	if w.count() != 2 || w.mean() != 1.5 {
-		t.Fatalf("after 2 pushes: count=%d mean=%g", w.count(), w.mean())
+	w.Push(1)
+	w.Push(2)
+	if w.Len() != 2 || windowMean(&w) != 1.5 {
+		t.Fatalf("after 2 pushes: count=%d mean=%g", w.Len(), windowMean(&w))
 	}
-	w.push(3)
-	w.push(10) // evicts the 1
-	if w.count() != 3 || w.mean() != 5 {
-		t.Fatalf("after wrap: count=%d mean=%g, want 3 / 5", w.count(), w.mean())
+	w.Push(3)
+	w.Push(10) // evicts the 1
+	if w.Len() != 3 || windowMean(&w) != 5 {
+		t.Fatalf("after wrap: count=%d mean=%g, want 3 / 5", w.Len(), windowMean(&w))
+	}
+	// The mean sums in storage order, which a wrap rotates away from
+	// oldest first. Storage [1e16, 1, 1] sums to 1e16 (each +1 rounds
+	// away at that magnitude); oldest first, 1+1 lands before 1e16 and
+	// the sum is 1e16+2. The published means sum in storage order, so an
+	// oldest-first mean would change bytes.
+	w = ring.New[float64](3)
+	for _, v := range []float64{5, 1, 1, 1e16} { // 1e16 evicts the 5
+		w.Push(v)
+	}
+	if got, want := windowMean(&w), 1e16/3; got != want {
+		t.Fatalf("wrapped window mean = %v, want the storage-order %v (oldest first gives %v)", got, want, (1e16+2)/3)
 	}
 }
 
@@ -264,7 +277,7 @@ func TestBERModelShape(t *testing.T) {
 	// A lossy delivery window vetoes everything above the floor rate.
 	lossy := newSession(0, 8, 60)
 	for i := 0; i < 8; i++ {
-		lossy.prr.push(0)
+		lossy.prr.Push(0)
 	}
 	if ber := g.berForRate(lossy, 2); ber <= adapter.BERTarget {
 		t.Errorf("lossy window ber(K=2)=%g, want above target %g", ber, adapter.BERTarget)

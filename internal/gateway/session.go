@@ -1,40 +1,24 @@
 package gateway
 
-import "sort"
+import (
+	"sort"
 
-// slidingWindow is a fixed-capacity ring of float64 observations. Pushes
-// and reads happen in deterministic (schedule) order, so its mean is a pure
-// function of the observation stream regardless of worker count.
-type slidingWindow struct {
-	vals []float64
-	next int
-	n    int
-}
+	"saiyan/internal/ring"
+)
 
-func newWindow(capacity int) slidingWindow {
-	return slidingWindow{vals: make([]float64, capacity)}
-}
-
-func (w *slidingWindow) push(v float64) {
-	w.vals[w.next] = v
-	w.next = (w.next + 1) % len(w.vals)
-	if w.n < len(w.vals) {
-		w.n++
-	}
-}
-
-func (w *slidingWindow) count() int { return w.n }
-
-func (w *slidingWindow) mean() float64 {
-	if w.n == 0 {
+// windowMean averages a link window. Pushes and reads happen in
+// deterministic (schedule) order, and the sum runs in storage order, not
+// oldest first: once a window wraps, the order changes the float sum, and
+// the published means must not move a byte.
+func windowMean(w *ring.Ring[float64]) float64 {
+	if w.Len() == 0 {
 		return 0
 	}
-	// Sum in ring-storage order: deterministic for a deterministic stream.
 	sum := 0.0
-	for i := 0; i < w.n; i++ {
-		sum += w.vals[i]
+	for i := 0; i < w.Len(); i++ {
+		sum += w.Stored(i)
 	}
-	return sum / float64(w.n)
+	return sum / float64(w.Len())
 }
 
 // session is the gateway's per-tag link state: dedup set, sliding-window
@@ -53,9 +37,9 @@ type session struct {
 
 	// Sliding windows over the most recent scheduled frames (prr) and the
 	// most recent deliveries (snr, offset).
-	prr    slidingWindow
-	snr    slidingWindow
-	offset slidingWindow
+	prr    ring.Ring[float64]
+	snr    ring.Ring[float64]
+	offset ring.Ring[float64]
 
 	// snrEst is the control loop's current link-quality belief: seeded from
 	// the link budget when the tag joins, then tracking the delivery
@@ -98,9 +82,9 @@ func newSession(tag, window int, snrEst float64) *session {
 		tag:          tag,
 		active:       true,
 		delivered:    make(map[uint64]bool),
-		prr:          newWindow(window),
-		snr:          newWindow(window),
-		offset:       newWindow(window),
+		prr:          ring.New[float64](window),
+		snr:          ring.New[float64](window),
+		offset:       ring.New[float64](window),
 		snrEst:       snrEst,
 		calAnchorSNR: snrEst,
 	}
@@ -180,9 +164,9 @@ func (g *Gateway) snapshotSession(s *session) SessionSnapshot {
 		Pending:              len(s.missing),
 		RetransmitsScheduled: s.retxScheduled,
 		RetransmitsRecovered: s.retxRecovered,
-		WindowPRR:            s.prr.mean(),
+		WindowPRR:            windowMean(&s.prr),
 		SNREstDB:             s.snrEst,
-		MeanAbsOffset:        s.offset.mean(),
+		MeanAbsOffset:        windowMean(&s.offset),
 		RateSwitches:         s.rateSwitches,
 		Hops:                 s.hops,
 		Recalibrations:       s.recals,

@@ -1,9 +1,10 @@
-// Package health is the link-health plane: a dependency-free,
-// multi-resolution time-series store with an SLO rules engine and a
-// structured alert journal, fed at epoch boundaries by the gateway and
-// the wire server.
+// Package health is the link-health plane: a multi-resolution
+// time-series store with an SLO rules engine and a structured alert
+// journal, fed at epoch boundaries by the gateway and the wire server.
+// Its project dependencies are internal/ring, which holds every bounded
+// history here, and internal/flight's FormatTrace for exemplar traces.
 //
-// The store is RRD-style: every series owns a fixed ladder of ring
+// The store is RRD-style: every series owns a fixed ladder of ring.Ring
 // buffers. Tier 0 holds raw per-epoch points; each higher tier holds
 // min/max/sum/count bins covering fanIn bins of the tier below, so a
 // 512-point ladder with fan-in 8 remembers ~512 epochs at full
@@ -35,6 +36,8 @@ import (
 	"fmt"
 	"math"
 	"sync"
+
+	"saiyan/internal/ring"
 )
 
 // The rollup ladder and ring shapes.
@@ -91,34 +94,6 @@ func (b *Bin) merge(o Bin) {
 	b.Count += o.Count
 }
 
-// ring is a fixed-capacity bin ring; bins is preallocated at full
-// length, so push never allocates.
-type ring struct {
-	bins []Bin
-	head int // next write slot
-	n    int // valid bins, oldest first via at()
-}
-
-func (r *ring) push(b Bin) {
-	r.bins[r.head] = b
-	r.head++
-	if r.head == len(r.bins) {
-		r.head = 0
-	}
-	if r.n < len(r.bins) {
-		r.n++
-	}
-}
-
-// at returns the i-th valid bin, oldest first, i in [0, n).
-func (r *ring) at(i int) Bin {
-	idx := r.head - r.n + i
-	if idx < 0 {
-		idx += len(r.bins)
-	}
-	return r.bins[idx]
-}
-
 type exemplar struct {
 	epoch uint32
 	trace uint64
@@ -132,15 +107,13 @@ type Series struct {
 	st   *Store
 	name string
 
-	tiers []ring
+	tiers []ring.Ring[Bin]
 	// acc[t] (t >= 1) accumulates the partial tier-t bin; accN[t] counts
 	// how many tier-(t-1) bins it has absorbed so far.
 	acc  []Bin
 	accN []int
 
-	exem   []exemplar
-	exHead int
-	exN    int
+	exem ring.Ring[exemplar]
 
 	last  Bin    // most recent raw point
 	total uint64 // raw points ever appended
@@ -173,14 +146,7 @@ func (se *Series) append(epoch int, v float64, trace uint64) {
 	se.last = b
 	se.total++
 	if trace != 0 {
-		se.exem[se.exHead] = exemplar{epoch: uint32(epoch), trace: trace}
-		se.exHead++
-		if se.exHead == len(se.exem) {
-			se.exHead = 0
-		}
-		if se.exN < len(se.exem) {
-			se.exN++
-		}
+		se.exem.Push(exemplar{epoch: uint32(epoch), trace: trace})
 	}
 	st.pending = append(st.pending, Point{Series: se.name, Epoch: epoch, Value: v})
 	st.mu.Unlock()
@@ -190,7 +156,7 @@ func (se *Series) append(epoch int, v float64, trace uint64) {
 // ladder. Iterative so the epoch path stays flat.
 func (se *Series) cascade(b Bin) {
 	for t := 0; ; {
-		se.tiers[t].push(b)
+		se.tiers[t].Push(b)
 		t++
 		if t >= len(se.tiers) {
 			return
@@ -252,9 +218,7 @@ type Store struct {
 
 	rules []*ruleRT
 
-	journal []Alert
-	jHead   int
-	jN      int
+	journal ring.Ring[Alert]
 
 	epoch   int // last sealed epoch
 	sealed  bool
@@ -267,7 +231,7 @@ type Store struct {
 func New(opt Options) (*Store, error) {
 	s := &Store{
 		byName:  make(map[string]*Series),
-		journal: make([]Alert, journalCap),
+		journal: ring.New[Alert](journalCap),
 	}
 	for i, r := range opt.Rules {
 		rr, err := r.withDefaults()
@@ -296,13 +260,13 @@ func (s *Store) Series(name string) *Series {
 	se := &Series{
 		st:    s,
 		name:  name,
-		tiers: make([]ring, tiers),
+		tiers: make([]ring.Ring[Bin], tiers),
 		acc:   make([]Bin, tiers),
 		accN:  make([]int, tiers),
-		exem:  make([]exemplar, exemplarCap),
+		exem:  ring.New[exemplar](exemplarCap),
 	}
 	for t := range se.tiers {
-		se.tiers[t].bins = make([]Bin, rawCap)
+		se.tiers[t] = ring.New[Bin](rawCap)
 	}
 	s.byName[name] = se
 	s.series = append(s.series, se)
@@ -331,17 +295,6 @@ func (s *Store) EndEpoch(epoch int) {
 	s.mu.Unlock()
 }
 
-func (s *Store) appendJournal(a Alert) {
-	s.journal[s.jHead] = a
-	s.jHead++
-	if s.jHead == len(s.journal) {
-		s.jHead = 0
-	}
-	if s.jN < len(s.journal) {
-		s.jN++
-	}
-}
-
 // Journal copies the most recent n journal entries (all of them when
 // n <= 0 or n exceeds the retained count), oldest first.
 func (s *Store) Journal(n int) []Alert {
@@ -354,16 +307,13 @@ func (s *Store) Journal(n int) []Alert {
 }
 
 func (s *Store) journalLocked(n int) []Alert {
-	if n <= 0 || n > s.jN {
-		n = s.jN
+	have := s.journal.Len()
+	if n <= 0 || n > have {
+		n = have
 	}
 	out := make([]Alert, n)
-	for i := 0; i < n; i++ {
-		idx := s.jHead - n + i
-		if idx < 0 {
-			idx += len(s.journal)
-		}
-		out[i] = s.journal[idx]
+	for i := range out {
+		out[i] = s.journal.At(have - n + i)
 	}
 	return out
 }

@@ -17,9 +17,9 @@ func storeBins(s *Store, name string, tier int) []Bin {
 		return nil
 	}
 	r := &se.tiers[tier]
-	out := make([]Bin, r.n)
+	out := make([]Bin, r.Len())
 	for i := range out {
-		out[i] = r.at(i)
+		out[i] = r.At(i)
 	}
 	return out
 }

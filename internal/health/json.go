@@ -102,8 +102,8 @@ func (s *Store) TimeseriesJSON(series string, tier int) []byte {
 	}
 	r := &se.tiers[tier]
 	doc := seriesDoc{Series: se.name, Tier: tier, FanIn: fanIn, Bins: []binJSON{}}
-	for i := 0; i < r.n; i++ {
-		b := r.at(i)
+	for i := 0; i < r.Len(); i++ {
+		b := r.At(i)
 		doc.Bins = append(doc.Bins, binJSON{
 			Epoch: b.Epoch, Min: b.Min, Max: b.Max, Mean: b.Mean(), Count: b.Count,
 		})

@@ -3,6 +3,8 @@ package health
 import (
 	"fmt"
 	"strings"
+
+	"saiyan/internal/flight"
 )
 
 // Kind selects a rule's predicate over the matched series.
@@ -166,12 +168,12 @@ func (r Rule) value(se *Series) (v float64, ok bool) {
 		}
 		return se.last.Sum, true
 	default: // KindWindowMean, KindBurnRate
-		if raw.n < r.Window {
+		if raw.Len() < r.Window {
 			return 0, false
 		}
 		var sum float64
-		for i := raw.n - r.Window; i < raw.n; i++ {
-			sum += raw.at(i).Sum
+		for i := raw.Len() - r.Window; i < raw.Len(); i++ {
+			sum += raw.At(i).Sum
 		}
 		mean := sum / float64(r.Window)
 		if r.Kind == KindWindowMean {
@@ -256,29 +258,21 @@ func (s *Store) transition(rt *ruleRT, tg *target, epoch int, v float64, state s
 	if state == StateFiring {
 		a.Traces = tg.se.harvest(epoch, rt.rule.harvestWindow())
 	}
-	s.appendJournal(a)
+	s.journal.Push(a)
 	s.delta.Alerts = append(s.delta.Alerts, a)
 }
 
 // harvest collects exemplar traces recorded within the trailing window
-// epochs, oldest first, deduplicated, formatted as fixed-width hex the
-// way flight.FormatTrace renders them.
+// epochs, oldest first, deduplicated, formatted by flight.FormatTrace.
 func (se *Series) harvest(epoch, window int) []string {
-	if se.exN == 0 {
-		return nil
-	}
 	lo := epoch - window + 1
 	var out []string
-	for i := 0; i < se.exN; i++ {
-		idx := se.exHead - se.exN + i
-		if idx < 0 {
-			idx += len(se.exem)
-		}
-		ex := se.exem[idx]
+	for i := 0; i < se.exem.Len(); i++ {
+		ex := se.exem.At(i)
 		if int(ex.epoch) < lo || int(ex.epoch) > epoch {
 			continue
 		}
-		t := fmt.Sprintf("%016x", ex.trace)
+		t := flight.FormatTrace(ex.trace)
 		dup := false
 		for _, have := range out {
 			if have == t {

@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+
+	"saiyan/internal/flight"
 )
 
 // HandlerConfig assembles the HTTP telemetry plane.
@@ -48,27 +50,6 @@ func get(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// validTrace reports whether a ?trace= query value is a well-formed
-// trace ID: an optional 0x prefix and then exactly 16 hex digits, the
-// same grammar the flight recorder's ParseTrace accepts.
-func validTrace(s string) bool {
-	if len(s) >= 2 && (s[:2] == "0x" || s[:2] == "0X") {
-		s = s[2:]
-	}
-	if len(s) != 16 {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case '0' <= c && c <= '9', 'a' <= c && c <= 'f', 'A' <= c && c <= 'F':
-		default:
-			return false
-		}
-	}
-	return true
-}
-
 // NewHandler builds the telemetry mux: /metrics (Prometheus text
 // exposition 0.0.4), /healthz (a liveness probe that always answers
 // ok), /snapshot (cached JSON), /flight (recent
@@ -102,7 +83,7 @@ func NewHandler(cfg HandlerConfig) http.Handler {
 	}))
 	mux.HandleFunc("/flight", get(func(w http.ResponseWriter, r *http.Request) {
 		trace := r.URL.Query().Get("trace")
-		if trace != "" && !validTrace(trace) {
+		if _, ok := flight.ParseTrace(trace); trace != "" && !ok {
 			http.Error(w, "malformed trace id: want 16 hex digits", http.StatusBadRequest)
 			return
 		}

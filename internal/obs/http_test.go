@@ -129,26 +129,3 @@ func TestHandlerNilCallbacks(t *testing.T) {
 		}
 	}
 }
-
-// TestValidTrace pins the ?trace= grammar shared with flight.ParseTrace:
-// an optional 0x prefix, then exactly 16 hex digits.
-func TestValidTrace(t *testing.T) {
-	good := []string{
-		"0000000000000000", "ffffffffffffffff", "00000000DEADBEEF",
-		"0x0123456789abcdef", "0XAAAAAAAAAAAAAAAA",
-	}
-	bad := []string{
-		"", "0x", "abc", "0xabc", "00000000deadbee", "00000000deadbeef0",
-		"zz000000deadbeef", "0x0x000000000000", " 000000000000000", "0000000000000000 ",
-	}
-	for _, s := range good {
-		if !validTrace(s) {
-			t.Errorf("validTrace(%q) = false, want true", s)
-		}
-	}
-	for _, s := range bad {
-		if validTrace(s) {
-			t.Errorf("validTrace(%q) = true, want false", s)
-		}
-	}
-}

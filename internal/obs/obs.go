@@ -1,9 +1,10 @@
-// Package obs is the gateway stack's dependency-free observability layer:
-// an atomic metrics registry (counters, gauges, and fixed log-bucket
-// histograms with lock-free per-worker shards merged on read) plus the
-// exposition machinery that serves it — Prometheus text format for the
-// HTTP telemetry plane and a JSON snapshot for the wire protocol's
-// metrics dump.
+// Package obs is the gateway stack's observability layer: an atomic
+// metrics registry (counters, gauges, and fixed log-bucket histograms with
+// lock-free per-worker shards merged on read) plus the exposition
+// machinery that serves it — Prometheus text format for the HTTP
+// telemetry plane and a JSON snapshot for the wire protocol's metrics
+// dump. Its one project dependency is internal/flight's trace-ID grammar
+// (FormatTrace for exemplars, ParseTrace for ?trace= queries).
 //
 // The design constraints come from the project's determinism bar:
 //
@@ -39,6 +40,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"saiyan/internal/flight"
 )
 
 // Counter is a monotonically increasing uint64. The zero value is ready;
@@ -471,7 +474,7 @@ func (h *Histogram) exemplarStrings() []string {
 	out := make([]string, len(h.exemplars))
 	for i := range h.exemplars {
 		if t := h.exemplars[i].Load(); t != 0 {
-			out[i] = fmt.Sprintf("%016x", t)
+			out[i] = flight.FormatTrace(t)
 		}
 	}
 	return out
