@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 )
@@ -127,5 +128,49 @@ func TestHandlerNilCallbacks(t *testing.T) {
 		if resp.StatusCode != 200 {
 			t.Errorf("GET %s: code %d, want 200", path, resp.StatusCode)
 		}
+	}
+}
+
+// TestValidTrace pins the /flight ?trace= check: an optional 0x prefix,
+// then exactly 16 hex digits (flight.ParseTrace's grammar). A
+// well-formed ID reaches the Flight callback verbatim; a malformed one is
+// answered with a 400 and never reaches it; an empty one is the listing.
+func TestValidTrace(t *testing.T) {
+	var got []string
+	h := NewHandler(HandlerConfig{
+		Registry: NewRegistry(),
+		Flight: func(trace string) []byte {
+			got = append(got, trace)
+			return []byte(`{}`)
+		},
+	})
+	serve := func(trace string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/flight?trace="+url.QueryEscape(trace), nil))
+		return rec.Code
+	}
+	good := []string{
+		"0000000000000000", "ffffffffffffffff", "00000000DEADBEEF",
+		"0x0123456789abcdef", "0XAAAAAAAAAAAAAAAA",
+	}
+	bad := []string{
+		"0x", "abc", "0xabc", "00000000deadbee", "00000000deadbeef0",
+		"zz000000deadbeef", "0x0x000000000000", " 000000000000000", "0000000000000000 ",
+	}
+	for _, s := range good {
+		got = nil
+		if code := serve(s); code != http.StatusOK || len(got) != 1 || got[0] != s {
+			t.Errorf("trace %q: code %d, callback saw %q; want 200 and [%q]", s, code, got, s)
+		}
+	}
+	for _, s := range bad {
+		got = nil
+		if code := serve(s); code != http.StatusBadRequest || got != nil {
+			t.Errorf("trace %q: code %d, callback saw %q; want 400 and no call", s, code, got)
+		}
+	}
+	got = nil
+	if code := serve(""); code != http.StatusOK || len(got) != 1 || got[0] != "" {
+		t.Errorf("empty trace: code %d, callback saw %q; want the listing", code, got)
 	}
 }
