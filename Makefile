@@ -50,15 +50,17 @@ golden:
 fuzz:
 	$(GO) test -run FuzzTraceRoundTrip -fuzz FuzzTraceRoundTrip -fuzztime 30s ./internal/trace
 
-# Scheduled CI fuzz sweep: ~9 minutes split across the nine codec,
-# datapath, render and segmentation fuzzers (go test allows one -fuzz
-# target per invocation). FuzzChunkRead covers the framing shared by
+# Scheduled CI fuzz sweep: ~10 minutes split across the ten codec,
+# datapath, render, detection and segmentation fuzzers (go test allows one
+# -fuzz target per invocation). FuzzChunkRead covers the framing shared by
 # traces, the wire and flight dumps; the trace and wire fuzzers cover their
 # payload codecs. FuzzFIRApply holds the interleaved FIR kernel bit-exact
 # to the one-output-at-a-time reference loop, FuzzFusedIF holds the fused
 # IF filter to the two-stage chain, FuzzFirstPeriodicRun checks the
-# preamble hunt's periodic-run search, and FuzzSegmenterChunking holds the
-# stream segmenter's windows invariant to how the capture is chunked.
+# preamble hunt's periodic-run search, FuzzCorrelationRun holds the
+# early-exit correlation run to the full correlation's peaks, and
+# FuzzSegmenterChunking holds the stream segmenter's windows invariant to
+# how the capture is chunked.
 FUZZ_TIME ?= 60s
 fuzz-sweep:
 	$(GO) test -run FuzzChunkRead -fuzz FuzzChunkRead -fuzztime $(FUZZ_TIME) ./internal/chunk
@@ -69,6 +71,7 @@ fuzz-sweep:
 	$(GO) test -run FuzzFIRApply -fuzz FuzzFIRApply -fuzztime $(FUZZ_TIME) ./internal/dsp
 	$(GO) test -run FuzzFusedIF -fuzz FuzzFusedIF -fuzztime $(FUZZ_TIME) ./internal/core
 	$(GO) test -run FuzzFirstPeriodicRun -fuzz FuzzFirstPeriodicRun -fuzztime $(FUZZ_TIME) ./internal/core
+	$(GO) test -run FuzzCorrelationRun -fuzz FuzzCorrelationRun -fuzztime $(FUZZ_TIME) ./internal/core
 	$(GO) test -run FuzzSegmenterChunking -fuzz FuzzSegmenterChunking -fuzztime $(FUZZ_TIME) ./internal/stream
 
 fmt:

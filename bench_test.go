@@ -305,7 +305,7 @@ func BenchmarkFlightOn8Workers32Tags(b *testing.B)  { benchFlightPipeline(b, 8, 
 // scheduler noise only ever add mallocs, so the minima are the true
 // per-run budgets.
 func TestTelemetryAllocNeutral(t *testing.T) {
-	const tags, framesPerTag, rounds = 4, 4, 4
+	const tags, framesPerTag, rounds = 4, 4, 12
 	ts, err := saiyan.NewTagSet(saiyan.DefaultParams(), saiyan.DefaultLinkBudget(), tags, 20, 120, 7)
 	if err != nil {
 		t.Fatal(err)

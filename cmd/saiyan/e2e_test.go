@@ -133,10 +133,12 @@ func TestServeWatchE2E(t *testing.T) {
 	}
 	churn.Close()
 
+	// Read the pipe to EOF before Wait: Wait closes StdoutPipe, and a
+	// Wait that runs first can drop the final snapshot line unread.
+	<-drained
 	if err := serve.Wait(); err != nil {
 		t.Fatalf("serve exited with %v", err)
 	}
-	<-drained
 
 	transcript := <-watchOut
 	if strings.HasPrefix(transcript, "WATCH-ERROR") {

@@ -55,8 +55,7 @@ func (d *Demodulator) NoiseStats() (baseline, sigma float64) {
 
 // comparatorTails quantizes the envelope and returns the index of every
 // high-run tail — the t_F markers of Figure 7. The result lives in receiver
-// scratch and is valid until the next comparatorTails or correlationPeaks
-// call.
+// scratch and is valid until the next comparatorTails call.
 func (d *Demodulator) comparatorTails(env []float64) []int {
 	d.scratchBit = d.comparator.Quantize(d.scratchBit, env)
 	bits := d.scratchBit
@@ -70,40 +69,56 @@ func (d *Demodulator) comparatorTails(env []float64) []int {
 	return tails
 }
 
-// correlationPeaks slides the one-symbol preamble template over the
-// envelope and returns every local correlation maximum above the detection
-// threshold, including the lag-0 and final-lag edges (a frame that starts
-// exactly at the preamble peaks at lag 0). Normalized correlation is
-// scale-free, so near-flat noise windows can correlate spuriously; a
-// positive minPeak additionally demands the envelope within each peak's
-// symbol window actually rises to that level (0 disables the gate,
-// preserving the maximum sensitivity of the synchronized per-frame path).
-// The correlation and the returned peaks live in receiver scratch; the
-// peaks are valid until the next correlationPeaks or comparatorTails call.
+// correlationRun slides the one-symbol preamble template over the
+// envelope lag by lag and feeds every local correlation maximum above the
+// detection threshold into a periodic-run tracker: the periodicRun of the
+// full peak list, without building it. Peaks include the lag-0 and
+// final-lag edges (a frame that starts exactly at the preamble peaks at
+// lag 0), and a peak is confirmed once the next lag is known. Normalized
+// correlation is scale-free, so near-flat noise windows can correlate
+// spuriously; a positive minPeak additionally demands the envelope within
+// each peak's symbol window actually rises to that level (0 disables the
+// gate, preserving the maximum sensitivity of the synchronized per-frame
+// path).
+//
+// The search stops as soon as the answer the caller wants is fixed: with
+// wantLast false (DetectPreamble anchors on the run's first peak) once a
+// run reaches minPreamblePeaks, and with wantLast true (DetectFrameSync
+// anchors on its last) once the current lag lies more than a spacing
+// tolerance past the run's last peak, since any later peak then breaks
+// the run. The lags it skips cannot change the result, so it equals the
+// full correlation's periodicRun bit for bit. It allocates nothing.
 //
 //saiyan:hotpath
-func (d *Demodulator) correlationPeaks(env []float64, minPeak float64) []int {
+func (d *Demodulator) correlationRun(env []float64, minPeak float64, wantLast bool) (first, last int, ok bool) {
 	tmpl, norm := d.detectionTemplate()
-	if len(tmpl) == 0 || len(env) < len(tmpl) {
-		return nil
+	var ncc dsp.SlidingNCC
+	n := ncc.Reset(env, tmpl, norm)
+	if n == 0 {
+		return 0, 0, false
 	}
-	d.scratchCorr = dsp.NormalizedCrossCorrelateCentered(d.scratchCorr, env, tmpl, norm)
-	c := d.scratchCorr
 	spb := int(math.Round(d.spbSamp))
-	peaks := d.scratchMarks[:0]
-	for i := 0; i < len(c); i++ {
-		if c[i] < corrDetectThreshold {
-			continue
+	r := newRunTracker(d.spbSamp)
+	var prev float64
+	cur := ncc.Next()
+	for i := 0; i < n; i++ {
+		if r.fixed(i, wantLast) {
+			break
 		}
-		if (i == 0 || c[i] >= c[i-1]) && (i+1 == len(c) || c[i] >= c[i+1]) {
-			if minPeak > 0 && dsp.Max(env[i:min(i+spb, len(env))]) < minPeak {
-				continue
+		var next float64
+		if i+1 < n {
+			next = ncc.Next()
+		}
+		// The comparisons keep the batch form's exact NaN behavior: a lag
+		// is skipped only when it is provably below the threshold.
+		if !(cur < corrDetectThreshold) && (i == 0 || cur >= prev) && (i+1 == n || cur >= next) {
+			if !(minPeak > 0 && dsp.Max(env[i:min(i+spb, len(env))]) < minPeak) {
+				r.add(i)
 			}
-			peaks = append(peaks, i)
 		}
+		prev, cur = cur, next
 	}
-	d.scratchMarks = peaks
-	return peaks
+	return r.result()
 }
 
 // detectByComparator finds high-run tails and demands minPreamblePeaks
@@ -124,7 +139,7 @@ func (d *Demodulator) detectByComparator(env []float64) (int, bool) {
 
 // detectByCorrelation demands periodic high-correlation peaks.
 func (d *Demodulator) detectByCorrelation(env []float64, minPeak float64) (int, bool) {
-	first, _, ok := periodicRun(d.correlationPeaks(env, minPeak), d.spbSamp)
+	first, _, ok := d.correlationRun(env, minPeak, false)
 	if !ok {
 		return 0, false
 	}
@@ -140,7 +155,10 @@ func (d *Demodulator) detectByCorrelation(env []float64, minPeak float64) (int, 
 // such a start slips the payload window by exactly the number of missed
 // chirps. The run's end is unambiguous no matter how many leading chirps
 // were lost, because the 2.25-symbol sync gap breaks the periodicity there
-// (a 3.25-symbol marker gap, far outside spacingTolerance).
+// (a 3.25-symbol marker gap, far outside spacingTolerance). In ModeFull
+// the correlation stops one spacing tolerance past the run's last peak,
+// where the answer is fixed: a 45-symbol window is correlated only
+// through its preamble.
 func (d *Demodulator) DetectFrameSync(env []float64) (int, bool) {
 	if d.cfg.Mode == ModeFull {
 		// A spurious correlation peak in the low-amplitude sync gap (the
@@ -150,7 +168,7 @@ func (d *Demodulator) DetectFrameSync(env []float64) (int, bool) {
 		// envelope swing: a real chirp window rises toward amax, sync-gap
 		// windows stay near the baseline.
 		gate := d.baseline + 0.4*(d.amax-d.baseline)
-		_, last, ok := periodicRun(d.correlationPeaks(env, gate), d.spbSamp)
+		_, last, ok := d.correlationRun(env, gate, true)
 		if !ok {
 			return 0, false
 		}
@@ -186,44 +204,87 @@ func (d *Demodulator) detectionTemplate() ([]float64, float64) {
 // periodicRun finds the first run of at least minPreamblePeaks markers
 // whose spacing stays within spacingTolerance of period, extends it as far
 // as the periodicity holds, and returns the run's first and last markers.
+// It feeds marks to a runTracker, which correlationRun feeds lazily.
 func periodicRun(marks []int, period float64) (first, last int, ok bool) {
-	if len(marks) < minPreamblePeaks {
-		return 0, 0, false
-	}
-	lo := period * (1 - spacingTolerance)
-	hi := period * (1 + spacingTolerance)
-	run := 1
-	runStart := 0
-	at := 0 // index of the last *accepted* marker of the current run
-	for i := 1; i < len(marks); i++ {
-		// Gaps are measured from the last accepted marker, never from an
-		// ignored one: measuring from a jittery extra marker would shrink
-		// every following gap by the jitter offset, so a single spurious
-		// tail could cascade — each true marker lands under lo relative to
-		// the previous reject and the run never grows.
-		gap := float64(marks[i] - marks[at])
-		switch {
-		case gap >= lo && gap <= hi:
-			run++
-			at = i
-		case gap < lo:
-			// A jittery extra marker inside the period: ignore it without
-			// resetting the run.
-		default:
-			// Periodicity broke; report the run if it was long enough
-			// (detection wants the earliest run, not the longest).
-			if run >= minPreamblePeaks {
-				return marks[runStart], marks[at], true
-			}
-			run = 1
-			runStart = i
-			at = i
+	r := newRunTracker(period)
+	for _, m := range marks {
+		if r.add(m) {
+			break
 		}
 	}
-	if run >= minPreamblePeaks {
-		return marks[runStart], marks[at], true
+	return r.result()
+}
+
+// runTracker is periodicRun's search fed one marker at a time, in
+// increasing order, so a caller producing markers lazily can stop as soon
+// as the answer is fixed.
+type runTracker struct {
+	lo, hi float64 // accepted marker spacing
+	run    int     // markers in the current run (0 before the first)
+	first  int     // first marker of the current run
+	last   int     // last *accepted* marker of the current run
+	closed bool    // a break ended a long-enough run: the answer is final
+}
+
+func newRunTracker(period float64) runTracker {
+	return runTracker{lo: period * (1 - spacingTolerance), hi: period * (1 + spacingTolerance)}
+}
+
+// add feeds the next marker and reports whether the run has closed, after
+// which further markers are ignored.
+//
+//saiyan:hotpath
+func (r *runTracker) add(m int) bool {
+	if r.closed {
+		return true
 	}
-	return 0, 0, false
+	if r.run == 0 {
+		r.run, r.first, r.last = 1, m, m
+		return false
+	}
+	// Gaps are measured from the last accepted marker, never from an
+	// ignored one: measuring from a jittery extra marker would shrink
+	// every following gap by the jitter offset, so a single spurious tail
+	// could cascade — each true marker lands under lo relative to the
+	// previous reject and the run never grows.
+	gap := float64(m - r.last)
+	switch {
+	case gap >= r.lo && gap <= r.hi:
+		r.run++
+		r.last = m
+	case gap < r.lo:
+		// A jittery extra marker inside the period: ignore it without
+		// resetting the run.
+	default:
+		// Periodicity broke; keep the run if it was long enough
+		// (detection wants the earliest run, not the longest).
+		if r.found() {
+			r.closed = true
+			return true
+		}
+		r.run, r.first, r.last = 1, m, m
+	}
+	return false
+}
+
+// found reports whether the current run is long enough to be a preamble.
+func (r *runTracker) found() bool { return r.run >= minPreamblePeaks }
+
+// fixed reports whether the answer can no longer change, given that every
+// marker below next has been fed. A long-enough run's first marker is
+// fixed at once: later markers only extend the run or close it. Its last
+// marker (wantLast) is fixed once the run has closed, or once any marker
+// at or after next would lie too far behind it and close it.
+func (r *runTracker) fixed(next int, wantLast bool) bool {
+	return r.found() && (!wantLast || r.closed || float64(next-r.last) > r.hi)
+}
+
+// result returns the run's first and last markers, if it is long enough.
+func (r *runTracker) result() (first, last int, ok bool) {
+	if !r.found() {
+		return 0, 0, false
+	}
+	return r.first, r.last, true
 }
 
 // CarrierSense reports whether any signal is present in the envelope: the

@@ -242,3 +242,225 @@ func FuzzFirstPeriodicRun(f *testing.F) {
 		}
 	})
 }
+
+// refCorrelationPeaks is the batch peak search correlationRun replaced:
+// the full-length correlation, then every local maximum above the
+// detection threshold that passes the envelope gate. periodicRun over its
+// peaks is the reference correlationRun must reproduce in both anchor
+// modes.
+func refCorrelationPeaks(d *Demodulator, env []float64, minPeak float64) []int {
+	tmpl, norm := d.detectionTemplate()
+	if len(tmpl) == 0 || len(env) < len(tmpl) {
+		return nil
+	}
+	c := dsp.NormalizedCrossCorrelateCentered(nil, env, tmpl, norm)
+	spb := int(math.Round(d.spbSamp))
+	var peaks []int
+	for i := 0; i < len(c); i++ {
+		if c[i] < corrDetectThreshold {
+			continue
+		}
+		if (i == 0 || c[i] >= c[i-1]) && (i+1 == len(c) || c[i] >= c[i+1]) {
+			if minPeak > 0 && dsp.Max(env[i:min(i+spb, len(env))]) < minPeak {
+				continue
+			}
+			peaks = append(peaks, i)
+		}
+	}
+	return peaks
+}
+
+// checkCorrelationRun fails t unless correlationRun agrees with the batch
+// reference: on the first peak when anchoring on the run's start, on both
+// ends when anchoring on its end. It returns the reference result.
+func checkCorrelationRun(t testing.TB, d *Demodulator, env []float64, gate float64) (first, last int, ok bool) {
+	t.Helper()
+	first, last, ok = periodicRun(refCorrelationPeaks(d, env, gate), d.spbSamp)
+	if f, _, k := d.correlationRun(env, gate, false); k != ok || f != first {
+		t.Fatalf("gate %g, first anchor: %d,%v want %d,%v (env %v)", gate, f, k, first, ok, env)
+	}
+	if f, l, k := d.correlationRun(env, gate, true); k != ok || f != first || l != last {
+		t.Fatalf("gate %g, last anchor: %d,%d,%v want %d,%d,%v (env %v)", gate, f, l, k, first, last, ok, env)
+	}
+	return first, last, ok
+}
+
+// opsEnvelope builds an envelope from op bytes: template copies at
+// varying amplitudes, short near-flat gaps, single samples, and the odd
+// NaN or infinity. Back-to-back copies, and copies one or two samples
+// apart, sit within the default symbol spacing; wider gaps break a run,
+// so periodic, broken and jittery peak runs all occur.
+func opsEnvelope(tmpl []float64, ops []byte) []float64 {
+	var env []float64
+	for i, b := range ops {
+		switch b >> 6 {
+		case 0:
+			amp := 0.25 + float64(b&63)/16
+			for _, v := range tmpl {
+				env = append(env, 1+amp*v)
+			}
+		case 1:
+			for k := range int(b&7) + 1 {
+				env = append(env, 1+0.01*float64((7*i+3*k)%5))
+			}
+		case 2:
+			env = append(env, float64(b&63)/8)
+		default:
+			switch b {
+			case 255:
+				env = append(env, math.NaN())
+			case 254:
+				env = append(env, math.Inf(1))
+			case 253:
+				env = append(env, math.Inf(-1))
+			default:
+				env = append(env, 1)
+			}
+		}
+	}
+	return env
+}
+
+// placedEnvelope is a flat envelope of n samples with one template copy
+// starting at each of lags.
+func placedEnvelope(tmpl []float64, n int, lags ...int) []float64 {
+	env := make([]float64, n)
+	for i := range env {
+		env[i] = 1
+	}
+	for _, at := range lags {
+		for k, v := range tmpl {
+			env[at+k] += v
+		}
+	}
+	return env
+}
+
+// corrTestDemod returns a calibrated ModeFull demodulator and its
+// detection template scaled to unit peak magnitude, so the envelope
+// builders' levels and the test gates are on one scale.
+func corrTestDemod(t testing.TB) (*Demodulator, []float64) {
+	t.Helper()
+	d, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Calibrate(-60, dsp.NewRand(41, 42))
+	tmpl, _ := d.detectionTemplate()
+	peak := 0.0
+	for _, v := range tmpl {
+		peak = max(peak, math.Abs(v))
+	}
+	unit := make([]float64, len(tmpl))
+	for i, v := range tmpl {
+		unit[i] = v / peak
+	}
+	return d, unit
+}
+
+// TestCorrelationRunMatchesBatch pins the early-exit correlation run to
+// the batch reference on the edge cases: gate off and on, a flat template
+// (hNorm 0), windows shorter than the template, and runs whose last peak
+// lies exactly the spacing tolerance's upper bound after the one before,
+// or one lag past it.
+func TestCorrelationRunMatchesBatch(t *testing.T) {
+	base, tmpl := corrTestDemod(t)
+	// A 10-sample period puts the accepted spacing at exactly [7, 13].
+	period10 := base.Clone()
+	period10.spbSamp = 10
+	if hi := 10 * (1 + spacingTolerance); hi != 13 {
+		t.Fatalf("period 10 spacing bound %v, want exactly 13", hi)
+	}
+	flat := base.Clone()
+	flat.detTmpl, flat.detNorm = dsp.CenterTemplate(make([]float64, len(tmpl)))
+	cases := []struct {
+		name      string
+		d         *Demodulator
+		env       []float64
+		gate      float64
+		wantOK    bool
+		wantFirst int
+		wantLast  int
+	}{
+		{"run-ends-at-hi", period10, placedEnvelope(tmpl, 90, 0, 10, 20, 30, 40, 53), 0, true, 0, 53},
+		{"run-ends-at-hi/gated", period10, placedEnvelope(tmpl, 90, 0, 10, 20, 30, 40, 53), 1.5, true, 0, 53},
+		{"run-continues-past-hi-gap", period10, placedEnvelope(tmpl, 90, 0, 10, 20, 30, 40, 53, 63), 0, true, 0, 63},
+		{"break-one-past-hi", period10, placedEnvelope(tmpl, 90, 0, 10, 20, 30, 40, 54), 0, true, 0, 40},
+		{"break-one-past-hi-at-window-end", period10, placedEnvelope(tmpl, 60, 0, 10, 20, 30, 40, 54), 0, true, 0, 40},
+		{"too-few-peaks", period10, placedEnvelope(tmpl, 90, 0, 10, 20, 30), 0, false, 0, 0},
+		{"gate-rejects-all", period10, placedEnvelope(tmpl, 90, 0, 10, 20, 30, 40), 2.5, false, 0, 0},
+		{"flat-template", flat, placedEnvelope(tmpl, 90, 0, 10, 20, 30, 40, 50), 0, false, 0, 0},
+		{"shorter-than-template", base, placedEnvelope(tmpl, len(tmpl)-1), 0, false, 0, 0},
+		{"exactly-template", base, placedEnvelope(tmpl, len(tmpl), 0), 0, false, 0, 0},
+		{"empty", base, nil, 0, false, 0, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			first, last, ok := checkCorrelationRun(t, tc.d, tc.env, tc.gate)
+			if ok != tc.wantOK || first != tc.wantFirst || last != tc.wantLast {
+				t.Errorf("run %d..%d ok=%v, want %d..%d ok=%v", first, last, ok, tc.wantFirst, tc.wantLast, tc.wantOK)
+			}
+		})
+	}
+}
+
+// TestCorrelationRunRandomized compares the early-exit correlation run
+// with the batch reference on random op envelopes, at the default symbol
+// spacing and a 10-sample one, with the gate off and on.
+func TestCorrelationRunRandomized(t *testing.T) {
+	base, tmpl := corrTestDemod(t)
+	period10 := base.Clone()
+	period10.spbSamp = 10
+	rng := dsp.NewRand(43, 44)
+	trials := 20000
+	if testing.Short() {
+		trials = 2000
+	}
+	found := 0
+	for trial := range trials {
+		ops := make([]byte, rng.IntN(40))
+		for i := range ops {
+			// Mostly copies and short gaps, so runs form often.
+			switch rng.IntN(10) {
+			case 0:
+				ops[i] = byte(rng.IntN(256))
+			case 1, 2, 3:
+				ops[i] = 64 | byte(rng.IntN(3))
+			default:
+				ops[i] = byte(rng.IntN(64))
+			}
+		}
+		d := base
+		if trial%3 == 0 {
+			d = period10
+		}
+		env := opsEnvelope(tmpl, ops)
+		for _, gate := range []float64{0, 1.1, 1.6} {
+			if _, _, ok := checkCorrelationRun(t, d, env, gate); ok {
+				found++
+			}
+		}
+	}
+	if found < trials/10 {
+		t.Errorf("only %d of %d checks found a run: the generator no longer exercises the early exit", found, 3*trials)
+	}
+}
+
+// FuzzCorrelationRun holds the early-exit correlation run to the batch
+// reference, periodicRun over the full correlation's peaks, on fuzzed op
+// envelopes (see opsEnvelope), gates and symbol spacings.
+func FuzzCorrelationRun(f *testing.F) {
+	base, tmpl := corrTestDemod(f)
+	f.Add([]byte{8, 64, 8, 64, 8, 64, 8, 64, 8, 64, 8}, byte(0), false)
+	f.Add([]byte{8, 8, 8, 8, 8, 71, 8, 8, 8}, byte(70), false)
+	f.Add([]byte{8, 65, 8, 65, 8, 65, 8, 65, 8, 67, 8}, byte(0), true)
+	f.Add([]byte{8, 64, 8, 255, 8, 64, 8, 64, 8, 254}, byte(0), false)
+	f.Add([]byte{8, 64, 8}, byte(0), false)
+	f.Fuzz(func(t *testing.T, ops []byte, gate byte, period10 bool) {
+		d := base.Clone()
+		if period10 {
+			d.spbSamp = 10
+		}
+		checkCorrelationRun(t, d, opsEnvelope(tmpl, ops), float64(gate)/64)
+	})
+}

@@ -71,11 +71,9 @@ type Demodulator struct {
 	// The peak tracker's symbol window bounds and analog.PeakEdges output.
 	scratchBounds []int
 	scratchEdges  []analog.PeakEdge
-	// The preamble hunt and per-window AGC reuse these: scratchCorr holds
-	// the detection correlation, scratchMarks the comparator tails or
-	// correlation peaks handed to periodicRun, and scratchSort the sorted
-	// copy AutoCalibrate reads its percentiles from.
-	scratchCorr  []float64
+	// The preamble hunt and per-window AGC reuse these: scratchMarks holds
+	// the comparator tails handed to periodicRun, and scratchSort the
+	// sorted copy AutoCalibrate reads its percentiles from.
 	scratchMarks []int
 	scratchSort  []float64
 }

@@ -29,50 +29,79 @@ func CenterTemplate(h []float64) ([]float64, float64) {
 // NormalizedCrossCorrelateCentered is NormalizedCrossCorrelate against a
 // template already centered by CenterTemplate (hc, with norm hNorm). Its
 // results are bit-identical to NormalizedCrossCorrelate on the original
-// template, and it allocates only when dst is too small.
+// template, and it allocates only when dst is too small. It is a loop over
+// SlidingNCC; a caller that can stop early steps a SlidingNCC itself.
 func NormalizedCrossCorrelateCentered(dst, x, hc []float64, hNorm float64) []float64 {
-	m := len(hc)
-	n := len(x) - m + 1
-	if n <= 0 {
-		return dst[:0]
-	}
+	var s SlidingNCC
+	n := s.Reset(x, hc, hNorm)
 	if cap(dst) < n {
 		dst = make([]float64, n)
 	}
 	dst = dst[:n]
-	if hNorm == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return dst
-	}
-	// Sliding sums for the window mean and energy.
-	var sum, sumSq float64
-	for _, v := range x[:m] {
-		sum += v
-		sumSq += v * v
-	}
-	for lag := 0; lag < n; lag++ {
-		if lag > 0 {
-			out := x[lag-1]
-			in := x[lag+m-1]
-			sum += in - out
-			sumSq += in*in - out*out
-		}
-		mean := sum / float64(m)
-		energy := sumSq - float64(m)*mean*mean
-		if energy <= 0 {
-			dst[lag] = 0
-			continue
-		}
-		var dot float64
-		seg := x[lag : lag+m]
-		for i, hv := range hc {
-			dot += hv * seg[i]
-		}
-		dst[lag] = dot / (hNorm * math.Sqrt(energy))
+	for lag := range dst {
+		dst[lag] = s.Next()
 	}
 	return dst
+}
+
+// SlidingNCC steps NormalizedCrossCorrelateCentered one lag at a time,
+// so a caller that knows its answer after a prefix of the lags can stop
+// there. It keeps the sliding window sums between calls, and every lag
+// comes out bit-identical to the full correlation's. The zero value is
+// ready for Reset.
+type SlidingNCC struct {
+	x, hc      []float64
+	hNorm      float64
+	sum, sumSq float64 // sliding sums over the current lag's window
+	lag        int     // next lag
+}
+
+// Reset points s at signal x and centered template hc (with norm hNorm),
+// positioned at lag 0, and returns the number of lags, len(x)-len(hc)+1
+// (0 when x is shorter than the template). It allocates nothing.
+func (s *SlidingNCC) Reset(x, hc []float64, hNorm float64) int {
+	n := max(len(x)-len(hc)+1, 0)
+	*s = SlidingNCC{x: x, hc: hc, hNorm: hNorm}
+	if n == 0 || hNorm == 0 {
+		return n
+	}
+	for _, v := range x[:len(hc)] {
+		s.sum += v
+		s.sumSq += v * v
+	}
+	return n
+}
+
+// Next returns the correlation at the next lag and advances. Windows with
+// zero variance, and every lag against a flat template (hNorm 0),
+// correlate to 0. Next must be called at most the number of lags Reset
+// returned.
+//
+//saiyan:hotpath
+func (s *SlidingNCC) Next() float64 {
+	lag := s.lag
+	s.lag++
+	if s.hNorm == 0 {
+		return 0
+	}
+	m := len(s.hc)
+	if lag > 0 {
+		out := s.x[lag-1]
+		in := s.x[lag+m-1]
+		s.sum += in - out
+		s.sumSq += in*in - out*out
+	}
+	mean := s.sum / float64(m)
+	energy := s.sumSq - float64(m)*mean*mean
+	if energy <= 0 {
+		return 0
+	}
+	var dot float64
+	seg := s.x[lag : lag+m]
+	for i, hv := range s.hc {
+		dot += hv * seg[i]
+	}
+	return dot / (s.hNorm * math.Sqrt(energy))
 }
 
 // Argmax returns the index and value of the maximum element of x, or (-1, 0)

@@ -155,3 +155,107 @@ func TestNormalizedCrossCorrelateCenteredBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// refCentered is NormalizedCrossCorrelateCentered as written before the
+// lag loop moved into SlidingNCC: the reference the stepper must match bit
+// for bit.
+func refCentered(x, hc []float64, hNorm float64) []float64 {
+	m := len(hc)
+	n := len(x) - m + 1
+	if n <= 0 {
+		return nil
+	}
+	dst := make([]float64, n)
+	if hNorm == 0 {
+		return dst
+	}
+	var sum, sumSq float64
+	for _, v := range x[:m] {
+		sum += v
+		sumSq += v * v
+	}
+	for lag := 0; lag < n; lag++ {
+		if lag > 0 {
+			out := x[lag-1]
+			in := x[lag+m-1]
+			sum += in - out
+			sumSq += in*in - out*out
+		}
+		mean := sum / float64(m)
+		energy := sumSq - float64(m)*mean*mean
+		if energy <= 0 {
+			dst[lag] = 0
+			continue
+		}
+		var dot float64
+		seg := x[lag : lag+m]
+		for i, hv := range hc {
+			dot += hv * seg[i]
+		}
+		dst[lag] = dot / (hNorm * math.Sqrt(energy))
+	}
+	return dst
+}
+
+// TestSlidingNCCBitIdentical holds SlidingNCC, stepped lag by lag after a
+// reused Reset, and the NormalizedCrossCorrelateCentered loop over it,
+// bit-identical to the pre-stepper kernel: on regular inputs and on NaN,
+// ±Inf, zero-energy, flat-template and too-short ones.
+func TestSlidingNCCBitIdentical(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	ramp := func(n int, at int, v float64) []float64 {
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = math.Sin(0.7*float64(i)) + 0.01*float64(i)
+		}
+		if at >= 0 {
+			x[at] = v
+		}
+		return x
+	}
+	tmpl := []float64{0.1, 0.9, 0.4, -0.3, 0.2, 0.6}
+	cases := []struct {
+		name string
+		x, h []float64
+	}{
+		{"regular", ramp(40, -1, 0), tmpl},
+		{"nan-early", ramp(40, 2, nan), tmpl},
+		{"nan-late", ramp(40, 33, nan), tmpl},
+		{"+inf", ramp(40, 10, inf), tmpl},
+		{"-inf", ramp(40, 10, -inf), tmpl},
+		{"zero-energy", make([]float64, 30), tmpl},
+		{"flat-run", append(append(ramp(12, -1, 0), 5, 5, 5, 5, 5, 5, 5, 5, 5, 5), ramp(12, -1, 0)...), tmpl},
+		{"flat-template", ramp(20, -1, 0), []float64{3, 3, 3}},
+		{"nan-template", ramp(20, -1, 0), []float64{1, nan, 2}},
+		{"exact-length", ramp(6, -1, 0), tmpl},
+		{"too-short", ramp(5, -1, 0), tmpl},
+		{"empty", nil, tmpl},
+		{"one-tap", ramp(9, 4, nan), []float64{2}},
+		{"large-offset", append(ramp(30, -1, 0), 1e9, 1e9+1, 1e9-1, 1e9), tmpl},
+	}
+	var s SlidingNCC
+	var dst []float64
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			hc, norm := CenterTemplate(tc.h)
+			want := refCentered(tc.x, hc, norm)
+			n := s.Reset(tc.x, hc, norm)
+			if n != len(want) {
+				t.Fatalf("Reset reports %d lags, want %d", n, len(want))
+			}
+			dst = NormalizedCrossCorrelateCentered(dst, tc.x, hc, norm)
+			if len(dst) != len(want) {
+				t.Fatalf("NormalizedCrossCorrelateCentered: %d lags, want %d", len(dst), len(want))
+			}
+			for lag := range want {
+				w := math.Float64bits(want[lag])
+				if got := s.Next(); math.Float64bits(got) != w {
+					t.Fatalf("stepper lag %d = %v, want %v", lag, got, want[lag])
+				}
+				if math.Float64bits(dst[lag]) != w {
+					t.Fatalf("loop lag %d = %v, want %v", lag, dst[lag], want[lag])
+				}
+			}
+		})
+	}
+}

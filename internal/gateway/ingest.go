@@ -281,7 +281,7 @@ func (g *Gateway) segment(ctx context.Context, p *pipeline.Pipeline, epoch int, 
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		j := pipeline.Job{Tag: -1, Env: w.Env, EnvC: w.EnvC, NSymbols: w.NSymbols}
+		j := pipeline.Job{Tag: -1, Env: w.Env, EnvC: w.EnvC, Release: w.Release, NSymbols: w.NSymbols}
 		ref := jobRef{grp: grp, event: -1}
 		if idx, ok := grp.capture.Match(w.Start); ok && !claimed[idx] {
 			claimed[idx] = true

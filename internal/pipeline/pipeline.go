@@ -138,6 +138,10 @@ type Job struct {
 	Env []float64
 	// EnvC is the matching correlator-rate window (ModeFull pipelines).
 	EnvC []float64
+	// Release, when non-nil, is called with Env and EnvC once the worker
+	// has decoded them, and neither is read after: a stream segmenter
+	// lends its window buffers and takes them back here.
+	Release func(env, envC []float64)
 	// NSymbols is the expected payload length of the Env window.
 	NSymbols int
 	// Want optionally carries the transmitted payload symbols; when set,
@@ -627,6 +631,9 @@ func (p *Pipeline) process(ws *workerState, sc *core.FrameScratch, j job, w int)
 		}
 		res.Symbols, res.Detected, res.Err = ws.streamD.DecodeStreamWindow(j.Env, j.EnvC, j.NSymbols, p.cfg.AGC)
 		cycles = ws.streamD.TakeFxpCycles()
+		if j.Release != nil {
+			j.Release(j.Env, j.EnvC)
+		}
 	default:
 		res.Err = errEmptyJob
 	}

@@ -24,8 +24,9 @@ func idleChunks(t *testing.T) []sim.Chunk {
 }
 
 // TestSegmenterPushIdleAllocs pins the steady-state hunt over idle air at
-// zero allocations: each chunk is copied once into the carry buffer, and
-// the carrier-sense scans and their buffer advances allocate nothing.
+// zero allocations: each chunk's live tail is copied into the carry
+// buffers, and the carrier-sense scans and their buffer advances allocate
+// nothing.
 func TestSegmenterPushIdleAllocs(t *testing.T) {
 	chunks := idleChunks(t)
 	_, scfg := testConfigs()
@@ -50,8 +51,9 @@ func TestSegmenterPushIdleAllocs(t *testing.T) {
 }
 
 // TestDetectPreambleGatedAllocs pins the segmenter's preamble detector at
-// zero allocations: the correlation and its peak list live in demodulator
-// scratch, and the detection template is centered once at calibration.
+// zero allocations: the correlation is stepped lag by lag into a run
+// tracker with no buffer, and the detection template is centered once at
+// calibration.
 func TestDetectPreambleGatedAllocs(t *testing.T) {
 	capture := testCapture(t, 2, 1, sim.TimelineConfig{})
 	_, scfg := testConfigs()
@@ -72,7 +74,7 @@ func TestDetectPreambleGatedAllocs(t *testing.T) {
 
 // TestDecodeStreamWindowAllocs pins window decode on both datapaths at one
 // allocation, the returned symbol slice: AutoCalibrate sorts into scratch
-// and frame sync reuses the detection scratch.
+// and frame sync steps the correlation without a buffer.
 func TestDecodeStreamWindowAllocs(t *testing.T) {
 	capture := testCapture(t, 2, 1, sim.TimelineConfig{})
 	windows := segmentWindows(t, capture, capture.Chunks(0))
@@ -98,5 +100,35 @@ func TestDecodeStreamWindowAllocs(t *testing.T) {
 		if allocs > 1 {
 			t.Errorf("datapath %v: DecodeStreamWindow %.1f allocations, want at most 1 (the symbol slice)", dp, allocs)
 		}
+	}
+}
+
+// TestExtractRecycledAllocs pins window extraction at zero allocations
+// once the pipeline hands window buffers back: the emit callback releases
+// each window as a decoding worker would, and every run cuts the same
+// frame out of the carry buffers again.
+func TestExtractRecycledAllocs(t *testing.T) {
+	capture := testCapture(t, 2, 1, sim.TimelineConfig{})
+	_, scfg := testConfigs()
+	scfg.PayloadSymbols = capture.PayloadSymbols
+	seg, err := NewSegmenter(scfg, func(w Window) error {
+		w.Release(w.Env, w.EnvC)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	at, n, r := capture.Events[0].StartSamp, seg.frameLen, capture.CorrOversample
+	buf := seg.store[:copy(seg.store, capture.Env[at:at+n])]
+	bufC := seg.storeC[:copy(seg.storeC, capture.EnvC[at*r:(at+n)*r])]
+	extract := func() {
+		seg.buf, seg.bufC = buf, bufC
+		if err := seg.extract(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	extract()
+	if allocs := testing.AllocsPerRun(20, extract); allocs != 0 {
+		t.Errorf("extract with windows handed back: %.1f allocations, want 0", allocs)
 	}
 }

@@ -72,13 +72,21 @@ func (c Config) withDefaults() (Config, error) {
 type Window struct {
 	// Start is the absolute sampler-rate index of Env[0] in the capture.
 	Start int64
-	// Env is the sampler-rate window (owned copy; preamble through payload
-	// end, possibly shorter at the end of the capture).
+	// Env is the sampler-rate window (preamble through payload end,
+	// possibly shorter at the end of the capture). It is a copy out of the
+	// carry buffer, into a buffer the segmenter lends: it stays valid until
+	// it is handed back through Release, and for good if it never is.
 	Env []float64
-	// EnvC is the matching correlator-rate window (ModeFull; nil otherwise).
+	// EnvC is the matching correlator-rate window (ModeFull; nil otherwise),
+	// lent and handed back together with Env.
 	EnvC []float64
 	// NSymbols is the expected payload length.
 	NSymbols int
+	// Release hands Env and EnvC back to the segmenter, which reuses them
+	// for a later window; neither may be read after. Call it at most once
+	// per window. The pipeline calls it (as Job.Release) once the window
+	// is decoded; a window never handed back is simply garbage collected.
+	Release func(env, envC []float64)
 }
 
 // Segmenter carries preamble-hunt state across chunk deliveries. Feed it
@@ -87,11 +95,15 @@ type Window struct {
 // capture order. A Segmenter is not safe for concurrent use.
 //
 // The carry buffer is a live view into a backing array sized once by
-// NewSegmenter: Push copies each chunk into it once, and consumed samples
-// are dropped by moving the view's head, not by shifting the samples. The
-// live tail moves to the front of the array only when a chunk does not fit
-// behind it. Emitted windows are still owned copies, so they outlive the
-// buffer.
+// NewSegmenter: Push copies each sampler-rate chunk into it once, and
+// consumed samples are dropped by moving the view's head, not by shifting
+// the samples. The live tail moves to the front of the array only when a
+// chunk does not fit behind it. The correlator-rate chunk, CorrOversample
+// times the size, is read in place while Push scans: only extract reads it, and only
+// what is still live after the scan is copied into its carry buffer, so
+// of idle air at that rate only the hunt's overlap tail is copied. Emitted windows are
+// copies into buffers from a bounded free list that the pipeline refills
+// through Window.Release, so they outlive the carry buffer.
 type Segmenter struct {
 	cfg  Config
 	d    *core.Demodulator
@@ -105,11 +117,15 @@ type Segmenter struct {
 	gate      float64 // minimum envelope excursion for a detection marker
 
 	buf     []float64 // sampler-rate samples not yet consumed: a view into store
-	bufC    []float64 // correlator-rate counterpart: a view into storeC
+	bufC    []float64 // correlator-rate samples carried from earlier pushes: a view into storeC
+	chunkC  []float64 // the pushed chunk's correlator-rate samples, live after bufC (during Push only)
 	store   []float64 // backing array of buf
 	storeC  []float64 // backing array of bufC
 	base    int64     // absolute sampler index of buf[0]
 	pending int       // detected preamble start awaiting a full window (-1 = none)
+
+	free    *windowFree               // window buffers handed back by Release
+	release func(env, envC []float64) // free.put, bound once
 
 	windows int // frames emitted so far
 	samples int64
@@ -165,6 +181,8 @@ func NewSegmenter(cfg Config, emit func(Window) error) (*Segmenter, error) {
 		s.storeC = make([]float64, len(s.store)*s.ratio)
 		s.bufC = s.storeC[:0]
 	}
+	s.free = &windowFree{bufs: make(chan windowBufs, freeWindows), envLen: s.frameLen, envCLen: s.frameLen * s.ratio}
+	s.release = s.free.put
 	s.scans = cfg.Metrics.Counter("saiyan_stream_scans_total", "carrier-sense scans over the hunt window")
 	s.emitted = cfg.Metrics.Counter("saiyan_stream_windows_emitted_total", "frame windows extracted and emitted")
 	s.rejected = cfg.Metrics.Counter("saiyan_stream_windows_rejected_total", "hunt windows with carrier but no preamble lock")
@@ -186,9 +204,11 @@ func (s *Segmenter) SamplesIn() int64 { return s.samples }
 
 // Push appends one delivery chunk (envC may be nil outside ModeFull) and
 // scans as far as the buffered samples allow. Frames straddling the chunk
-// boundary stay pending until the rest arrives. Each chunk is copied once,
-// into the carry buffer; Push allocates only when a chunk does not fit
-// there even after the live tail moves to the front.
+// boundary stay pending until the rest arrives. The sampler-rate chunk is
+// copied once, into the carry buffer; of envC only what the scan leaves
+// live is copied, and neither chunk is referenced after Push returns.
+// Push allocates only when a chunk does not fit in a carry buffer even
+// after the live tail moves to the front.
 //
 //saiyan:hotpath
 func (s *Segmenter) Push(env, envC []float64) error {
@@ -196,11 +216,15 @@ func (s *Segmenter) Push(env, envC []float64) error {
 		s.carries.Inc()
 	}
 	s.store, s.buf = carry(s.store, s.buf, env)
-	if s.ratio > 0 {
-		s.storeC, s.bufC = carry(s.storeC, s.bufC, envC)
-	}
 	s.samples += int64(len(env))
-	return s.scan(false)
+	if s.ratio == 0 {
+		return s.scan(false)
+	}
+	s.chunkC = envC
+	err := s.scan(false)
+	s.storeC, s.bufC = carry(s.storeC, s.bufC, s.chunkC)
+	s.chunkC = nil
+	return err
 }
 
 // carry appends x to live, a view into store. When x does not fit behind
@@ -241,24 +265,39 @@ func (s *Segmenter) advance(n int) {
 	}
 	s.buf = s.buf[n:]
 	if s.ratio > 0 {
-		s.bufC = s.bufC[min(n*s.ratio, len(s.bufC)):]
+		// The correlator-rate samples run on from bufC into chunkC.
+		c := n * s.ratio
+		k := min(c, len(s.bufC))
+		s.bufC = s.bufC[k:]
+		s.chunkC = s.chunkC[min(c-k, len(s.chunkC)):]
 	}
 	s.base += int64(n)
 }
 
 // extract emits the window starting at buffer offset start and consumes
-// everything through its end.
+// everything through its end. The window's samples are copied into
+// buffers from the free list, so extract allocates only when no window
+// has been handed back.
+//
+//saiyan:hotpath
 func (s *Segmenter) extract(start int) error {
 	end := min(start+s.frameLen, len(s.buf))
+	env, envC := s.free.get()
 	w := Window{
 		Start:    s.base + int64(start),
-		Env:      append([]float64(nil), s.buf[start:end]...),
+		Env:      env[:copy(env, s.buf[start:end])],
 		NSymbols: s.cfg.PayloadSymbols,
+		Release:  s.release,
 	}
 	if s.ratio > 0 {
-		cLo := min(start*s.ratio, len(s.bufC))
-		cHi := min(end*s.ratio, len(s.bufC))
-		w.EnvC = append([]float64(nil), s.bufC[cLo:cHi]...)
+		// The window's correlator-rate span [lo, hi) runs on from bufC into
+		// chunkC.
+		nb := len(s.bufC)
+		lo := min(start*s.ratio, nb+len(s.chunkC))
+		hi := min(end*s.ratio, nb+len(s.chunkC))
+		n := copy(envC, s.bufC[min(lo, nb):min(hi, nb)])
+		n += copy(envC[n:], s.chunkC[max(lo-nb, 0):max(hi-nb, 0)])
+		w.EnvC = envC[:n]
 	}
 	s.windows++
 	s.pending = -1
@@ -268,6 +307,52 @@ func (s *Segmenter) extract(start int) error {
 	}
 	s.advance(end)
 	return nil
+}
+
+// freeWindows bounds a segmenter's free list of window buffers: enough
+// for the windows a pipeline holds queued and in decode, and at most a
+// few hundred kilobytes per segmenter at default payload lengths.
+const freeWindows = 32
+
+// windowFree is a segmenter's bounded free list of window buffers. The
+// segmenter takes from it in extract, on its own goroutine; pipeline
+// workers hand buffers back through Window.Release.
+type windowFree struct {
+	bufs            chan windowBufs // capacity freeWindows
+	envLen, envCLen int             // buffer capacities: one frame window at each rate
+}
+
+// windowBufs is one window's pair of buffers, at full capacity.
+type windowBufs struct{ env, envC []float64 }
+
+// get returns a full-length pair of window buffers, reused when one has
+// been handed back and otherwise cut from one new allocation (envC is
+// empty outside ModeFull).
+//
+//saiyan:hotpath
+func (f *windowFree) get() (env, envC []float64) {
+	select {
+	case b := <-f.bufs:
+		return b.env, b.envC
+	default:
+	}
+	buf := make([]float64, f.envLen+f.envCLen) //lint:allow hotalloc only until windows are handed back, and once per window for a consumer that keeps them
+	return buf[:f.envLen:f.envLen], buf[f.envLen:]
+}
+
+// put takes a window's buffers back for reuse. Buffers of another shape
+// are ignored, and so is the pair once the list is full: the garbage
+// collector takes those.
+//
+//saiyan:hotpath
+func (f *windowFree) put(env, envC []float64) {
+	if cap(env) != f.envLen || cap(envC) != f.envCLen {
+		return
+	}
+	select {
+	case f.bufs <- windowBufs{env[:cap(env)], envC[:cap(envC)]}:
+	default:
+	}
 }
 
 // scan is the hunt loop: carrier-sense gate over the leading hunt window,

@@ -33,7 +33,7 @@ func NewSource(cfg Config, capture *sim.Stream, chunkSamples int) (*Source, erro
 	s := &Source{chunks: capture.Chunks(chunkSamples)}
 	claimed := make([]bool, len(capture.Events))
 	seg, err := NewSegmenter(cfg, func(w Window) error {
-		j := pipeline.Job{Tag: -1, Env: w.Env, EnvC: w.EnvC, NSymbols: w.NSymbols}
+		j := pipeline.Job{Tag: -1, Env: w.Env, EnvC: w.EnvC, Release: w.Release, NSymbols: w.NSymbols}
 		if idx, ok := capture.Match(w.Start); ok && !claimed[idx] {
 			claimed[idx] = true
 			j.Tag, j.Want = capture.Events[idx].Tag, capture.Events[idx].Want

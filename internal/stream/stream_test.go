@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"saiyan/internal/core"
@@ -317,5 +319,95 @@ func TestSegmenterConfigValidation(t *testing.T) {
 	bad.Oversample = 1
 	if _, err := NewSegmenter(Config{Demod: bad}, func(Window) error { return nil }); err == nil {
 		t.Error("invalid demodulator config accepted")
+	}
+}
+
+// TestRecycledWindowsDecodeAsOwnedCopies runs the window hand-off under
+// load: four pipeline workers decode windows and hand their buffers back
+// while the segmenter keeps cutting new windows into the recycled ones.
+// Every window must decode exactly as its never-recycled copy does, so no
+// buffer was reused while a worker still read it; under -race the test
+// also checks the hand-off's synchronization.
+func TestRecycledWindowsDecodeAsOwnedCopies(t *testing.T) {
+	capture := testCapture(t, 8, 8, sim.TimelineConfig{OverlapEvery: 4})
+	chunks := capture.Chunks(97)
+	owned := segmentWindows(t, capture, chunks)
+	if len(owned) <= freeWindows {
+		t.Fatalf("%d windows, want more than the %d-buffer free list", len(owned), freeWindows)
+	}
+	master, err := core.New(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	master.PrewarmAuto()
+	d := master.Clone()
+	agc := core.DefaultAGCConfig()
+	type outcome struct {
+		syms     []int
+		detected bool
+	}
+	want := make([]outcome, len(owned))
+	for i, w := range owned {
+		syms, ok, err := d.DecodeStreamWindow(w.Env, w.EnvC, w.NSymbols, agc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = outcome{append([]int(nil), syms...), ok}
+	}
+
+	pcfg, scfg := testConfigs()
+	pcfg.Workers = 4
+	pcfg.DiscardResults = false
+	scfg.PayloadSymbols = capture.PayloadSymbols
+	p, err := pipeline.New(pcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]outcome, len(owned))
+	collected := make(chan int)
+	go func() {
+		n := 0
+		for res := range p.Results() {
+			if res.Err != nil {
+				t.Error(res.Err)
+			}
+			if int(res.Seq) < len(got) {
+				got[res.Seq] = outcome{res.Symbols, res.Detected}
+			}
+			n++
+		}
+		collected <- n
+	}()
+	var released atomic.Int64
+	seg, err := NewSegmenter(scfg, func(w Window) error {
+		return p.Submit(pipeline.Job{Tag: -1, Env: w.Env, EnvC: w.EnvC, NSymbols: w.NSymbols,
+			Release: func(env, envC []float64) {
+				released.Add(1)
+				w.Release(env, envC)
+			}})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range chunks {
+		if err := seg.Push(c.Env, c.EnvC); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := seg.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	p.Drain()
+	if n := <-collected; n != len(owned) {
+		t.Fatalf("%d results, want %d", n, len(owned))
+	}
+	if n := released.Load(); n != int64(len(owned)) {
+		t.Errorf("%d windows handed back, want %d", n, len(owned))
+	}
+	for i := range want {
+		if got[i].detected != want[i].detected || !slices.Equal(got[i].syms, want[i].syms) {
+			t.Errorf("window %d: decoded %v (detected %v) from a recycled buffer, want %v (detected %v)",
+				i, got[i].syms, got[i].detected, want[i].syms, want[i].detected)
+		}
 	}
 }
