@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 )
@@ -90,16 +92,24 @@ func TestQuickExperimentsSmoke(t *testing.T) {
 	}
 }
 
+// experimentTablesPin is the SHA-256 of every quick-mode table, rendered in
+// registry order at the default seed. It holds the reproduction's printed
+// results byte for byte across commits. A change that moves a table on
+// purpose sets the hash TestAllExperimentsQuick reports here and says so.
+const experimentTablesPin = "413540f3b87d1faa09937a7f9a44f2c0dfc061335a4f8111b93150929e926c92"
+
 // TestAllExperimentsQuick runs the entire registry in quick mode. It is the
 // integration test for the whole reproduction; the full run takes tens of
 // seconds, so -short further cuts the Monte-Carlo trial counts to keep
-// registry coverage while finishing in seconds.
+// registry coverage while finishing in seconds. Outside -short it also
+// hashes every rendered table against experimentTablesPin.
 func TestAllExperimentsQuick(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Quick = true
 	if testing.Short() {
 		opts.TrialScale = 0.05
 	}
+	h := sha256.New()
 	for _, e := range List() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
@@ -110,6 +120,15 @@ func TestAllExperimentsQuick(t *testing.T) {
 			if len(tab.Rows) == 0 {
 				t.Fatalf("%s: empty table", e.ID)
 			}
+			if err := tab.Render(h); err != nil {
+				t.Fatalf("%s render: %v", e.ID, err)
+			}
 		})
+	}
+	if testing.Short() || t.Failed() {
+		return
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != experimentTablesPin {
+		t.Fatalf("experiment tables hash = %s, want %s", got, experimentTablesPin)
 	}
 }
