@@ -34,17 +34,22 @@ bench:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
-# Replay the checked-in golden trace and check the gateway and
-# peak-tracking output pins (blocking in CI). After an intentional
-# demodulator behavior change, regenerate the trace with:
+# Replay the checked-in golden trace and check the gateway, peak-tracking,
+# experiment-table and waveform output pins (blocking in CI). After an
+# intentional demodulator behavior change, regenerate the trace with:
 #   go test ./internal/pipeline -run TestGoldenTraceReplay -update-golden
 # and set gatewayOutputPin (internal/gateway/pin_test.go) to the hash
 # TestGatewayOutputPinned reports. After an intentional change to the
 # comparator (ModeVanilla/ModeFreqShift) decoders on either datapath, set
 # peakTrackingPin (internal/core/pin_test.go) to the hash
-# TestPeakTrackingPinned reports.
+# TestPeakTrackingPinned reports. After an intentional change to a
+# quick-mode experiment table, set experimentTablesPin
+# (internal/experiments/experiments_test.go) to the hash
+# TestAllExperimentsQuick reports outside -short; after one to a waveform,
+# set the hashes in cmd/saiyan/wave_test.go to those TestWaveOutputPinned
+# reports.
 golden:
-	$(GO) test -run 'TestGoldenTraceReplay|TestGatewayOutputPinned|TestPeakTrackingPinned' -count=1 -v ./internal/pipeline ./internal/gateway ./internal/core
+	$(GO) test -run 'TestGoldenTraceReplay|TestGatewayOutputPinned|TestPeakTrackingPinned|TestAllExperimentsQuick|TestWaveOutputPinned' -count=1 -v ./internal/pipeline ./internal/gateway ./internal/core ./internal/experiments ./cmd/saiyan
 
 # Short fuzz session over the trace codec.
 fuzz:

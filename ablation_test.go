@@ -120,12 +120,12 @@ func BenchmarkAblationComparatorChatter(b *testing.B) {
 	})
 	b.Run("single-UH", func(b *testing.B) {
 		run(b, func(env []float64) []bool {
-			return analog.SingleThreshold{Level: th.High}.Quantize(nil, env)
+			return analog.Comparator[float64]{High: th.High, Low: th.High}.Quantize(nil, env)
 		})
 	})
 	b.Run("single-UL", func(b *testing.B) {
 		run(b, func(env []float64) []bool {
-			return analog.SingleThreshold{Level: th.Low}.Quantize(nil, env)
+			return analog.Comparator[float64]{High: th.Low, Low: th.Low}.Quantize(nil, env)
 		})
 	})
 }

@@ -41,6 +41,9 @@
 //	saiyan fxp [-tags M -frames F -workers N -adcbits B]
 //	                                float vs fixed-point (MCU) datapath:
 //	                                parity, speed, cycle/energy budget
+//	saiyan wave [-wave symbol|frame|saw -symbol S -k K -mode M -seed N]
+//	                                dump simulated waveforms as CSV
+//	                                (Figures 6 and 8; -seed 0 = noise free)
 //	saiyan -pipeline [-workers N -tags M -frames F]
 //	                                multi-tag concurrent demodulation demo
 //
@@ -99,6 +102,7 @@ var subcommands = []subcommand{
 	{"watch", "subscribe to a serving gateway and print its live transcript", runWatch},
 	{"health", "query a serving gateway's link-health plane: sparklines + active alerts", runHealth},
 	{"fxp", "compare the float and fixed-point (MCU) datapaths: parity, speed, cycle budget", runFxp},
+	{"wave", "dump simulated chirp, envelope and comparator waveforms as CSV (Figures 6 and 8)", runWave},
 }
 
 // usageError prints a consistent usage failure and exits 2 — the one exit

@@ -154,7 +154,7 @@ func TestAddBasebandImpairments(t *testing.T) {
 }
 
 func TestComparatorHysteresis(t *testing.T) {
-	c := Comparator{High: 1.0, Low: 0.5}
+	c := Comparator[float64]{High: 1.0, Low: 0.5}
 	// Rises above High, dips to between Low and High (stays high), falls
 	// below Low (goes low), chatters below High (stays low).
 	x := []float64{0, 0.6, 1.2, 0.7, 1.1, 0.4, 0.9, 0.3}
@@ -172,7 +172,7 @@ func TestComparatorEquationThree(t *testing.T) {
 	// falls without crossing below Low — Eq. (3) verbatim.
 	f := func(seed uint64) bool {
 		rng := dsp.NewRand(seed, 41)
-		c := Comparator{High: 0.8, Low: 0.3}
+		c := Comparator[float64]{High: 0.8, Low: 0.3}
 		x := make([]float64, 200)
 		for i := range x {
 			x[i] = rng.Float64() * 1.2
@@ -205,14 +205,14 @@ func TestDoubleThresholdBeatsSingleOnChatter(t *testing.T) {
 		0.2, 0.1, 0.05,
 	}
 	uh, ul := 0.8, 0.4
-	double := Comparator{High: uh, Low: ul}
+	double := Comparator[float64]{High: uh, Low: ul}
 	if n := Transitions(double.Quantize(nil, x)); n != 1 {
 		t.Errorf("double threshold rising edges = %d, want 1", n)
 	}
-	if n := Transitions(SingleThreshold{uh}.Quantize(nil, x)); n < 2 {
+	if n := Transitions(Comparator[float64]{High: uh, Low: uh}.Quantize(nil, x)); n < 2 {
 		t.Errorf("single U_H rising edges = %d, want >= 2 (valley chatter)", n)
 	}
-	if n := Transitions(SingleThreshold{ul}.Quantize(nil, x)); n < 2 {
+	if n := Transitions(Comparator[float64]{High: ul, Low: ul}.Quantize(nil, x)); n < 2 {
 		t.Errorf("single U_L rising edges = %d, want >= 2 (false bump)", n)
 	}
 }

@@ -1,18 +1,22 @@
 package analog
 
+import "cmp"
+
 // Comparator quantizes the baseband envelope into a binary voltage stream.
 // Saiyan's design (Section 2.2, Eq. (3)) uses two thresholds with
 // hysteresis: the output goes high only when the input exceeds High, and
 // returns low only when the input falls below Low, so amplitude chatter
-// between the two rails cannot toggle the output.
-type Comparator struct {
-	High float64 // U_H
-	Low  float64 // U_L
+// between the two rails cannot toggle the output. With High == Low it is
+// the naive single-threshold comparator of Figure 7. T is the sample type:
+// float64 volts here, ADC codes on the fixed-point datapath.
+type Comparator[T cmp.Ordered] struct {
+	High T // U_H
+	Low  T // U_L
 }
 
 // Quantize implements Eq. (3): B_i depends on A_i and B_{i-1}. The initial
 // state is low. dst is grown as needed and returned.
-func (c Comparator) Quantize(dst []bool, x []float64) []bool {
+func (c Comparator[T]) Quantize(dst []bool, x []T) []bool {
 	if cap(dst) < len(x) {
 		dst = make([]bool, len(x))
 	}
@@ -81,24 +85,6 @@ func PeakEdges(dst []PeakEdge, bits []bool, bounds []int) []PeakEdge {
 				dst[s].Edge, dst[s].Own = edge, true
 			}
 		}
-	}
-	return dst
-}
-
-// SingleThreshold is the naive comparator the paper compares against in
-// Figure 7: one cut-off voltage, no hysteresis.
-type SingleThreshold struct {
-	Level float64
-}
-
-// Quantize outputs high whenever the input is at or above the level.
-func (s SingleThreshold) Quantize(dst []bool, x []float64) []bool {
-	if cap(dst) < len(x) {
-		dst = make([]bool, len(x))
-	}
-	dst = dst[:len(x)]
-	for i, a := range x {
-		dst[i] = a >= s.Level
 	}
 	return dst
 }

@@ -2,7 +2,10 @@ package analog
 
 import (
 	"math"
+	"slices"
 	"testing"
+
+	"saiyan/internal/dsp"
 )
 
 // Quantization-edge coverage for the comparator and sampler — the two
@@ -11,7 +14,7 @@ import (
 // must be well defined: saturating inputs, empty windows, single samples.
 
 func TestComparatorQuantizeEdges(t *testing.T) {
-	c := Comparator{High: 1.0, Low: 0.5}
+	c := Comparator[float64]{High: 1.0, Low: 0.5}
 
 	if got := c.Quantize(nil, nil); len(got) != 0 {
 		t.Errorf("empty input produced %d bits", len(got))
@@ -38,7 +41,7 @@ func TestComparatorQuantizeEdges(t *testing.T) {
 	}
 
 	// A degenerate comparator (U_H == U_L) is a single threshold.
-	d := Comparator{High: 1, Low: 1}
+	d := Comparator[float64]{High: 1, Low: 1}
 	got = d.Quantize(nil, []float64{1, 0.999, 1})
 	if !got[0] || got[1] || !got[2] {
 		t.Errorf("degenerate comparator = %v, want [true false true]", got)
@@ -46,7 +49,7 @@ func TestComparatorQuantizeEdges(t *testing.T) {
 }
 
 func TestComparatorQuantizeReusesBuffer(t *testing.T) {
-	c := Comparator{High: 1, Low: 0}
+	c := Comparator[float64]{High: 1, Low: 0}
 	buf := make([]bool, 0, 8)
 	out := c.Quantize(buf, []float64{2, 2, 2})
 	if &out[0] != &buf[:1][0] {
@@ -56,5 +59,35 @@ func TestComparatorQuantizeReusesBuffer(t *testing.T) {
 	out2 := c.Quantize(out, []float64{2})
 	if len(out2) != 1 {
 		t.Errorf("len = %d after shrink", len(out2))
+	}
+}
+
+// singleThresholdRef is Figure 7's naive comparator written out on its
+// own: high whenever the sample is at or above the level, no state.
+func singleThresholdRef(level float64, x []float64) []bool {
+	out := make([]bool, len(x))
+	for i, a := range x {
+		out[i] = a >= level
+	}
+	return out
+}
+
+// TestComparatorEqualThresholdsIsSingleThreshold holds Comparator with
+// U_H == U_L to the single-threshold loop sample for sample, NaN and the
+// infinities included: both hysteresis branches then test a >= level.
+func TestComparatorEqualThresholdsIsSingleThreshold(t *testing.T) {
+	x := []float64{0, 0.5, 0.5, 0.49, 1, math.NaN(), 0.5, math.Inf(1), math.Inf(-1), math.NaN(), 0.5}
+	rng := dsp.NewRand(5, 7)
+	for range 256 {
+		x = append(x, rng.Float64())
+	}
+	var buf []bool
+	for _, level := range []float64{0.5, 0, 1, math.Inf(1), math.Inf(-1), math.NaN()} {
+		want := singleThresholdRef(level, x)
+		// Reuse one buffer across levels so stale bits would show.
+		buf = Comparator[float64]{High: level, Low: level}.Quantize(buf, x)
+		if !slices.Equal(buf, want) {
+			t.Errorf("level %v: Comparator{L, L} = %v, want %v", level, buf, want)
+		}
 	}
 }

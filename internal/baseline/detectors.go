@@ -52,8 +52,15 @@ func (p *PLoRaDetector) Detect(env []float64) bool {
 	if len(env) < len(tmpl) {
 		return false
 	}
-	c := dsp.NormalizedCrossCorrelate(nil, env, tmpl)
-	lag, peak := dsp.Argmax(c)
+	// The first maximum over all lags, as dsp.Argmax would pick it.
+	hc, norm := dsp.CenterTemplate(tmpl)
+	var ncc dsp.SlidingNCC
+	lag, peak := 0, 0.0
+	for l := range ncc.Reset(env, hc, norm) {
+		if v := ncc.Next(); l == 0 || v > peak {
+			lag, peak = l, v
+		}
+	}
 	if peak < p.Threshold {
 		return false
 	}

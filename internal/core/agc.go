@@ -71,7 +71,7 @@ func (d *Demodulator) AutoCalibrate(env []float64, agc AGCConfig) {
 	if lowTh > high {
 		lowTh = high
 	}
-	d.comparator = analog.Comparator{High: high, Low: lowTh}
+	d.comparator = analog.Comparator[float64]{High: high, Low: lowTh}
 	d.peakBias = d.nominalBias()
 
 	if d.cfg.Mode == ModeFull && d.templates == nil {
@@ -98,7 +98,7 @@ func (d *Demodulator) nominalBias() float64 {
 	headroom := math.Pow(10, -d.cfg.ThresholdGapDB/20)
 	high := floor + (peak-floor)*headroom
 	low := high - 0.25*(peak-floor)
-	d.comparator = analog.Comparator{High: high, Low: low}
+	d.comparator = analog.Comparator[float64]{High: high, Low: low}
 	d.cachedBias = d.measureDecodeBias(templateNominalRSS)
 	d.biasCached = true
 	d.comparator = saved

@@ -53,7 +53,7 @@ func (d *Demodulator) Calibrate(rssDBm float64, rng *rand.Rand) {
 	if low > high {
 		low = high
 	}
-	d.comparator = analog.Comparator{High: high, Low: low}
+	d.comparator = analog.Comparator[float64]{High: high, Low: low}
 	d.peakBias = d.measureDecodeBias(rssDBm)
 
 	if d.cfg.Mode == ModeFull {
@@ -160,7 +160,7 @@ func (d *Demodulator) buildTemplates(rssDBm float64) {
 }
 
 // Thresholds returns the calibrated comparator (U_H, U_L).
-func (d *Demodulator) Thresholds() analog.Comparator { return d.comparator }
+func (d *Demodulator) Thresholds() analog.Comparator[float64] { return d.comparator }
 
 // ErrNotCalibrated is returned by demodulation entry points when Calibrate
 // has not been called.
@@ -174,18 +174,27 @@ func (d *Demodulator) DemodulatePayload(trajHz []float64, rssDBm float64, nSymbo
 	if !d.calibrated {
 		return nil, ErrNotCalibrated
 	}
+	render := d.RenderEnvelope
 	if d.cfg.Mode == ModeFull {
-		env := d.RenderCorrEnvelope(nil, trajHz, rssDBm, rng)
-		if d.fx != nil {
-			return d.fxDecodeCorr(env, nSymbols), nil
-		}
-		return d.decodeByCorrelation(env, nSymbols), nil
+		render = d.RenderCorrEnvelope
 	}
-	env := d.RenderEnvelope(nil, trajHz, rssDBm, rng)
-	if d.fx != nil {
-		return d.fxDecodePeak(env, nSymbols), nil
+	return d.decodePayload(render(nil, trajHz, rssDBm, rng), nSymbols), nil
+}
+
+// decodePayload decodes nSymbols payload symbols from an envelope that
+// starts at the first payload symbol: the correlator-rate envelope in
+// ModeFull, the sampler-rate one otherwise. The fixed-point datapath
+// quantizes it through the ADC first.
+func (d *Demodulator) decodePayload(env []float64, nSymbols int) []int {
+	switch {
+	case d.cfg.Mode == ModeFull && d.fx != nil:
+		return d.fx.DecodeCorrelation(d.fx.Quantize(env), nSymbols)
+	case d.cfg.Mode == ModeFull:
+		return d.decodeByCorrelation(env, nSymbols)
+	case d.fx != nil:
+		return d.fx.DecodePeakTracking(d.fx.Quantize(env), nSymbols)
 	}
-	return d.decodeByPeakTracking(env, nSymbols), nil
+	return d.decodeByPeakTracking(env, nSymbols)
 }
 
 // symbolWindow returns the [lo, hi) sampler-rate indices of payload symbol

@@ -27,10 +27,7 @@ const (
 // Figure 7); ModeFull correlates against a one-symbol template, the
 // packet-detection technique of Section 3.2.
 func (d *Demodulator) DetectPreamble(env []float64) (int, bool) {
-	if d.cfg.Mode == ModeFull {
-		return d.detectByCorrelation(env, 0)
-	}
-	return d.detectByComparator(env)
+	return d.DetectPreambleGated(env, 0)
 }
 
 // DetectPreambleGated is DetectPreamble with a minimum envelope excursion
@@ -41,7 +38,12 @@ func (d *Demodulator) DetectPreamble(env []float64) (int, bool) {
 // by U_H and ignore minPeak.
 func (d *Demodulator) DetectPreambleGated(env []float64, minPeak float64) (int, bool) {
 	if d.cfg.Mode == ModeFull {
-		return d.detectByCorrelation(env, minPeak)
+		// Correlation lag == symbol start.
+		first, _, ok := d.correlationRun(env, minPeak, false)
+		if !ok {
+			return 0, false
+		}
+		return first, true
 	}
 	return d.detectByComparator(env)
 }
@@ -137,15 +139,6 @@ func (d *Demodulator) detectByComparator(env []float64) (int, bool) {
 	return start, true
 }
 
-// detectByCorrelation demands periodic high-correlation peaks.
-func (d *Demodulator) detectByCorrelation(env []float64, minPeak float64) (int, bool) {
-	first, _, ok := d.correlationRun(env, minPeak, false)
-	if !ok {
-		return 0, false
-	}
-	return first, true // correlation lag == symbol start
-}
-
 // DetectFrameSync locates the first payload sample of a frame inside a
 // stream-extracted window. Where DetectPreamble anchors on the *first*
 // marker of the periodic preamble run, this anchors on its *last*: in a
@@ -187,7 +180,7 @@ func (d *Demodulator) DetectFrameSync(env []float64) (int, bool) {
 
 // detectionTemplate lazily renders the noise-free one-symbol envelope at
 // the sampler rate used for detection, and returns it centered (zero mean)
-// with its L2 norm, ready for dsp.NormalizedCrossCorrelateCentered.
+// with its L2 norm, ready for dsp.SlidingNCC.
 func (d *Demodulator) detectionTemplate() ([]float64, float64) {
 	if d.detTmpl == nil {
 		p := d.cfg.Params

@@ -253,7 +253,11 @@ func refCorrelationPeaks(d *Demodulator, env []float64, minPeak float64) []int {
 	if len(tmpl) == 0 || len(env) < len(tmpl) {
 		return nil
 	}
-	c := dsp.NormalizedCrossCorrelateCentered(nil, env, tmpl, norm)
+	var ncc dsp.SlidingNCC
+	c := make([]float64, ncc.Reset(env, tmpl, norm))
+	for i := range c {
+		c[i] = ncc.Next()
+	}
 	spb := int(math.Round(d.spbSamp))
 	var peaks []int
 	for i := 0; i < len(c); i++ {

@@ -36,7 +36,7 @@ type Demodulator struct {
 
 	// Calibration state.
 	calibrated bool
-	comparator analog.Comparator
+	comparator analog.Comparator[float64]
 	baseline   float64 // envelope level with no signal
 	noiseSigma float64 // envelope noise std dev
 	amax       float64 // envelope peak with signal at the calibrated RSS

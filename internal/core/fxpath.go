@@ -33,18 +33,6 @@ func (d *Demodulator) syncFx() {
 	}
 }
 
-// fxDecodePeak quantizes a sampler-rate window through the ADC and decodes
-// it on the integer peak-tracking path.
-func (d *Demodulator) fxDecodePeak(env []float64, nSymbols int) []int {
-	return d.fx.DecodePeakTracking(d.fx.Quantize(env), nSymbols)
-}
-
-// fxDecodeCorr quantizes a correlator-rate window through the ADC and
-// decodes it on the integer correlation path.
-func (d *Demodulator) fxDecodeCorr(envC []float64, nSymbols int) []int {
-	return d.fx.DecodeCorrelation(d.fx.Quantize(envC), nSymbols)
-}
-
 // TakeFxpCycles returns and clears the cycle count the fixed-point datapath
 // accumulated since the last call, under its cycle model. It reports 0 when
 // the float datapath is active — the hook pipelines use to aggregate MCU

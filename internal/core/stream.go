@@ -65,20 +65,10 @@ func (d *Demodulator) DecodeStreamWindow(env, envC []float64, nSymbols int, agc 
 // samples reports a detected but undecodable frame.
 func (d *Demodulator) decodePayloadAt(env, envC []float64, payloadAt, nSymbols int) ([]int, bool, error) {
 	if d.cfg.Mode == ModeFull {
-		lo := payloadAt * d.cfg.CorrOversample
-		if lo >= len(envC) {
-			return nil, true, nil
-		}
-		if d.fx != nil {
-			return d.fxDecodeCorr(envC[lo:], nSymbols), true, nil
-		}
-		return d.decodeByCorrelation(envC[lo:], nSymbols), true, nil
+		env, payloadAt = envC, payloadAt*d.cfg.CorrOversample
 	}
 	if payloadAt >= len(env) {
 		return nil, true, nil
 	}
-	if d.fx != nil {
-		return d.fxDecodePeak(env[payloadAt:], nSymbols), true, nil
-	}
-	return d.decodeByPeakTracking(env[payloadAt:], nSymbols), true, nil
+	return d.decodePayload(env[payloadAt:], nSymbols), true, nil
 }

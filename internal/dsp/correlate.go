@@ -2,19 +2,9 @@ package dsp
 
 import "math"
 
-// NormalizedCrossCorrelate computes the normalized cross-correlation
-// (cosine similarity of the zero-mean template with each zero-mean window of
-// x), yielding values in [-1, 1]. Windows with zero variance correlate to 0.
-// Callers that correlate against one template repeatedly center it once
-// with CenterTemplate and call NormalizedCrossCorrelateCentered.
-func NormalizedCrossCorrelate(dst, x, h []float64) []float64 {
-	hc, hNorm := CenterTemplate(h)
-	return NormalizedCrossCorrelateCentered(dst, x, hc, hNorm)
-}
-
-// CenterTemplate returns the zero-mean copy of template h and its L2 norm:
-// the template half of NormalizedCrossCorrelate, in the same arithmetic
-// order.
+// CenterTemplate returns the zero-mean copy of template h and its L2 norm,
+// the template half of the normalized cross-correlation SlidingNCC steps.
+// A caller that correlates against one template repeatedly centers it once.
 func CenterTemplate(h []float64) ([]float64, float64) {
 	hc := make([]float64, len(h))
 	hm := Mean(h)
@@ -26,29 +16,12 @@ func CenterTemplate(h []float64) ([]float64, float64) {
 	return hc, math.Sqrt(hEnergy)
 }
 
-// NormalizedCrossCorrelateCentered is NormalizedCrossCorrelate against a
-// template already centered by CenterTemplate (hc, with norm hNorm). Its
-// results are bit-identical to NormalizedCrossCorrelate on the original
-// template, and it allocates only when dst is too small. It is a loop over
-// SlidingNCC; a caller that can stop early steps a SlidingNCC itself.
-func NormalizedCrossCorrelateCentered(dst, x, hc []float64, hNorm float64) []float64 {
-	var s SlidingNCC
-	n := s.Reset(x, hc, hNorm)
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	}
-	dst = dst[:n]
-	for lag := range dst {
-		dst[lag] = s.Next()
-	}
-	return dst
-}
-
-// SlidingNCC steps NormalizedCrossCorrelateCentered one lag at a time,
-// so a caller that knows its answer after a prefix of the lags can stop
-// there. It keeps the sliding window sums between calls, and every lag
-// comes out bit-identical to the full correlation's. The zero value is
-// ready for Reset.
+// SlidingNCC computes the normalized cross-correlation of a signal with a
+// template centered by CenterTemplate (the cosine similarity of the
+// zero-mean template with each zero-mean window of the signal, in [-1, 1])
+// one lag at a time, so a caller that knows its answer after a prefix of
+// the lags can stop there. It keeps the sliding window sums between calls
+// and allocates nothing. The zero value is ready for Reset.
 type SlidingNCC struct {
 	x, hc      []float64
 	hNorm      float64

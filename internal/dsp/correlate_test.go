@@ -6,6 +6,29 @@ import (
 	"testing/quick"
 )
 
+// correlateAll is the loop the deleted NormalizedCrossCorrelateCentered
+// ran over SlidingNCC: every lag in order into dst, which is grown only
+// when too small.
+func correlateAll(dst, x, hc []float64, hNorm float64) []float64 {
+	var s SlidingNCC
+	n := s.Reset(x, hc, hNorm)
+	if cap(dst) < n {
+		dst = make([]float64, n)
+	}
+	dst = dst[:n]
+	for lag := range dst {
+		dst[lag] = s.Next()
+	}
+	return dst
+}
+
+// correlate centers h and correlates x against it at every lag, as the
+// deleted NormalizedCrossCorrelate did.
+func correlate(x, h []float64) []float64 {
+	hc, norm := CenterTemplate(h)
+	return correlateAll(nil, x, hc, norm)
+}
+
 func TestNormalizedCrossCorrelateBounds(t *testing.T) {
 	// Property: NCC values always lie in [-1, 1], and a perfect match
 	// scores 1 at its lag.
@@ -21,7 +44,7 @@ func TestNormalizedCrossCorrelateBounds(t *testing.T) {
 		}
 		at := len(h)
 		copy(x[at:], h)
-		c := NormalizedCrossCorrelate(nil, x, h)
+		c := correlate(x, h)
 		for _, v := range c {
 			if v < -1.0000001 || v > 1.0000001 {
 				return false
@@ -39,7 +62,7 @@ func TestNormalizedCrossCorrelateFlatRegions(t *testing.T) {
 	// Zero-variance windows must correlate to 0, not NaN.
 	x := make([]float64, 40) // all zeros
 	h := []float64{1, -1, 1, -1}
-	c := NormalizedCrossCorrelate(nil, x, h)
+	c := correlate(x, h)
 	for i, v := range c {
 		if v != 0 {
 			t.Fatalf("c[%d] = %g, want 0 for flat window", i, v)
@@ -48,7 +71,7 @@ func TestNormalizedCrossCorrelateFlatRegions(t *testing.T) {
 	// Flat template must also yield zeros.
 	h2 := []float64{2, 2, 2}
 	x2 := []float64{1, 5, 3, 2, 4, 1}
-	for i, v := range NormalizedCrossCorrelate(nil, x2, h2) {
+	for i, v := range correlate(x2, h2) {
 		if v != 0 {
 			t.Fatalf("flat template c[%d] = %g, want 0", i, v)
 		}
@@ -65,9 +88,9 @@ func TestArgmaxArgmin(t *testing.T) {
 	}
 }
 
-// refNormalizedCrossCorrelate is NormalizedCrossCorrelate as written before
-// the template centering split off: the reference the centered kernel must
-// match bit for bit.
+// refNormalizedCrossCorrelate is the normalized cross-correlation as
+// written before the template centering split off: the reference
+// CenterTemplate and SlidingNCC must match bit for bit.
 func refNormalizedCrossCorrelate(x, h []float64) []float64 {
 	n := len(x) - len(h) + 1
 	if n <= 0 {
@@ -113,10 +136,10 @@ func refNormalizedCrossCorrelate(x, h []float64) []float64 {
 	return dst
 }
 
-// TestNormalizedCrossCorrelateCenteredBitIdentical holds the centered
-// kernel, fed a CenterTemplate result and a reused output buffer, and the
-// NormalizedCrossCorrelate wrapper, bit-identical to the reference on
-// random, offset, flat and too-short inputs.
+// TestNormalizedCrossCorrelateCenteredBitIdentical holds SlidingNCC, fed a
+// CenterTemplate result and stepped into a reused output buffer, and the
+// one-call correlate, bit-identical to the reference on random, offset,
+// flat and too-short inputs.
 func TestNormalizedCrossCorrelateCenteredBitIdentical(t *testing.T) {
 	rng := NewRand(11, 13)
 	var dst []float64
@@ -142,8 +165,8 @@ func TestNormalizedCrossCorrelateCenteredBitIdentical(t *testing.T) {
 		}
 		hc, norm := CenterTemplate(h)
 		want := refNormalizedCrossCorrelate(x, h)
-		dst = NormalizedCrossCorrelateCentered(dst, x, hc, norm)
-		for name, got := range map[string][]float64{"centered": dst, "wrapper": NormalizedCrossCorrelate(nil, x, h)} {
+		dst = correlateAll(dst, x, hc, norm)
+		for name, got := range map[string][]float64{"centered": dst, "wrapper": correlate(x, h)} {
 			if len(got) != len(want) {
 				t.Fatalf("trial %d %s: %d lags, want %d", trial, name, len(got), len(want))
 			}
@@ -156,9 +179,9 @@ func TestNormalizedCrossCorrelateCenteredBitIdentical(t *testing.T) {
 	}
 }
 
-// refCentered is NormalizedCrossCorrelateCentered as written before the
-// lag loop moved into SlidingNCC: the reference the stepper must match bit
-// for bit.
+// refCentered is the centered correlation kernel as written before the lag
+// loop moved into SlidingNCC: the reference the stepper must match bit for
+// bit.
 func refCentered(x, hc []float64, hNorm float64) []float64 {
 	m := len(hc)
 	n := len(x) - m + 1
@@ -198,7 +221,7 @@ func refCentered(x, hc []float64, hNorm float64) []float64 {
 }
 
 // TestSlidingNCCBitIdentical holds SlidingNCC, stepped lag by lag after a
-// reused Reset, and the NormalizedCrossCorrelateCentered loop over it,
+// reused Reset, and the correlateAll loop over it,
 // bit-identical to the pre-stepper kernel: on regular inputs and on NaN,
 // ±Inf, zero-energy, flat-template and too-short ones.
 func TestSlidingNCCBitIdentical(t *testing.T) {
@@ -243,9 +266,9 @@ func TestSlidingNCCBitIdentical(t *testing.T) {
 			if n != len(want) {
 				t.Fatalf("Reset reports %d lags, want %d", n, len(want))
 			}
-			dst = NormalizedCrossCorrelateCentered(dst, tc.x, hc, norm)
+			dst = correlateAll(dst, tc.x, hc, norm)
 			if len(dst) != len(want) {
-				t.Fatalf("NormalizedCrossCorrelateCentered: %d lags, want %d", len(dst), len(want))
+				t.Fatalf("correlateAll: %d lags, want %d", len(dst), len(want))
 			}
 			for lag := range want {
 				w := math.Float64bits(want[lag])

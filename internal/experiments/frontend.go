@@ -150,9 +150,9 @@ func runFig7(o Options) (*Table, error) {
 		}
 		t.AddRow(name, fmt.Sprint(edges), claimed, fmt.Sprint(correct))
 	}
-	report("single U_H", analog.SingleThreshold{Level: uh}.Quantize(nil, env))
-	report("single U_L", analog.SingleThreshold{Level: ul}.Quantize(nil, env))
-	report("double U_H+U_L", analog.Comparator{High: uh, Low: ul}.Quantize(nil, env))
+	report("single U_H", analog.Comparator[float64]{High: uh, Low: uh}.Quantize(nil, env))
+	report("single U_L", analog.Comparator[float64]{High: ul, Low: ul}.Quantize(nil, env))
+	report("double U_H+U_L", analog.Comparator[float64]{High: uh, Low: ul}.Quantize(nil, env))
 	t.AddNote("true peak at index %d; double threshold is the only single-run, correct detector", truePeak)
 	return t, nil
 }

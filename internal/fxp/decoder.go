@@ -56,8 +56,8 @@ type Decoder struct {
 	cfg Config
 	adc ADC // window quantizer; full scale tracks calibration
 
-	high, low Q15   // comparator thresholds as ADC codes
-	biasQ15   int64 // peak-tracking falling-edge bias, Q1.15 symbol fractions
+	comp    analog.Comparator[Q15] // Eq. (3) thresholds as ADC codes
+	biasQ15 int64                  // peak-tracking falling-edge bias, Q1.15 symbol fractions
 
 	bank *templateBank // quantized correlation templates (shared, read-only)
 
@@ -88,8 +88,7 @@ func (x *Decoder) SetThresholds(high, low, fullScale float64) {
 		fullScale = 1
 	}
 	x.adc = ADC{Bits: x.cfg.ADCBits, FullScale: fullScale}
-	x.high = x.adc.Code(high)
-	x.low = x.adc.Code(low)
+	x.comp = analog.Comparator[Q15]{High: x.adc.Code(high), Low: x.adc.Code(low)}
 }
 
 // SetPeakBias quantizes the calibrated falling-edge lag (a fraction of the
@@ -129,8 +128,7 @@ func (x *Decoder) Clone() *Decoder {
 	return &Decoder{
 		cfg:     x.cfg,
 		adc:     x.adc,
-		high:    x.high,
-		low:     x.low,
+		comp:    x.comp,
 		biasQ15: x.biasQ15,
 		bank:    x.bank,
 	}
@@ -210,20 +208,8 @@ func roundDiv(a, b int64) int64 {
 //
 //saiyan:hotpath
 func (x *Decoder) DecodePeakTracking(env []Q15, nSymbols int) []int {
-	// Integer hysteresis comparator (Eq. (3) on codes).
-	if cap(x.scratchBit) < len(env) {
-		x.scratchBit = make([]bool, len(env)) //lint:allow hotalloc amortized: runs only on scratch growth
-	}
-	bits := x.scratchBit[:len(env)]
-	state := false
-	for i, a := range env {
-		if state {
-			state = a >= x.low
-		} else {
-			state = a >= x.high
-		}
-		bits[i] = state
-	}
+	x.scratchBit = x.comp.Quantize(x.scratchBit, env)
+	bits := x.scratchBit
 	x.ops.Load += uint64(len(env))
 	x.ops.Cmp += uint64(len(env))
 

@@ -190,12 +190,12 @@ func (g *Gateway) sendCommand(rng *rand.Rand, s *session, cmd mac.Command) (bool
 	if rng.Float64() >= g.downlinkPRR(s) {
 		s.cmdsMissed++
 		g.agg.cmdsMissed++
-		g.met.cmdOutcome(cmd.Op, false)
+		g.met.cmdsMissed[cmd.Op].Inc()
 		return false, nil
 	}
 	s.cmdsDelivered++
 	g.agg.cmdsDelivered++
-	g.met.cmdOutcome(cmd.Op, true)
+	g.met.cmdsDelivered[cmd.Op].Inc()
 	return true, nil
 }
 
@@ -326,12 +326,12 @@ func (g *Gateway) control(epoch int) error {
 		var firstRetx uint64
 		for _, m := range s.missing {
 			if m.attempts >= retryMax {
-				g.met.retxAbandon()
+				g.met.retxAbandoned.Inc()
 				ctlSpan(flight.RetxAbandoned, float64(m.seq), float64(m.attempts))
 				continue // budget exhausted: the frame is abandoned
 			}
 			m.attempts++
-			g.met.retxAttempt()
+			g.met.retxAttempts.Inc()
 			ok, err := g.sendCommand(rng, s, mac.Command{Op: mac.OpRetransmit, Addr: addrOf(id), Arg: int(m.seq % 256)})
 			if err != nil {
 				return err

@@ -248,9 +248,9 @@ type Gateway struct {
 	// RunEpoch goroutine. See SetFrameHook.
 	frameHook func(FrameEvent)
 
-	// met is the registered observability series; nil (all methods no-op)
-	// when Config.Metrics is unset.
-	met *gatewayObs
+	// met is the registered observability series; the zero value (every
+	// handle nil, on false) when Config.Metrics is unset.
+	met gatewayObs
 
 	// health is the registered link-health series; nil (all methods
 	// no-op) when Config.Health is unset.
@@ -506,26 +506,29 @@ func (g *Gateway) RunEpoch(ctx context.Context) (EpochReport, error) {
 
 	plan := g.buildPlan(epoch)
 	var ingestStart time.Time
-	if g.met != nil {
+	if g.met.on {
 		ingestStart = time.Now()
 	}
 	if err := g.ingest(ctx, plan); err != nil {
 		g.err = fmt.Errorf("gateway: epoch %d: %w", epoch, err)
 		return EpochReport{}, g.err
 	}
-	g.met.stageSince(stageIngest, ingestStart)
+	g.met.stages[stageIngest].ObserveSince(0, ingestStart)
 	g.fold(plan)
 	var controlStart time.Time
-	if g.met != nil {
+	if g.met.on {
 		controlStart = time.Now()
 	}
 	if err := g.control(epoch); err != nil {
 		g.err = fmt.Errorf("gateway: epoch %d: %w", epoch, err)
 		return EpochReport{}, g.err
 	}
-	g.met.stageSince(stageControl, controlStart)
+	g.met.stages[stageControl].ObserveSince(0, controlStart)
 	g.epoch++
-	g.met.epochEnd(start, len(g.sessions), len(g.tags))
+	g.met.epochs.Inc()
+	g.met.sessions.Set(float64(len(g.sessions)))
+	g.met.tagsActive.Set(float64(len(g.tags)))
+	g.met.stages[stageEpoch].ObserveSince(0, start)
 
 	rep := EpochReport{
 		Epoch:          epoch,

@@ -8,11 +8,11 @@ import (
 	"saiyan/internal/health"
 )
 
-// gatewayHealth is the gateway's link-health series set, mirroring the
-// gatewayObs idiom: a nil *gatewayHealth (Config.Health unset) no-ops
-// every method, handles are resolved once at construction, and the
-// per-epoch observe pass reuses preallocated scratch so the epoch path
-// stays allocation-free in steady state.
+// gatewayHealth is the gateway's link-health series set: a nil
+// *gatewayHealth (Config.Health unset) no-ops every method, handles are
+// resolved once at construction, and the per-epoch observe pass reuses
+// preallocated scratch so the epoch path stays allocation-free in steady
+// state.
 //
 // Everything appended here is a pure function of deterministic gateway
 // state — plan groups in schedule order, sessions walked in ascending

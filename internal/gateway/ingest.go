@@ -113,18 +113,18 @@ func (g *Gateway) ingest(ctx context.Context, plan *epochPlan) error {
 		return nil
 	}
 	var renderStart time.Time
-	if g.met != nil {
+	if g.met.on {
 		renderStart = time.Now()
 	}
 	if err := g.renderGroups(plan.groups); err != nil {
 		return err
 	}
-	g.met.stageSince(stageRender, renderStart)
+	g.met.stages[stageRender].ObserveSince(0, renderStart)
 
 	// One worker pool per rate: groups sharing a K share PHY parameters and
 	// therefore a pipeline, whatever channel they arrived on.
 	var decodeStart time.Time
-	if g.met != nil {
+	if g.met.on {
 		decodeStart = time.Now()
 	}
 	for lo := 0; lo < len(plan.groups); {
@@ -137,7 +137,7 @@ func (g *Gateway) ingest(ctx context.Context, plan *epochPlan) error {
 		}
 		lo = hi
 	}
-	g.met.stageSince(stageDecode, decodeStart)
+	g.met.stages[stageDecode].ObserveSince(0, decodeStart)
 
 	// Channel-level accounting: windows, noise stats (last group of a
 	// channel wins — deterministic, since groups are ordered).

@@ -2,7 +2,6 @@ package gateway
 
 import (
 	"strings"
-	"time"
 
 	"saiyan/internal/mac"
 	"saiyan/internal/obs"
@@ -18,40 +17,45 @@ const (
 	numStages
 )
 
-// gatewayObs holds the gateway's registered observability series. It is
-// nil when Config.Metrics is unset; every method no-ops on a nil receiver,
-// so call sites instrument unconditionally. Everything here is write-only:
-// no control decision ever reads a metric back, which is what keeps
-// gateway snapshots byte-identical with observability on or off.
+// gatewayObs holds the gateway's registered observability series, the
+// pmetrics idiom: with Config.Metrics unset it is the zero value, on is
+// false and every handle is nil, and a nil obs handle no-ops. Call sites
+// therefore write unconditionally and gate only their clock reads on on.
+// Everything here is write-only: no control decision ever reads a metric
+// back, which is what keeps gateway snapshots byte-identical with
+// observability on or off.
 type gatewayObs struct {
+	on         bool
 	epochs     *obs.Counter
 	sessions   *obs.Gauge
 	tagsActive *obs.Gauge
 	stages     [numStages]*obs.Histogram
 
-	// cmds maps an opcode to its {delivered, missed} outcome counters,
-	// pre-registered so sendCommand stays alloc-free.
-	cmds map[mac.Opcode][2]*obs.Counter
+	// Downlink command outcomes by opcode, pre-registered so sendCommand
+	// stays alloc-free.
+	cmdsDelivered, cmdsMissed map[mac.Opcode]*obs.Counter
 
 	retxAttempts  *obs.Counter
 	retxAbandoned *obs.Counter
 }
 
-// newGatewayObs registers the gateway metric family on r (nil r → nil,
-// meaning observability off).
-func newGatewayObs(r *obs.Registry) *gatewayObs {
+// newGatewayObs registers the gateway metric family on r (nil r → the zero
+// value, meaning observability off).
+func newGatewayObs(r *obs.Registry) gatewayObs {
 	if r == nil {
-		return nil
+		return gatewayObs{}
 	}
 	stage := func(name string) *obs.Histogram {
 		return r.Histogram(`saiyan_gateway_stage_seconds{stage="`+name+`"}`,
 			"per-epoch stage wall time", obs.HistogramOpts{Min: 1e-4, Growth: 2, Buckets: 22})
 	}
-	o := &gatewayObs{
-		epochs:     r.Counter("saiyan_gateway_epochs_total", "epochs served"),
-		sessions:   r.Gauge("saiyan_gateway_sessions", "session registry size, live and departed"),
-		tagsActive: r.Gauge("saiyan_gateway_tags_active", "tags currently deployed"),
-		cmds:       make(map[mac.Opcode][2]*obs.Counter),
+	o := gatewayObs{
+		on:            true,
+		epochs:        r.Counter("saiyan_gateway_epochs_total", "epochs served"),
+		sessions:      r.Gauge("saiyan_gateway_sessions", "session registry size, live and departed"),
+		tagsActive:    r.Gauge("saiyan_gateway_tags_active", "tags currently deployed"),
+		cmdsDelivered: make(map[mac.Opcode]*obs.Counter),
+		cmdsMissed:    make(map[mac.Opcode]*obs.Counter),
 		retxAttempts: r.Counter("saiyan_gateway_retx_attempts_total",
 			"retransmit budget spent: command attempts for missing frames"),
 		retxAbandoned: r.Counter("saiyan_gateway_retx_abandoned_total",
@@ -63,59 +67,9 @@ func newGatewayObs(r *obs.Registry) *gatewayObs {
 	o.stages[stageControl] = stage("control")
 	o.stages[stageEpoch] = stage("epoch")
 	for _, op := range []mac.Opcode{mac.OpAck, mac.OpRetransmit, mac.OpHopChannel, mac.OpSetRate, mac.OpRecalibrate} {
-		lbl := strings.ReplaceAll(op.String(), "-", "_")
-		o.cmds[op] = [2]*obs.Counter{
-			r.Counter(`saiyan_gateway_cmds_total{op="`+lbl+`",outcome="delivered"}`, "downlink command outcomes by opcode"),
-			r.Counter(`saiyan_gateway_cmds_total{op="`+lbl+`",outcome="missed"}`, "downlink command outcomes by opcode"),
-		}
+		name := `saiyan_gateway_cmds_total{op="` + strings.ReplaceAll(op.String(), "-", "_") + `",outcome=`
+		o.cmdsDelivered[op] = r.Counter(name+`"delivered"}`, "downlink command outcomes by opcode")
+		o.cmdsMissed[op] = r.Counter(name+`"missed"}`, "downlink command outcomes by opcode")
 	}
 	return o
-}
-
-// stageSince records the wall time since start into one stage histogram.
-func (o *gatewayObs) stageSince(stage int, start time.Time) {
-	if o == nil {
-		return
-	}
-	o.stages[stage].ObserveSince(0, start)
-}
-
-// cmdOutcome counts one downlink command's delivery outcome by opcode.
-func (o *gatewayObs) cmdOutcome(op mac.Opcode, delivered bool) {
-	if o == nil {
-		return
-	}
-	c := o.cmds[op]
-	if delivered {
-		c[0].Inc()
-	} else {
-		c[1].Inc()
-	}
-}
-
-// retxAttempt counts one unit of retransmit budget spent.
-func (o *gatewayObs) retxAttempt() {
-	if o == nil {
-		return
-	}
-	o.retxAttempts.Inc()
-}
-
-// retxAbandon counts a missing frame given up on.
-func (o *gatewayObs) retxAbandon() {
-	if o == nil {
-		return
-	}
-	o.retxAbandoned.Inc()
-}
-
-// epochEnd publishes the end-of-epoch gauges and the whole-epoch timing.
-func (o *gatewayObs) epochEnd(start time.Time, sessions, tags int) {
-	if o == nil {
-		return
-	}
-	o.epochs.Inc()
-	o.sessions.Set(float64(sessions))
-	o.tagsActive.Set(float64(tags))
-	o.stages[stageEpoch].ObserveSince(0, start)
 }
