@@ -153,3 +153,84 @@ func TestDetectorNames(t *testing.T) {
 		t.Error("uplink names")
 	}
 }
+
+// refPLoRaDetect is PLoRaDetector.Detect as written before it stepped a
+// dsp.SlidingNCC itself: every lag correlated into a slice, then
+// dsp.Argmax, which keeps the first of equal maxima.
+func refPLoRaDetect(p *PLoRaDetector, env []float64) bool {
+	half := p.TemplateSamples / 2
+	tmpl := make([]float64, p.TemplateSamples+half)
+	for i := half; i < len(tmpl); i++ {
+		tmpl[i] = 1
+	}
+	if len(env) < len(tmpl) {
+		return false
+	}
+	hc, norm := dsp.CenterTemplate(tmpl)
+	var ncc dsp.SlidingNCC
+	c := make([]float64, ncc.Reset(env, hc, norm))
+	for i := range c {
+		c[i] = ncc.Next()
+	}
+	lag, peak := dsp.Argmax(c)
+	if peak < p.Threshold {
+		return false
+	}
+	onStart := lag + half
+	onEnd := min(onStart+p.TemplateSamples, len(env))
+	mean := dsp.Mean(env[onStart:onEnd])
+	n := float64(onEnd - onStart)
+	if n < 1 {
+		return false
+	}
+	return mean > p.baselineLevel+4*p.noiseSigma/math.Sqrt(n)
+}
+
+// TestPLoRaDetectMatchesArgmaxReference holds Detect's running maximum to
+// the correlate-then-Argmax reference, ties and NaN included.
+func TestPLoRaDetectMatchesArgmaxReference(t *testing.T) {
+	// Two exact steps, the second at twice the level, correlate to the
+	// same value bit for bit (a power-of-two scale is exact), and only the
+	// second clears an energy floor of 1.5. The first maximum must win.
+	p := &PLoRaDetector{TemplateSamples: 8, Threshold: 0.55}
+	step := func(level float64) []float64 {
+		s := make([]float64, 12)
+		for i := 4; i < len(s); i++ {
+			s[i] = level
+		}
+		return s
+	}
+	p.Prepare([]float64{1.5, 1.5})
+	tie := append(append(step(1), step(2)...), 0, 0, 0)
+	if !p.Detect(step(2)) {
+		t.Fatal("the level-2 step alone is not detected; the tie case checks nothing")
+	}
+	if p.Detect(tie) || refPLoRaDetect(p, tie) {
+		t.Error("tied correlation peaks: Detect or the reference took the later peak")
+	}
+
+	rng := dsp.NewRand(21, 8)
+	for trial := range 400 {
+		p := &PLoRaDetector{TemplateSamples: 2 + rng.IntN(30), Threshold: 0.55}
+		noise := make([]float64, 64)
+		for i := range noise {
+			noise[i] = 0.1 * rng.NormFloat64()
+		}
+		p.Prepare(noise)
+		env := make([]float64, rng.IntN(160))
+		for i := range env {
+			// Small integer levels on even trials make exact ties likely.
+			if trial%2 == 0 {
+				env[i] = float64(rng.IntN(3))
+			} else {
+				env[i] = 0.1 * rng.NormFloat64()
+			}
+		}
+		if len(env) > 0 && trial%7 == 0 {
+			env[rng.IntN(len(env))] = math.NaN()
+		}
+		if got, want := p.Detect(env), refPLoRaDetect(p, env); got != want {
+			t.Fatalf("trial %d (template %d, %d samples): Detect = %v, reference %v", trial, p.TemplateSamples, len(env), got, want)
+		}
+	}
+}
