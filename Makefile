@@ -47,9 +47,12 @@ bench-check:
 # (internal/experiments/experiments_test.go) to the hash
 # TestAllExperimentsQuick reports outside -short; after one to a waveform,
 # set the hashes in cmd/saiyan/wave_test.go to those TestWaveOutputPinned
-# reports.
+# reports. The golden trace and gateway pins run twice in one process, so
+# the second run replays against warm calibration memos (core.Prewarmed and
+# the segmenter's hunt calibrations) and must hash the same.
 golden:
-	$(GO) test -run 'TestGoldenTraceReplay|TestGatewayOutputPinned|TestPeakTrackingPinned|TestAllExperimentsQuick|TestWaveOutputPinned' -count=1 -v ./internal/pipeline ./internal/gateway ./internal/core ./internal/experiments ./cmd/saiyan
+	$(GO) test -run 'TestGoldenTraceReplay|TestGatewayOutputPinned' -count=2 -v ./internal/pipeline ./internal/gateway
+	$(GO) test -run 'TestPeakTrackingPinned|TestAllExperimentsQuick|TestWaveOutputPinned' -count=1 -v ./internal/core ./internal/experiments ./cmd/saiyan
 
 # Short fuzz session over the trace codec.
 fuzz:

@@ -13,6 +13,7 @@ package analog
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 
 	"saiyan/internal/dsp"
@@ -82,6 +83,19 @@ func (s *SAWFilter) SetDrift(driftHz float64) { s.driftHz = driftHz }
 
 // Drift returns the configured response shift in Hz.
 func (s *SAWFilter) Drift() float64 { return s.driftHz }
+
+// Clone returns a filter with the same response and drift whose drift
+// moves independently of s. The anchors are never written after
+// NewSAWFilter, so the two share them.
+func (s *SAWFilter) Clone() *SAWFilter {
+	c := *s
+	return &c
+}
+
+// Equal reports whether two filters have the same anchors and drift.
+func (s *SAWFilter) Equal(o *SAWFilter) bool {
+	return s.driftHz == o.driftHz && slices.Equal(s.points, o.points)
+}
 
 // ResponseDB returns the filter response (dB) at the RF frequency fHz,
 // interpolating linearly in dB between anchors and clamping beyond them.

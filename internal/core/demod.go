@@ -68,6 +68,32 @@ func (d *Demodulator) Calibrate(rssDBm float64, rng *rand.Rand) {
 	d.calibrated = true
 }
 
+// Calibration is the scalar outcome of Calibrate: the envelope's noise
+// baseline and ripple, its calibrated peak, the comparator thresholds and
+// the falling-edge bias. It is a few words, so a receiver that calibrates
+// one link over and over can keep it and install it on a clone.
+type Calibration struct {
+	Baseline, NoiseSigma, Amax float64
+	Comparator                 analog.Comparator[float64]
+	PeakBias                   float64
+}
+
+// Calibration returns the demodulator's current calibration scalars.
+func (d *Demodulator) Calibration() Calibration {
+	return Calibration{Baseline: d.baseline, NoiseSigma: d.noiseSigma, Amax: d.amax, Comparator: d.comparator, PeakBias: d.peakBias}
+}
+
+// SetCalibration installs c and marks the demodulator calibrated. The
+// correlation and detection templates are not part of a Calibration and
+// stay as they are: on a clone of a Prewarmed master, those rendered at
+// the nominal level.
+func (d *Demodulator) SetCalibration(c Calibration) {
+	d.baseline, d.noiseSigma, d.amax = c.Baseline, c.NoiseSigma, c.Amax
+	d.comparator, d.peakBias = c.Comparator, c.PeakBias
+	d.syncFx()
+	d.calibrated = true
+}
+
 // measureDecodeBias quantifies the systematic lag between a chirp's true
 // amplitude peak and the comparator's falling edge: the video low-pass
 // filter smears the post-peak collapse, so the edge trails the peak by a
@@ -116,21 +142,22 @@ func (d *Demodulator) measureDecodeBias(rssDBm float64) float64 {
 	return sum / float64(n)
 }
 
-// templateStat caches the statistics windowCorrelation recomputed per
-// symbol: the template's mean and its zero-mean energy Σ(t-mt)². Both are
-// accumulated in exactly the order the exact two-pass computation uses, so
-// the fast path reproduces its scores bit for bit.
+// templateStat is one correlation template prepared for the one-pass hot
+// path of bestTemplate: the template centered once, tmpl[i]-mean, and its
+// zero-mean energy Σ(t-mt)². Both are computed in exactly the order the
+// exact two-pass windowCorrelation uses, so the fast path reproduces its
+// scores bit for bit.
 type templateStat struct {
-	mean   float64
-	energy float64
+	centered []float64
+	energy   float64
 }
 
 // buildTemplates renders the noise-free correlator template for every
-// downlink symbol at the correlator rate and precomputes each template's
-// mean and zero-mean energy for the one-pass hot path of
-// decodeByCorrelation. The stats only apply to full-length windows; when
-// the renders come out unequal in length (they never do today) the stats
-// are dropped and every window takes the exact fallback.
+// downlink symbol at the correlator rate and prepares each for the
+// one-pass hot path of decodeByCorrelation. The stats only apply to
+// full-length windows; when the renders come out unequal in length (they
+// never do today) the stats are dropped and every window takes the exact
+// fallback.
 func (d *Demodulator) buildTemplates(rssDBm float64) {
 	p := d.cfg.Params
 	d.templates = make([][]float64, p.AlphabetSize())
@@ -150,12 +177,13 @@ func (d *Demodulator) buildTemplates(rssDBm float64) {
 			mt += tmpl[i]
 		}
 		mt /= float64(n)
+		c := make([]float64, n)
 		var et float64
 		for i := 0; i < n; i++ {
-			b := tmpl[i] - mt
-			et += b * b
+			c[i] = tmpl[i] - mt
+			et += c[i] * c[i]
 		}
-		d.tmplStats[s] = templateStat{mean: mt, energy: et}
+		d.tmplStats[s] = templateStat{centered: c, energy: et}
 	}
 }
 
@@ -259,58 +287,76 @@ func (d *Demodulator) decodeByCorrelation(env []float64, nSymbols int) []int {
 			out[s] = 0
 			continue
 		}
-		out[s] = d.bestTemplate(env[lo:hi])
+		out[s], _ = d.bestTemplate(env[lo:hi])
 	}
 	return out
 }
 
-// bestTemplate ranks every template against one symbol window. Full-length
-// windows take the fast path: the window's mean and zero-mean energy are
-// hoisted out of the template loop and each template's mean/energy come
-// precomputed from buildTemplates, so every template costs one fused pass
-// over the window. The accumulation order matches windowCorrelation
-// exactly, so the scores — and therefore the decode — are bit-identical.
-// Truncated edge windows (shorter than the template) fall back to the
-// exact two-pass computation.
+// bestTemplate ranks every template against one symbol window and
+// returns the first best symbol with its score. Full-length windows take
+// the fast path: one pass for the window's mean, then one pass per group
+// of up to four templates that carries the window's zero-mean energy and
+// each template's dot product in separate accumulators, against the
+// templates centered by buildTemplates. Every accumulator sums in the
+// order windowCorrelation does, so the scores — and therefore the decode
+// — are bit-identical to it. Truncated edge windows (shorter than the
+// template) take windowCorrelation itself.
 //
 //saiyan:hotpath
-func (d *Demodulator) bestTemplate(win []float64) int {
+func (d *Demodulator) bestTemplate(win []float64) (int, float64) {
 	best, bestScore := 0, math.Inf(-1)
-	if d.tmplStats != nil && len(win) >= len(d.templates[0]) {
-		n := len(d.templates[0])
-		var mw float64
-		for i := 0; i < n; i++ {
-			mw += win[i]
-		}
-		mw /= float64(n)
-		var ew float64
-		for i := 0; i < n; i++ {
-			a := win[i] - mw
-			ew += a * a
-		}
+	st := d.tmplStats
+	if st == nil || len(win) < len(d.templates[0]) {
 		for sym, tmpl := range d.templates {
-			st := d.tmplStats[sym]
-			var dot float64
-			for i := 0; i < n; i++ {
-				dot += (win[i] - mw) * (tmpl[i] - st.mean)
-			}
-			score := 0.0
-			if ew != 0 && st.energy != 0 {
-				score = dot / math.Sqrt(ew*st.energy)
-			}
-			if score > bestScore {
+			if score := windowCorrelation(win, tmpl); score > bestScore {
 				best, bestScore = sym, score
 			}
 		}
-		return best
+		return best, bestScore
 	}
-	for sym, tmpl := range d.templates {
-		score := windowCorrelation(win, tmpl)
-		if score > bestScore {
-			best, bestScore = sym, score
+	win = win[:len(d.templates[0])]
+	var mw float64
+	for _, v := range win {
+		mw += v
+	}
+	mw /= float64(len(win))
+	last := len(st) - 1
+	for g := 0; g <= last; g += 4 {
+		// A short last group repeats its final template; the repeats are
+		// not ranked.
+		var ew float64
+		var dots [4]float64
+		ew, dots[0], dots[1], dots[2], dots[3] = dotGroup(win, mw, st[g].centered, st[min(g+1, last)].centered,
+			st[min(g+2, last)].centered, st[min(g+3, last)].centered)
+		for k, dot := range dots[:min(4, len(st)-g)] {
+			score := 0.0
+			if et := st[g+k].energy; ew != 0 && et != 0 {
+				score = dot / math.Sqrt(ew*et)
+			}
+			if score > bestScore {
+				best, bestScore = g+k, score
+			}
 		}
 	}
-	return best
+	return best, bestScore
+}
+
+// dotGroup makes one pass over a window: with a = win[i]-mw it sums a² and
+// a·c[i] for four centered templates, each in its own accumulator.
+//
+//saiyan:hotpath
+func dotGroup(win []float64, mw float64, c0, c1, c2, c3 []float64) (ew, d0, d1, d2, d3 float64) {
+	n := len(win)
+	c0, c1, c2, c3 = c0[:n], c1[:n], c2[:n], c3[:n]
+	for i, v := range win {
+		a := v - mw
+		ew += a * a
+		d0 += a * c0[i]
+		d1 += a * c1[i]
+		d2 += a * c2[i]
+		d3 += a * c3[i]
+	}
+	return ew, d0, d1, d2, d3
 }
 
 // windowCorrelation computes the zero-mean cosine similarity between a

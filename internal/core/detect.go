@@ -48,13 +48,6 @@ func (d *Demodulator) DetectPreambleGated(env []float64, minPeak float64) (int, 
 	return d.detectByComparator(env)
 }
 
-// NoiseStats reports the calibrated envelope noise statistics: the no-signal
-// baseline level and the envelope noise standard deviation. Stream
-// segmenters derive their detection gates from these.
-func (d *Demodulator) NoiseStats() (baseline, sigma float64) {
-	return d.baseline, d.noiseSigma
-}
-
 // comparatorTails quantizes the envelope and returns the index of every
 // high-run tail — the t_F markers of Figure 7. The result lives in receiver
 // scratch and is valid until the next comparatorTails call.

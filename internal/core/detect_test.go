@@ -67,8 +67,8 @@ func TestDetectPreambleTable(t *testing.T) {
 			// Stream inputs carry long noise runs before the frame, so use
 			// the gated hunt the segmenter uses: without the envelope gate
 			// the scale-free correlator locks onto the leading noise.
-			baseline, sigma := d.NoiseStats()
-			start, ok := d.DetectPreambleGated(env, baseline+4*sigma)
+			cal := d.Calibration()
+			start, ok := d.DetectPreambleGated(env, cal.Baseline+4*cal.NoiseSigma)
 			if ok != tc.wantDetect {
 				t.Fatalf("detect=%v, want %v", ok, tc.wantDetect)
 			}
@@ -103,7 +103,7 @@ func TestDetectPreambleFalsePositiveRate(t *testing.T) {
 			t.Fatal(err)
 		}
 		d.Calibrate(-60, dsp.NewRand(21, 22))
-		baseline, sigma := d.NoiseStats()
+		cal := d.Calibration()
 		p := cfg.Params
 		spbSim := p.SamplesPerSymbol(d.SimRateHz())
 		const trials = 40
@@ -111,7 +111,7 @@ func TestDetectPreambleFalsePositiveRate(t *testing.T) {
 		for trial := 0; trial < trials; trial++ {
 			x := make([]complex128, 60*spbSim)
 			env, _ := d.RenderStream(x, dsp.NewRand(uint64(trial), 23))
-			if _, ok := d.DetectPreambleGated(env, baseline+4*sigma); ok {
+			if _, ok := d.DetectPreambleGated(env, cal.Baseline+4*cal.NoiseSigma); ok {
 				false1++
 			}
 		}

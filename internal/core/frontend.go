@@ -44,9 +44,10 @@ type Demodulator struct {
 	biasCached bool
 	cachedBias float64
 	templates  [][]float64
-	// tmplStats precomputes each template's mean and zero-mean energy so
-	// the correlation decoder's hot loop makes a single fused pass per
-	// template; nil when template lengths are not uniform (exact fallback).
+	// tmplStats holds each template centered, with its zero-mean energy,
+	// so the correlation decoder's hot loop makes one pass per group of
+	// four templates; nil when template lengths are not uniform (exact
+	// fallback).
 	tmplStats []templateStat
 	// detTmpl is the one-symbol detection template, centered once by
 	// dsp.CenterTemplate when it is materialized (lazily, or eagerly by

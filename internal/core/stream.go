@@ -1,5 +1,11 @@
 package core
 
+import (
+	"sync"
+
+	"saiyan/internal/ring"
+)
+
 // Continuous-stream reception: a segmenter (internal/stream) hunts preambles
 // in an unbounded envelope capture and hands each extracted window to
 // DecodeStreamWindow. Unlike ProcessFrame, nothing here renders — the
@@ -29,6 +35,65 @@ func (d *Demodulator) PrewarmAuto() {
 	// a complete integer twin and per-window AutoCalibrate only re-anchors
 	// thresholds.
 	d.syncFx()
+}
+
+// maxPrewarmed bounds the Prewarmed memo. A process runs a handful of
+// demodulator configs at once (a gateway one per rate); a sweep through
+// more prewarms the oldest again when it comes back to it.
+const maxPrewarmed = 16
+
+// prewarmed is the Prewarmed memo: entries in insertion order, each
+// numbered by serial, found by a scan that compares configs by value.
+var prewarmed = struct {
+	sync.Mutex
+	entries ring.Ring[prewarmEntry]
+	serial  uint64
+}{entries: ring.New[prewarmEntry](maxPrewarmed)}
+
+type prewarmEntry struct {
+	cfg    Config // defaulted, with a private SAW filter
+	serial uint64
+	master *Demodulator
+}
+
+// Prewarmed returns the prewarmed master (PrewarmAuto) for cfg from a
+// bounded process-wide memo, with the serial number of its memo entry,
+// which no other entry ever shares. Configs equal field by field, with SAW
+// filters equal in response and drift, share one master even when their
+// SAW pointers differ. The master is shared and read-only: Clone it, and
+// calibrate the clone. The memo keeps a clone of the prewarmed demodulator
+// on a private copy of the SAW filter, so it retains none of the render
+// scratch prewarming grew and a caller's later SetDrift cannot move it.
+func Prewarmed(cfg Config) (*Demodulator, uint64, error) {
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, 0, err
+	}
+	prewarmed.Lock()
+	defer prewarmed.Unlock()
+	for i := 0; i < prewarmed.entries.Len(); i++ {
+		if e := prewarmed.entries.At(i); sameConfig(e.cfg, cfg) {
+			return e.master, e.serial, nil
+		}
+	}
+	cfg.SAW = cfg.SAW.Clone()
+	d, err := New(cfg)
+	if err != nil {
+		return nil, 0, err
+	}
+	d.PrewarmAuto()
+	prewarmed.serial++
+	e := prewarmEntry{cfg: cfg, serial: prewarmed.serial, master: d.Clone()}
+	prewarmed.entries.Push(e)
+	return e.master, e.serial, nil
+}
+
+// sameConfig compares two defaulted configs by value, SAW filters
+// included.
+func sameConfig(a, b Config) bool {
+	sa, sb := a.SAW, b.SAW
+	a.SAW, b.SAW = nil, nil
+	return a == b && sa.Equal(sb)
 }
 
 // DecodeStreamWindow demodulates one frame window extracted from a

@@ -199,11 +199,6 @@ type Pipeline struct {
 	calMu    sync.Mutex
 	calCache map[float64]*core.Demodulator
 
-	// Shared stream-decode master: prewarmed (bias cache + templates) but
-	// uncalibrated; workers clone it lazily and AutoCalibrate per window.
-	streamOnce   sync.Once
-	streamMaster *core.Demodulator
-
 	// Record tee (attached with Record before traffic starts): workers
 	// push every processed frame onto recCh and a single recorder
 	// goroutine writes them to recW in sequence order.
@@ -572,20 +567,6 @@ func (p *Pipeline) worker(w int) {
 	}
 }
 
-// streamBase lazily builds the shared prewarmed master for stream decoding.
-func (p *Pipeline) streamBase() *core.Demodulator {
-	p.streamOnce.Do(func() {
-		d, err := core.New(p.cfg.Demod)
-		if err != nil {
-			// cfg.Demod was validated by New; this cannot happen.
-			panic("pipeline: demodulator config invalidated after New: " + err.Error())
-		}
-		d.PrewarmAuto()
-		p.streamMaster = d
-	})
-	return p.streamMaster
-}
-
 // errEmptyJob is the sentinel for a job carrying neither a frame nor an
 // envelope window; hoisted so process stays allocation-free per frame.
 var errEmptyJob = errors.New("pipeline: job with neither frame nor envelope window")
@@ -627,7 +608,13 @@ func (p *Pipeline) process(ws *workerState, sc *core.FrameScratch, j job, w int)
 		// realization, so the decode is a pure function of the window and
 		// worker count cannot perturb it.
 		if ws.streamD == nil {
-			ws.streamD = p.streamBase().Clone()
+			// A clone of the config's prewarmed master from core's memo,
+			// shared by every pipeline; it AutoCalibrates per window.
+			m, _, err := core.Prewarmed(p.cfg.Demod)
+			if err != nil {
+				panic(err) // cfg.Demod was validated by New; this cannot happen
+			}
+			ws.streamD = m.Clone()
 		}
 		res.Symbols, res.Detected, res.Err = ws.streamD.DecodeStreamWindow(j.Env, j.EnvC, j.NSymbols, p.cfg.AGC)
 		cycles = ws.streamD.TakeFxpCycles()

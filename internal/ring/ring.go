@@ -3,8 +3,11 @@
 // rollup tiers, exemplar rings and alert journal, the flight recorder's
 // recent-dump ring, and the gateway's per-tag link windows. The flight
 // recorder's span shards keep their own ring: they have concurrent
-// writers, an atomic head and cache-line padding.
+// writers, an atomic head and cache-line padding. Memo, a bounded memo
+// that forgets its oldest key first, keeps its key order on a Ring.
 package ring
+
+import "sync"
 
 // Ring is a fixed-capacity ring buffer. New allocates its storage once,
 // so Push never allocates; once the ring is full, each Push overwrites
@@ -50,3 +53,37 @@ func (r *Ring[T]) At(i int) T {
 // float sum over a full ring depends on its order, so a reducer whose
 // result must not change bytes keeps the order it was written with.
 func (r *Ring[T]) Stored(i int) T { return r.buf[i] }
+
+// Memo is a bounded memo: a map that holds at most a fixed number of keys
+// and forgets the oldest key first. Its keys sit on a Ring in insertion
+// order, so eviction is one delete, never a map range. A Memo is safe for
+// concurrent use.
+type Memo[K comparable, V any] struct {
+	mu   sync.Mutex
+	m    map[K]V
+	keys Ring[K]
+}
+
+// NewMemo returns an empty memo that holds up to capacity keys. The
+// capacity must be positive.
+func NewMemo[K comparable, V any](capacity int) *Memo[K, V] {
+	return &Memo[K, V]{m: map[K]V{}, keys: New[K](capacity)}
+}
+
+// Get returns the value memoized for k, calling fill to make it on a
+// miss. fill runs under the memo's lock, so concurrent misses on one key
+// fill it once.
+func (m *Memo[K, V]) Get(k K, fill func() V) V {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if v, ok := m.m[k]; ok {
+		return v
+	}
+	v := fill()
+	if m.keys.Len() == len(m.keys.buf) {
+		delete(m.m, m.keys.At(0))
+	}
+	m.keys.Push(k)
+	m.m[k] = v
+	return v
+}

@@ -53,3 +53,36 @@ func TestRingCapacityOne(t *testing.T) {
 		}
 	}
 }
+
+// TestMemoBoundedFIFO fills a memo past its capacity: it keeps exactly
+// capacity keys, forgets the oldest first, and fills each key once while
+// it is held.
+func TestMemoBoundedFIFO(t *testing.T) {
+	const capacity = 4
+	m := NewMemo[int, int](capacity)
+	fills := 0
+	get := func(k int) int {
+		return m.Get(k, func() int { fills++; return 10 * k })
+	}
+	for k := range 2 * capacity {
+		if v := get(k); v != 10*k {
+			t.Fatalf("Get(%d) = %d, want %d", k, v, 10*k)
+		}
+		if want := min(k+1, capacity); len(m.m) != want || m.keys.Len() != want {
+			t.Fatalf("after %d keys: %d memoized, %d in key order; want %d", k+1, len(m.m), m.keys.Len(), want)
+		}
+	}
+	for k := capacity; k < 2*capacity; k++ {
+		get(k)
+	}
+	if fills != 2*capacity {
+		t.Errorf("%d fills after re-reading the held keys, want %d", fills, 2*capacity)
+	}
+	get(0)
+	if fills != 2*capacity+1 {
+		t.Errorf("evicted key 0 was not filled again")
+	}
+	if _, ok := m.m[capacity]; ok {
+		t.Errorf("refilling key 0 kept the oldest held key %d", capacity)
+	}
+}

@@ -23,6 +23,7 @@ import (
 	"saiyan/internal/dsp"
 	"saiyan/internal/lora"
 	"saiyan/internal/obs"
+	"saiyan/internal/ring"
 )
 
 // Config assembles a stream segmenter.
@@ -138,7 +139,21 @@ type Segmenter struct {
 	carries  *obs.Counter // chunk deliveries arriving with a frame pending
 }
 
-// NewSegmenter builds and calibrates the hunt demodulator.
+// hunts memoizes the hunt calibrations NewSegmenter makes, by exact key:
+// the core.Prewarmed entry of the demodulator config, the bits of the
+// hunt RSS and the seed. An entry retains about 140 B.
+var hunts = ring.NewMemo[huntKey, core.Calibration](maxHunts)
+
+const maxHunts = 1024
+
+type huntKey struct{ demod, rss, seed uint64 }
+
+// NewSegmenter builds the hunt demodulator: a clone of the config's
+// core.Prewarmed master with the memoized hunt calibration installed
+// (Calibrate runs on a miss). The hunt only gates and locates preambles,
+// reading the calibration scalars and the detection template, which is
+// rendered at the nominal level whatever the hunt RSS; so the clone hunts
+// as a calibrated one would. The pipeline's workers decode the windows.
 func NewSegmenter(cfg Config, emit func(Window) error) (*Segmenter, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -147,19 +162,22 @@ func NewSegmenter(cfg Config, emit func(Window) error) (*Segmenter, error) {
 	if emit == nil {
 		return nil, fmt.Errorf("stream: nil emit callback")
 	}
-	d, err := core.New(cfg.Demod)
+	master, entry, err := core.Prewarmed(cfg.Demod)
 	if err != nil {
 		return nil, err
 	}
-	// The hunt demodulator only gates (CarrierSense) and locates preambles
-	// (DetectPreamble); windows are decoded by the pipeline's own workers.
-	d.Calibrate(cfg.HuntRSSDBm, dsp.NewRand(cfg.Seed^0x73656d656e746572, 0))
+	cal := hunts.Get(huntKey{entry, math.Float64bits(cfg.HuntRSSDBm), cfg.Seed}, func() core.Calibration {
+		c := master.Clone()
+		c.Calibrate(cfg.HuntRSSDBm, dsp.NewRand(cfg.Seed^0x73656d656e746572, 0))
+		return c.Calibration()
+	})
+	d := master.Clone()
+	d.SetCalibration(cal)
 	s := &Segmenter{cfg: cfg, d: d, emit: emit, pending: -1}
 	s.spb = d.SamplesPerSymbol()
 	// Detection markers must rise clear of the noise floor: normalized
 	// correlation alone would lock onto noise patterns in idle air.
-	baseline, sigma := d.NoiseStats()
-	s.gate = baseline + 4*sigma
+	s.gate = cal.Baseline + 4*cal.NoiseSigma
 	if d.Config().Mode == core.ModeFull {
 		s.ratio = d.Config().CorrOversample
 	}
@@ -194,10 +212,13 @@ func NewSegmenter(cfg Config, emit func(Window) error) (*Segmenter, error) {
 func (s *Segmenter) Windows() int { return s.windows }
 
 // NoiseStats reports the hunt demodulator's calibrated envelope noise
-// statistics (core.Demodulator.NoiseStats): the no-signal baseline and the
-// noise standard deviation the detection gate is derived from. Gateways
-// surface these per ingest channel.
-func (s *Segmenter) NoiseStats() (baseline, sigma float64) { return s.d.NoiseStats() }
+// statistics: the no-signal baseline and the noise standard deviation the
+// detection gate is derived from. Gateways surface these per ingest
+// channel.
+func (s *Segmenter) NoiseStats() (baseline, sigma float64) {
+	c := s.d.Calibration()
+	return c.Baseline, c.NoiseSigma
+}
 
 // SamplesIn reports how many sampler-rate samples have been pushed.
 func (s *Segmenter) SamplesIn() int64 { return s.samples }
@@ -381,45 +402,31 @@ func (s *Segmenter) scan(flush bool) error {
 			s.advance(len(s.buf))
 			return nil
 		}
-		if len(s.buf) < s.huntLen {
-			if !flush || len(s.buf) == 0 {
-				return nil
-			}
+		if len(s.buf) == 0 || len(s.buf) < s.huntLen && !flush {
+			return nil
 		}
 		hunt := min(s.huntLen, len(s.buf))
-		if hunt == 0 {
-			return nil
-		}
 		s.scans.Inc()
-		if !s.d.CarrierSense(s.buf[:hunt]) {
-			// Idle air: discard the hunt window, minus one preamble of
-			// overlap so a frame starting near the boundary stays intact.
-			keep := s.preambLen
-			if drop := hunt - keep; drop > 0 {
-				s.advance(drop)
+		if s.d.CarrierSense(s.buf[:hunt]) {
+			start, ok := s.d.DetectPreambleGated(s.buf[:hunt], s.gate)
+			if ok {
+				s.pending = start
 				continue
 			}
-			if flush {
-				s.advance(len(s.buf))
-			}
-			return nil
-		}
-		start, ok := s.d.DetectPreambleGated(s.buf[:hunt], s.gate)
-		if !ok {
-			s.rejected.Inc()
 			// Carrier but no preamble start inside the window: mid-frame
-			// energy from a missed or colliding packet. Slide forward,
-			// keeping a preamble of overlap.
-			keep := s.preambLen
-			if drop := hunt - keep; drop > 0 {
-				s.advance(drop)
-				continue
-			}
-			if flush {
-				s.advance(len(s.buf))
-			}
-			return nil
+			// energy from a missed or colliding packet.
+			s.rejected.Inc()
 		}
-		s.pending = start
+		// Idle air or a rejected window: discard the hunt window, minus
+		// one preamble of overlap so a frame starting near the boundary
+		// stays intact.
+		if drop := hunt - s.preambLen; drop > 0 {
+			s.advance(drop)
+			continue
+		}
+		if flush {
+			s.advance(len(s.buf))
+		}
+		return nil
 	}
 }

@@ -17,7 +17,8 @@ type Source struct {
 	seg    *Segmenter
 	chunks []sim.Chunk
 	at     int
-	queue  []pipeline.Job
+	queue  []pipeline.Job // emitted windows; queue[head:] not yet handed out
+	head   int
 	done   bool
 
 	matched int
@@ -49,9 +50,11 @@ func NewSource(cfg Config, capture *sim.Stream, chunkSamples int) (*Source, erro
 	return s, nil
 }
 
-// Next implements pipeline.Source.
+// Next implements pipeline.Source. It pops the queue by head index, clears
+// each popped job so the queue pins no window, and refills it in place.
 func (s *Source) Next() (pipeline.Job, error) {
-	for len(s.queue) == 0 {
+	for s.head == len(s.queue) {
+		s.queue, s.head = s.queue[:0], 0
 		if s.at < len(s.chunks) {
 			c := s.chunks[s.at]
 			s.at++
@@ -69,8 +72,9 @@ func (s *Source) Next() (pipeline.Job, error) {
 		}
 		return pipeline.Job{}, io.EOF
 	}
-	j := s.queue[0]
-	s.queue = s.queue[1:]
+	j := s.queue[s.head]
+	s.queue[s.head] = pipeline.Job{}
+	s.head++
 	return j, nil
 }
 
