@@ -34,12 +34,16 @@ bench:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
-# Replay the checked-in golden trace and check the gateway, peak-tracking,
-# experiment-table and waveform output pins (blocking in CI). After an
-# intentional demodulator behavior change, regenerate the trace with:
+# Replay the checked-in golden trace and check the gateway, stream,
+# peak-tracking, experiment-table and waveform output pins (blocking in
+# CI). After an intentional demodulator behavior change, regenerate the
+# trace with:
 #   go test ./internal/pipeline -run TestGoldenTraceReplay -update-golden
 # and set gatewayOutputPin (internal/gateway/pin_test.go) to the hash
-# TestGatewayOutputPinned reports. After an intentional change to the
+# TestGatewayOutputPinned reports. After one to the stream receive path
+# (the jobs stream.Source yields, or stream.Demodulate's counters), set
+# streamOutputPin (internal/stream/pin_test.go) to the hash
+# TestStreamOutputPinned reports. After an intentional change to the
 # comparator (ModeVanilla/ModeFreqShift) decoders on either datapath, set
 # peakTrackingPin (internal/core/pin_test.go) to the hash
 # TestPeakTrackingPinned reports. After an intentional change to a
@@ -47,11 +51,12 @@ bench-check:
 # (internal/experiments/experiments_test.go) to the hash
 # TestAllExperimentsQuick reports outside -short; after one to a waveform,
 # set the hashes in cmd/saiyan/wave_test.go to those TestWaveOutputPinned
-# reports. The golden trace and gateway pins run twice in one process, so
-# the second run replays against warm calibration memos (core.Prewarmed and
-# the segmenter's hunt calibrations) and must hash the same.
+# reports. The golden trace, gateway and stream pins run twice in one
+# process, so the second run replays against warm calibration memos
+# (core.Prewarmed and the segmenter's hunt calibrations) and must hash the
+# same.
 golden:
-	$(GO) test -run 'TestGoldenTraceReplay|TestGatewayOutputPinned' -count=2 -v ./internal/pipeline ./internal/gateway
+	$(GO) test -run 'TestGoldenTraceReplay|TestGatewayOutputPinned|TestStreamOutputPinned' -count=2 -v ./internal/pipeline ./internal/gateway ./internal/stream
 	$(GO) test -run 'TestPeakTrackingPinned|TestAllExperimentsQuick|TestWaveOutputPinned' -count=1 -v ./internal/core ./internal/experiments ./cmd/saiyan
 
 # Short fuzz session over the trace codec.

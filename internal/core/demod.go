@@ -19,6 +19,27 @@ import (
 // The rng seeds the calibration noise; calibration with the same seed is
 // deterministic.
 func (d *Demodulator) Calibrate(rssDBm float64, rng *rand.Rand) {
+	d.CalibrateScalars(rssDBm, rng)
+	if d.cfg.Mode == ModeFull {
+		d.buildTemplates(rssDBm)
+		// Materialize the detection template eagerly so a calibrated
+		// demodulator is read-only from here on: Clone relies on this to
+		// share templates across concurrent workers without racing the
+		// lazy render.
+		d.detectionTemplate()
+	}
+	d.syncFx()
+	d.calibrated = true
+}
+
+// CalibrateScalars is the first half of Calibrate: it measures the
+// envelope's noise baseline and ripple and its peak Amax at rssDBm,
+// derives the comparator thresholds and the falling-edge bias, sets them
+// and returns them. It renders no template and touches neither the
+// fixed-point twin nor the calibrated flag; a receiver that keeps only the
+// scalars installs them on a clone with SetCalibration. It draws from rng
+// exactly as Calibrate does.
+func (d *Demodulator) CalibrateScalars(rssDBm float64, rng *rand.Rand) Calibration {
 	p := d.cfg.Params
 	fs := d.fsSim
 
@@ -55,17 +76,7 @@ func (d *Demodulator) Calibrate(rssDBm float64, rng *rand.Rand) {
 	}
 	d.comparator = analog.Comparator[float64]{High: high, Low: low}
 	d.peakBias = d.measureDecodeBias(rssDBm)
-
-	if d.cfg.Mode == ModeFull {
-		d.buildTemplates(rssDBm)
-		// Materialize the detection template eagerly so a calibrated
-		// demodulator is read-only from here on: Clone relies on this to
-		// share templates across concurrent workers without racing the
-		// lazy render.
-		d.detectionTemplate()
-	}
-	d.syncFx()
-	d.calibrated = true
+	return d.Calibration()
 }
 
 // Calibration is the scalar outcome of Calibrate: the envelope's noise

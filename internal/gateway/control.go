@@ -53,7 +53,7 @@ func (g *Gateway) fold(plan *epochPlan) {
 	if rec != nil {
 		// Fresh trace lists for the epoch: control-loop and operator dumps
 		// filter on what this epoch's fold saw, nothing older.
-		for _, id := range g.sessionTags() {
+		for _, id := range sortedIDs(g.sessions) {
 			g.sessions[id].flightTraces = g.sessions[id].flightTraces[:0]
 		}
 	}
@@ -136,7 +136,7 @@ func (g *Gateway) fold(plan *epochPlan) {
 		}
 	}
 	// Refresh each session's SNR belief from its delivery window.
-	for _, id := range g.aliveIDs() {
+	for _, id := range sortedIDs(g.tags) {
 		if s := g.sessions[id]; s.snr.Len() > 0 {
 			s.snrEst = windowMean(&s.snr)
 		}
@@ -204,15 +204,7 @@ func addrOf(id int) int { return id % mac.BroadcastAddr }
 
 // bestChannel returns the least-attenuated ingest channel (ties to the
 // lowest index).
-func (g *Gateway) bestChannel() int {
-	best := 0
-	for ch := 1; ch < len(g.atten); ch++ {
-		if g.atten[ch] < g.atten[best] {
-			best = ch
-		}
-	}
-	return best
-}
+func (g *Gateway) bestChannel() int { return argmin(g.atten) }
 
 // control runs the closed loop over every live session in ascending tag
 // order: rate adaptation, channel hopping, threshold re-calibration, and
@@ -228,7 +220,7 @@ func (g *Gateway) control(epoch int) error {
 	}
 	rng := dsp.NewRand(g.cfg.Seed^commandSalt, uint64(epoch))
 	rec := g.cfg.Flight
-	for _, id := range g.aliveIDs() {
+	for _, id := range sortedIDs(g.tags) {
 		t := g.tags[id]
 		s := g.sessions[id]
 

@@ -29,16 +29,16 @@ package gateway
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"time"
 
 	"saiyan/internal/core"
 	"saiyan/internal/dsp"
 	"saiyan/internal/flight"
 	"saiyan/internal/health"
-	"saiyan/internal/lora"
 	"saiyan/internal/obs"
 	"saiyan/internal/radio"
 	"saiyan/internal/sim"
@@ -231,8 +231,8 @@ type Gateway struct {
 	sessions map[int]*session
 	atten    []float64 // per-channel attenuation in dB
 
-	// Per-channel noise accounting from the most recent epoch's segmenters
-	// (core.NoiseStats of the hunt demodulator).
+	// Per-channel noise accounting from the most recent epoch's receivers
+	// (stream.Receiver.NoiseStats: the hunt calibration's noise).
 	chanNoise []noiseStats
 
 	agg aggregate
@@ -321,9 +321,7 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	// Validate the demodulator once at every rate the adapter may command.
 	for k := adapter.MinK; k <= adapter.MaxK; k++ {
-		probe := cfg.Demod
-		probe.Params.K = k
-		if _, err := core.New(probe); err != nil {
+		if _, err := core.New(cfg.demod(k)); err != nil {
 			return nil, fmt.Errorf("gateway: demodulator invalid at K=%d: %w", k, err)
 		}
 	}
@@ -369,14 +367,32 @@ func (g *Gateway) rssAt(t *tagState) float64 {
 	return g.cfg.Budget.RSSDBm(t.distanceM) - g.atten[t.channel]
 }
 
-// aliveIDs returns the deployed tag IDs in ascending order.
-func (g *Gateway) aliveIDs() []int {
-	ids := make([]int, 0, len(g.tags))
-	for id := range g.tags {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
+// sortedIDs returns the tag IDs keying m in ascending order, the
+// package's deterministic iteration order.
+func sortedIDs[V any](m map[int]V) []int {
+	ids := slices.AppendSeq(make([]int, 0, len(m)), maps.Keys(m))
+	slices.Sort(ids)
 	return ids
+}
+
+// channelLoad counts the deployed tags on each ingest channel.
+func (g *Gateway) channelLoad() []int {
+	load := make([]int, g.cfg.Channels)
+	for _, t := range g.tags {
+		load[t.channel]++
+	}
+	return load
+}
+
+// argmin returns the index of the smallest of xs, ties to the lowest.
+func argmin[T int | float64](xs []T) int {
+	best := 0
+	for i := range xs {
+		if xs[i] < xs[best] {
+			best = i
+		}
+	}
+	return best
 }
 
 // applyChurn advances the deployment model one epoch: scheduled channel
@@ -390,7 +406,7 @@ func (g *Gateway) applyChurn(epoch int) {
 	}
 	rng := dsp.NewRand(g.cfg.Seed^churnSalt, uint64(epoch))
 	if g.cfg.MobilitySigma > 0 && epoch > 0 {
-		for _, id := range g.aliveIDs() {
+		for _, id := range sortedIDs(g.tags) {
 			t := g.tags[id]
 			t.distanceM *= math.Exp(g.cfg.MobilitySigma * rng.NormFloat64())
 			if t.distanceM < 1 {
@@ -401,10 +417,10 @@ func (g *Gateway) applyChurn(epoch int) {
 	if g.cfg.JoinEvery > 0 && epoch > 0 && epoch%g.cfg.JoinEvery == 0 {
 		frac := rng.Float64()
 		d := g.cfg.MinM * math.Pow(g.cfg.MaxM/g.cfg.MinM, frac)
-		g.admitTag(d, g.leastLoadedChannel())
+		g.admitTag(d, argmin(g.channelLoad()))
 	}
 	if g.cfg.LeaveEvery > 0 && epoch > 0 && epoch%g.cfg.LeaveEvery == 0 && len(g.tags) > 1 {
-		oldest := g.aliveIDs()[0]
+		oldest := sortedIDs(g.tags)[0]
 		t := g.tags[oldest]
 		s := g.sessions[oldest]
 		s.active = false
@@ -415,22 +431,6 @@ func (g *Gateway) applyChurn(epoch int) {
 		s.delivered = nil
 		delete(g.tags, oldest)
 	}
-}
-
-// leastLoadedChannel picks the ingest channel with the fewest tags (ties to
-// the lowest index).
-func (g *Gateway) leastLoadedChannel() int {
-	load := make([]int, g.cfg.Channels)
-	for _, t := range g.tags {
-		load[t.channel]++
-	}
-	best := 0
-	for ch := 1; ch < len(load); ch++ {
-		if load[ch] < load[best] {
-			best = ch
-		}
-	}
-	return best
 }
 
 // EpochReport summarizes one served epoch. The JSON field names are the
@@ -541,13 +541,13 @@ func (g *Gateway) RunEpoch(ctx context.Context) (EpochReport, error) {
 		Recalibrations: int(g.agg.recals - preRecals),
 		FreshDelivered: int(g.agg.framesDelivered - preDelivered),
 		FxpCycles:      g.agg.fxpCycles - preFxp,
-		DeliveryRatio:  g.deliveryRatio(),
+		DeliveryRatio:  ratio(g.agg.framesDelivered, g.agg.framesScheduled),
 		Elapsed:        time.Since(start), //lint:allow determinism wall-clock report field, excluded from snapshot comparisons
 	}
 	for _, grp := range plan.groups {
 		rep.FramesScheduled += len(grp.capture.Events)
 		rep.Retransmits += len(grp.tl.Retransmits)
-		rep.WindowsEmitted += grp.windows
+		rep.WindowsEmitted += grp.rcv.Windows()
 	}
 	// Health-plane epoch boundary: append this epoch's series in schedule
 	// order and seal, which runs the SLO rules and journals transitions.
@@ -556,11 +556,12 @@ func (g *Gateway) RunEpoch(ctx context.Context) (EpochReport, error) {
 	return rep, nil
 }
 
-func (g *Gateway) deliveryRatio() float64 {
-	if g.agg.framesScheduled == 0 {
+// ratio is num/den, or 0 when den is 0.
+func ratio(num, den uint64) float64 {
+	if den == 0 {
 		return 0
 	}
-	return float64(g.agg.framesDelivered) / float64(g.agg.framesScheduled)
+	return float64(num) / float64(den)
 }
 
 // ChannelSnapshot is the externally visible state of one ingest channel.
@@ -613,12 +614,7 @@ type Snapshot struct {
 
 // DeliveryRatio is the cumulative dedup-correct delivery: unique frames
 // delivered error-free over unique frames scheduled.
-func (s Snapshot) DeliveryRatio() float64 {
-	if s.FramesScheduled == 0 {
-		return 0
-	}
-	return float64(s.FramesDelivered) / float64(s.FramesScheduled)
-}
+func (s Snapshot) DeliveryRatio() float64 { return ratio(s.FramesDelivered, s.FramesScheduled) }
 
 // String renders the aggregate as a one-line service report.
 func (s Snapshot) String() string {
@@ -653,30 +649,26 @@ func (g *Gateway) Snapshot() Snapshot {
 		Recalibrations:       g.agg.recals,
 		FxpCycles:            g.agg.fxpCycles,
 	}
-	load := make([]int, g.cfg.Channels)
-	for _, t := range g.tags {
-		load[t.channel]++
-	}
-	for ch := 0; ch < g.cfg.Channels; ch++ {
+	for ch, load := range g.channelLoad() {
 		snap.Channels = append(snap.Channels, ChannelSnapshot{
 			Channel:       ch,
 			AttenDB:       g.atten[ch],
-			Tags:          load[ch],
+			Tags:          load,
 			NoiseBaseline: g.chanNoise[ch].baseline,
 			NoiseSigma:    g.chanNoise[ch].sigma,
 		})
 	}
-	for _, id := range g.sessionTags() {
+	for _, id := range sortedIDs(g.sessions) {
 		snap.Sessions = append(snap.Sessions, g.snapshotSession(g.sessions[id]))
 	}
 	return snap
 }
 
-// params returns the gateway PHY parameters at rate k.
-func (g *Gateway) params(k int) lora.Params {
-	p := g.cfg.Demod.Params
-	p.K = k
-	return p
+// demod returns the configured demodulator chain at rate k.
+func (c Config) demod(k int) core.Config {
+	d := c.Demod
+	d.Params.K = k
+	return d
 }
 
 // Operator control plane. These methods mutate the deployment model the
@@ -705,7 +697,7 @@ func (g *Gateway) operatorDump(tag int) {
 			channel = t.channel
 		}
 	} else {
-		for _, id := range g.aliveIDs() {
+		for _, id := range sortedIDs(g.tags) {
 			traces = append(traces, g.sessions[id].flightTraces...)
 		}
 	}
@@ -731,7 +723,7 @@ func (g *Gateway) OverrideRate(tag, k int) error {
 		}
 	}
 	if tag < 0 {
-		for _, id := range g.aliveIDs() {
+		for _, id := range sortedIDs(g.tags) {
 			apply(g.tags[id])
 		}
 		g.operatorDump(-1)
@@ -775,7 +767,7 @@ func (g *Gateway) Rebalance() (moved int, err error) {
 	if g.err != nil {
 		return 0, g.err
 	}
-	for i, id := range g.aliveIDs() {
+	for i, id := range sortedIDs(g.tags) {
 		ch := i % g.cfg.Channels
 		t := g.tags[id]
 		if t.channel != ch {

@@ -1,7 +1,8 @@
 package gateway
 
 import (
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 
 	"saiyan/internal/flight"
@@ -92,14 +93,12 @@ func (h *gatewayHealth) observe(g *Gateway, plan *epochPlan, rep EpochReport) {
 	}
 	epoch := rep.Epoch
 
-	for i := range h.chSched {
-		h.chSched[i], h.chCorrect[i] = 0, 0
-		h.chFail[i] = 0
-		h.chSNRSum[i], h.chSNRN[i] = 0, 0
-	}
-	for i := range h.kFrames {
-		h.kFrames[i] = 0
-	}
+	clear(h.chSched)
+	clear(h.chCorrect)
+	clear(h.chFail)
+	clear(h.chSNRSum)
+	clear(h.chSNRN)
+	clear(h.kFrames)
 
 	// Per-event accounting in schedule order, exactly the fold's walk.
 	// The first failed event per channel becomes the PRR exemplar trace;
@@ -123,13 +122,9 @@ func (h *gatewayHealth) observe(g *Gateway, plan *epochPlan, rep EpochReport) {
 	// Session walk in ascending tag order (float sums are order
 	// sensitive; ascending IDs is the package-wide determinism idiom).
 	// The collect-then-sort runs on the reused scratch slice, and
-	// sort.Ints is allocation-free, so the epoch path stays zero-alloc.
-	ids := h.ids[:0]
-	for id := range g.tags {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	h.ids = ids
+	// slices.Sort is allocation-free, so the epoch path stays zero-alloc.
+	h.ids = slices.AppendSeq(h.ids[:0], maps.Keys(g.tags))
+	slices.Sort(h.ids)
 	occ := h.chSNRN // occupancy == SNR sample count per channel
 	for _, id := range h.ids {
 		t := g.tags[id]

@@ -29,12 +29,9 @@ type ingestGroup struct {
 	tl      sim.TimelineConfig
 
 	capture *sim.Stream
+	rcv     *stream.Receiver // the capture's receive chain, built by segment
 	// outcomes is the per-event decode outcome, filled by the result fold.
 	outcomes []eventOutcome
-
-	windows   int        // windows emitted by this group's segmenter
-	unmatched int        // windows that resolved to no schedule entry
-	noise     noiseStats // the segmenter's calibrated envelope noise
 }
 
 // eventOutcome is what happened to one scheduled transmission.
@@ -53,7 +50,7 @@ type eventOutcome struct {
 func (g *Gateway) buildPlan(epoch int) *epochPlan {
 	plan := &epochPlan{epoch: epoch}
 	byGroup := make(map[[2]int]*ingestGroup)
-	for _, id := range g.aliveIDs() {
+	for _, id := range sortedIDs(g.tags) {
 		t := g.tags[id]
 		key := [2]int{t.rateK, t.channel}
 		grp := byGroup[key]
@@ -61,7 +58,7 @@ func (g *Gateway) buildPlan(epoch int) *epochPlan {
 			grp = &ingestGroup{
 				k:       t.rateK,
 				channel: t.channel,
-				set:     &sim.TagSet{Params: g.params(t.rateK), Seed: g.cfg.Seed},
+				set:     &sim.TagSet{Params: g.cfg.demod(t.rateK).Params, Seed: g.cfg.Seed},
 				tl: sim.TimelineConfig{
 					FramesPerTag: g.cfg.FramesPerTag,
 					SeqBase:      uint64(epoch) * uint64(g.cfg.FramesPerTag),
@@ -142,9 +139,10 @@ func (g *Gateway) ingest(ctx context.Context, plan *epochPlan) error {
 	// Channel-level accounting: windows, noise stats (last group of a
 	// channel wins — deterministic, since groups are ordered).
 	for _, grp := range plan.groups {
-		g.agg.windowsEmitted += uint64(grp.windows)
-		g.agg.windowsUnmatched += uint64(grp.unmatched)
-		g.chanNoise[grp.channel] = grp.noise
+		g.agg.windowsEmitted += uint64(grp.rcv.Windows())
+		g.agg.windowsUnmatched += uint64(grp.rcv.Unmatched())
+		n := &g.chanNoise[grp.channel]
+		n.baseline, n.sigma = grp.rcv.NoiseStats()
 	}
 	return nil
 }
@@ -160,8 +158,7 @@ func (g *Gateway) renderGroups(groups []*ingestGroup) error {
 	sem := make(chan struct{}, g.cfg.Workers)
 	var wg sync.WaitGroup
 	for i, grp := range groups {
-		demod := g.cfg.Demod
-		demod.Params = g.params(grp.k)
+		demod := g.cfg.demod(grp.k)
 		sem <- struct{}{}
 		wg.Add(1)
 		go func() {
@@ -197,7 +194,7 @@ type jobRef struct {
 // submitted still decode before Drain returns.
 func (g *Gateway) ingestRateGroup(ctx context.Context, epoch int, groups []*ingestGroup) error {
 	pcfg := pipeline.Config{
-		Demod:   g.cfg.Demod,
+		Demod:   g.cfg.demod(groups[0].k),
 		Workers: g.cfg.Workers,
 		Seed:    g.cfg.Seed,
 		Metrics: g.cfg.Metrics,
@@ -205,7 +202,6 @@ func (g *Gateway) ingestRateGroup(ctx context.Context, epoch int, groups []*inge
 		// the segmenters.
 		Flight: g.cfg.Flight,
 	}
-	pcfg.Demod.Params = g.params(groups[0].k)
 	p, err := pipeline.New(pcfg)
 	if err != nil {
 		return err
@@ -258,36 +254,27 @@ func (g *Gateway) ingestRateGroup(ctx context.Context, epoch int, groups []*inge
 	return nil
 }
 
-// segment cuts grp's capture into frame windows and submits each to
-// p as it is cut, so segmentation overlaps decode. Each window is resolved
-// against the group's schedule, and each event is claimed at most once: a
-// duplicate window goes through unmatched. A matched window carries its
-// frame's trace ID and leaves a segment-stage span on flight shard 0, which
-// belongs to this (submission) goroutine. refs gains one entry per
-// submission, in submission order.
+// segment runs grp's capture through a stream.Receiver and submits each
+// window to p as it is cut, so segmentation overlaps decode. A window that
+// claimed a scheduled frame carries the frame's trace ID and leaves a
+// segment-stage span on flight shard 0, which belongs to this (submission)
+// goroutine. refs gains one entry per submission, in submission order.
 func (g *Gateway) segment(ctx context.Context, p *pipeline.Pipeline, epoch int, grp *ingestGroup, refs *[]jobRef) error {
-	demod := g.cfg.Demod
-	demod.Params = g.params(grp.k)
 	hunt := g.huntRSS(grp)
 	grp.outcomes = make([]eventOutcome, len(grp.capture.Events))
-	claimed := make([]bool, len(grp.capture.Events))
-	seg, err := stream.NewSegmenter(stream.Config{
-		Demod:          demod,
-		PayloadSymbols: grp.capture.PayloadSymbols,
-		HuntRSSDBm:     hunt,
-		Seed:           g.cfg.Seed,
-		Metrics:        g.cfg.Metrics,
-	}, func(w stream.Window) error {
+	rcv, err := stream.NewReceiver(stream.Config{
+		Demod:      g.cfg.demod(grp.k),
+		HuntRSSDBm: hunt,
+		Seed:       g.cfg.Seed,
+		Metrics:    g.cfg.Metrics,
+	}, grp.capture, func(j pipeline.Job, event int, start int64) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		j := pipeline.Job{Tag: -1, Env: w.Env, EnvC: w.EnvC, Release: w.Release, NSymbols: w.NSymbols}
-		ref := jobRef{grp: grp, event: -1}
-		if idx, ok := grp.capture.Match(w.Start); ok && !claimed[idx] {
-			claimed[idx] = true
-			ev := grp.capture.Events[idx]
-			j.Tag, j.Want = ev.Tag, ev.Want
-			ref.event, ref.offset = idx, w.Start-int64(ev.StartSamp)
+		ref := jobRef{grp: grp, event: event}
+		if event >= 0 {
+			ev := grp.capture.Events[event]
+			ref.offset = start - int64(ev.StartSamp)
 			if rec := g.cfg.Flight; rec != nil {
 				j.Trace = flight.TraceID(epoch, grp.channel, ev.Tag, ev.Seq)
 				rec.Append(0, flight.Span{
@@ -299,11 +286,9 @@ func (g *Gateway) segment(ctx context.Context, p *pipeline.Pipeline, epoch int, 
 					Stage:    flight.StageSegment,
 					Decision: flight.WindowMatched,
 					A:        hunt,
-					B:        float64(w.Start),
+					B:        float64(start),
 				})
 			}
-		} else {
-			grp.unmatched++
 		}
 		*refs = append(*refs, ref)
 		return p.Submit(j)
@@ -311,18 +296,6 @@ func (g *Gateway) segment(ctx context.Context, p *pipeline.Pipeline, epoch int, 
 	if err != nil {
 		return fmt.Errorf("segmenting K=%d channel %d: %w", grp.k, grp.channel, err)
 	}
-	for _, c := range grp.capture.Chunks(g.cfg.ChunkSamples) {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := seg.Push(c.Env, c.EnvC); err != nil {
-			return err
-		}
-	}
-	if err := seg.Flush(); err != nil {
-		return err
-	}
-	grp.windows = seg.Windows()
-	grp.noise.baseline, grp.noise.sigma = seg.NoiseStats()
-	return nil
+	grp.rcv = rcv
+	return rcv.Run(ctx, g.cfg.ChunkSamples)
 }

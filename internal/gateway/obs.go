@@ -61,11 +61,9 @@ func newGatewayObs(r *obs.Registry) gatewayObs {
 		retxAbandoned: r.Counter("saiyan_gateway_retx_abandoned_total",
 			"missing frames dropped after exhausting the retry budget"),
 	}
-	o.stages[stageRender] = stage("render")
-	o.stages[stageDecode] = stage("decode")
-	o.stages[stageIngest] = stage("ingest")
-	o.stages[stageControl] = stage("control")
-	o.stages[stageEpoch] = stage("epoch")
+	for i, name := range [numStages]string{"render", "decode", "ingest", "control", "epoch"} {
+		o.stages[i] = stage(name)
+	}
 	for _, op := range []mac.Opcode{mac.OpAck, mac.OpRetransmit, mac.OpHopChannel, mac.OpSetRate, mac.OpRecalibrate} {
 		name := `saiyan_gateway_cmds_total{op="` + strings.ReplaceAll(op.String(), "-", "_") + `",outcome=`
 		o.cmdsDelivered[op] = r.Counter(name+`"delivered"}`, "downlink command outcomes by opcode")

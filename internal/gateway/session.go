@@ -1,10 +1,6 @@
 package gateway
 
-import (
-	"sort"
-
-	"saiyan/internal/ring"
-)
+import "saiyan/internal/ring"
 
 // windowMean averages a link window. Pushes and reads happen in
 // deterministic (schedule) order, and the sum runs in storage order, not
@@ -179,15 +175,4 @@ func (g *Gateway) snapshotSession(s *session) SessionSnapshot {
 		snap.Channel, snap.RateK = s.lastChannel, s.lastRateK
 	}
 	return snap
-}
-
-// sessionTags returns every session's tag ID in ascending order — the
-// deterministic iteration order for control and snapshotting.
-func (g *Gateway) sessionTags() []int {
-	ids := make([]int, 0, len(g.sessions))
-	for id := range g.sessions {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
 }

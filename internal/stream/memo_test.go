@@ -62,11 +62,11 @@ func pushAll(t *testing.T, seg *Segmenter, chunks []sim.Chunk) {
 // one it replaced: a segmenter built on cold memos, one built on warm
 // memos, and one whose hunt demodulator is a fresh core.New plus
 // Calibrate emit the same windows, Start and every sample included, in
-// ModeFull and ModeVanilla on both datapaths.
+// ModeFull, ModeVanilla and ModeFreqShift on both datapaths.
 func TestSegmenterMemoMatchesCalibrate(t *testing.T) {
 	capture := testCapture(t, 3, 4, sim.TimelineConfig{OverlapEvery: 5})
 	chunks := capture.Chunks(113)
-	for _, mode := range []core.Mode{core.ModeFull, core.ModeVanilla} {
+	for _, mode := range []core.Mode{core.ModeFull, core.ModeVanilla, core.ModeFreqShift} {
 		for _, dp := range []core.Datapath{core.DatapathFloat, core.DatapathFixed} {
 			label := mode.String() + "/" + dp.String()
 			cfg := coldConfig(mode, dp)

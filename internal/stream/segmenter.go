@@ -1,12 +1,11 @@
 // Package stream turns a continuous envelope capture into demodulation
 // work: a Segmenter hunts LoRa preambles across arbitrarily-chunked
 // envelope deliveries — carrier-sense gate, preamble detection, then
-// symbol-aligned window extraction — and a Source feeds the windows of a
-// rendered capture into the concurrent pipeline as stream-decode jobs,
-// scored against the capture's own schedule, so segmentation (single
-// goroutine, cheap) overlaps demodulation (worker pool, expensive). The
-// gateway drives Segmenters directly, submitting each window from the
-// emit callback.
+// symbol-aligned window extraction — and a Receiver claims each window's
+// scheduled frame and hands it on as a stream-decode job. Both receive
+// paths run on a Receiver: a Source queues its jobs for the concurrent
+// pipeline, and the gateway submits each one from the emit callback, so
+// segmentation (one goroutine, cheap) overlaps demodulation (worker pool).
 //
 // This is the receive path the paper's Section 3.2 packet detection
 // implies and the per-frame pipeline skipped: nothing here knows frame
@@ -34,8 +33,9 @@ type Config struct {
 	Demod core.Config
 
 	// PayloadSymbols is the payload length of hunted frames (fixed-length
-	// downlink schedule, as in the paper's Section 5 setup). Default
-	// lora.DefaultPayloadSymbols.
+	// downlink schedule, as in the paper's Section 5 setup). A Receiver
+	// takes it from its capture when 0 and rejects a mismatch; a bare
+	// Segmenter defaults it to lora.DefaultPayloadSymbols.
 	PayloadSymbols int
 
 	// HuntRSSDBm calibrates the hunt demodulator's comparator thresholds
@@ -128,8 +128,7 @@ type Segmenter struct {
 	free    *windowFree               // window buffers handed back by Release
 	release func(env, envC []float64) // free.put, bound once
 
-	windows int // frames emitted so far
-	samples int64
+	samples int64 // sampler-rate samples pushed
 
 	// Observability counters (nil-safe handles; nil when Config.Metrics is
 	// unset). The segmenter is single-goroutine, so plain counters suffice.
@@ -149,11 +148,12 @@ const maxHunts = 1024
 type huntKey struct{ demod, rss, seed uint64 }
 
 // NewSegmenter builds the hunt demodulator: a clone of the config's
-// core.Prewarmed master with the memoized hunt calibration installed
-// (Calibrate runs on a miss). The hunt only gates and locates preambles,
-// reading the calibration scalars and the detection template, which is
-// rendered at the nominal level whatever the hunt RSS; so the clone hunts
-// as a calibrated one would. The pipeline's workers decode the windows.
+// core.Prewarmed master with the memoized hunt calibration installed (a
+// miss runs only CalibrateScalars, Calibrate's scalar half). The hunt only
+// gates and locates preambles, reading the calibration scalars and the
+// detection template, which is rendered at the nominal level whatever the
+// hunt RSS; so the clone hunts as a calibrated one would. The pipeline's
+// workers decode the windows.
 func NewSegmenter(cfg Config, emit func(Window) error) (*Segmenter, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -167,9 +167,7 @@ func NewSegmenter(cfg Config, emit func(Window) error) (*Segmenter, error) {
 		return nil, err
 	}
 	cal := hunts.Get(huntKey{entry, math.Float64bits(cfg.HuntRSSDBm), cfg.Seed}, func() core.Calibration {
-		c := master.Clone()
-		c.Calibrate(cfg.HuntRSSDBm, dsp.NewRand(cfg.Seed^0x73656d656e746572, 0))
-		return c.Calibration()
+		return master.Clone().CalibrateScalars(cfg.HuntRSSDBm, dsp.NewRand(cfg.Seed^0x73656d656e746572, 0))
 	})
 	d := master.Clone()
 	d.SetCalibration(cal)
@@ -207,9 +205,6 @@ func NewSegmenter(cfg Config, emit func(Window) error) (*Segmenter, error) {
 	s.carries = cfg.Metrics.Counter("saiyan_stream_carries_total", "chunk deliveries that arrived with a frame pending across the boundary")
 	return s, nil
 }
-
-// Windows reports how many frame windows have been emitted.
-func (s *Segmenter) Windows() int { return s.windows }
 
 // NoiseStats reports the hunt demodulator's calibrated envelope noise
 // statistics: the no-signal baseline and the noise standard deviation the
@@ -320,7 +315,6 @@ func (s *Segmenter) extract(start int) error {
 		n += copy(envC[n:], s.chunkC[max(lo-nb, 0):max(hi-nb, 0)])
 		w.EnvC = envC[:n]
 	}
-	s.windows++
 	s.pending = -1
 	s.emitted.Inc()
 	if err := s.emit(w); err != nil {

@@ -9,44 +9,31 @@ import (
 )
 
 // Source adapts a chunked capture to the pipeline's pull interface: each
-// Next call pushes capture chunks through the Segmenter until a frame
-// window pops out, then returns it as a stream-decode job. Segmentation
-// thus runs on the pipeline's submission goroutine while earlier windows
-// are already demodulating on the worker pool — the two stages overlap.
+// Next call pushes capture chunks through a Receiver until a frame window
+// pops out, then returns its stream-decode job. Segmentation thus runs on
+// the pipeline's submission goroutine while earlier windows are already
+// demodulating on the worker pool — the two stages overlap.
 type Source struct {
-	seg    *Segmenter
+	rcv    *Receiver
 	chunks []sim.Chunk
-	at     int
+	at     int            // next chunk to push; len(chunks) flushes, beyond it is EOF
 	queue  []pipeline.Job // emitted windows; queue[head:] not yet handed out
 	head   int
-	done   bool
-
-	matched int
 }
 
 // NewSource builds a pipeline source over a rendered capture, delivered in
-// chunkSamples-sized chunks (0 = one chunk). Each extracted window is
-// matched against the capture's own schedule: a window that resolves to a
-// scheduled frame carries the frame's tag and payload for scoring. Each
-// frame is claimed at most once — a duplicate window for the same frame
-// goes through unchecked instead of double-counting ground truth.
+// chunkSamples-sized chunks (0 = one chunk). Its jobs are scored against
+// the capture's own schedule by the Receiver's claim rule.
 func NewSource(cfg Config, capture *sim.Stream, chunkSamples int) (*Source, error) {
 	s := &Source{chunks: capture.Chunks(chunkSamples)}
-	claimed := make([]bool, len(capture.Events))
-	seg, err := NewSegmenter(cfg, func(w Window) error {
-		j := pipeline.Job{Tag: -1, Env: w.Env, EnvC: w.EnvC, Release: w.Release, NSymbols: w.NSymbols}
-		if idx, ok := capture.Match(w.Start); ok && !claimed[idx] {
-			claimed[idx] = true
-			j.Tag, j.Want = capture.Events[idx].Tag, capture.Events[idx].Want
-			s.matched++
-		}
+	rcv, err := NewReceiver(cfg, capture, func(j pipeline.Job, _ int, _ int64) error {
 		s.queue = append(s.queue, j)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	s.seg = seg
+	s.rcv = rcv
 	return s, nil
 }
 
@@ -55,22 +42,19 @@ func NewSource(cfg Config, capture *sim.Stream, chunkSamples int) (*Source, erro
 func (s *Source) Next() (pipeline.Job, error) {
 	for s.head == len(s.queue) {
 		s.queue, s.head = s.queue[:0], 0
-		if s.at < len(s.chunks) {
-			c := s.chunks[s.at]
-			s.at++
-			if err := s.seg.Push(c.Env, c.EnvC); err != nil {
-				return pipeline.Job{}, err
-			}
-			continue
+		var err error
+		switch {
+		case s.at < len(s.chunks):
+			err = s.rcv.Push(s.chunks[s.at].Env, s.chunks[s.at].EnvC)
+		case s.at == len(s.chunks):
+			err = s.rcv.Flush()
+		default:
+			return pipeline.Job{}, io.EOF
 		}
-		if !s.done {
-			s.done = true
-			if err := s.seg.Flush(); err != nil {
-				return pipeline.Job{}, err
-			}
-			continue
+		s.at++
+		if err != nil {
+			return pipeline.Job{}, err
 		}
-		return pipeline.Job{}, io.EOF
 	}
 	j := s.queue[s.head]
 	s.queue[s.head] = pipeline.Job{}
@@ -79,13 +63,13 @@ func (s *Source) Next() (pipeline.Job, error) {
 }
 
 // Windows reports how many frame windows the segmenter emitted.
-func (s *Source) Windows() int { return s.seg.Windows() }
+func (s *Source) Windows() int { return s.rcv.Windows() }
 
 // Matched reports how many emitted windows resolved to scheduled frames.
-func (s *Source) Matched() int { return s.matched }
+func (s *Source) Matched() int { return s.rcv.Matched() }
 
 // SamplesIn reports how many sampler-rate samples were segmented.
-func (s *Source) SamplesIn() int64 { return s.seg.SamplesIn() }
+func (s *Source) SamplesIn() int64 { return s.rcv.SamplesIn() }
 
 // Stats is the outcome of a continuous-capture demodulation run: the
 // pipeline aggregate plus segmentation-level accounting. JSON field names

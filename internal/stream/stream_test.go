@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -87,7 +88,8 @@ func TestStreamEndToEnd(t *testing.T) {
 // TestStreamChunkInvariance verifies segmentation is a pure function of the
 // capture: any chunking — one giant chunk, single samples, odd sizes, chunks
 // larger than the segmenter's carry buffer — yields byte-identical windows
-// and identical decode outcomes.
+// and identical decode outcomes. At every chunking a Receiver's claims
+// must agree with its accounting, each event claimed at most once.
 func TestStreamChunkInvariance(t *testing.T) {
 	capture := testCapture(t, 3, 2, sim.TimelineConfig{})
 	_, scfg := testConfigs()
@@ -110,6 +112,7 @@ func TestStreamChunkInvariance(t *testing.T) {
 			t.Errorf("chunk=%d: windows differ from one-chunk delivery: %s", chunk, diff)
 		}
 		pcfg, scfg := testConfigs()
+		checkClaims(t, scfg, capture, chunk)
 		pcfg.Workers = 2
 		st, err := Demodulate(context.Background(), pcfg, scfg, capture, chunk)
 		if err != nil {
@@ -123,6 +126,49 @@ func TestStreamChunkInvariance(t *testing.T) {
 	}
 	if first.Recovery() < 0.95 {
 		t.Errorf("recovery %.2f, want >= 0.95", first.Recovery())
+	}
+}
+
+// checkClaims runs a Receiver over capture in chunk-sized chunks, then
+// offers it a duplicate window, and checks its claims: no event claimed
+// twice, a claim carries its event's tag, and matched + unmatched ==
+// windows, as the callback saw them.
+func checkClaims(t *testing.T, scfg Config, capture *sim.Stream, chunk int) {
+	t.Helper()
+	claimed := make([]bool, len(capture.Events))
+	var matched, unmatched int
+	rcv, err := NewReceiver(scfg, capture, func(j pipeline.Job, event int, _ int64) error {
+		j.Release(j.Env, j.EnvC)
+		if event < 0 {
+			unmatched++
+			return nil
+		}
+		if claimed[event] {
+			t.Errorf("chunk=%d: event %d claimed twice", chunk, event)
+		}
+		if j.Tag != capture.Events[event].Tag {
+			t.Errorf("chunk=%d: event %d claimed with tag %d, want %d", chunk, event, j.Tag, capture.Events[event].Tag)
+		}
+		claimed[event] = true
+		matched++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rcv.Run(context.Background(), chunk); err != nil {
+		t.Fatal(err)
+	}
+	// Offer a claimed frame's start once more: the duplicate window must
+	// go through unmatched.
+	if e := slices.Index(claimed, true); e >= 0 {
+		if err := rcv.window(Window{Start: int64(capture.Events[e].StartSamp), Release: func(_, _ []float64) {}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if matched == 0 || rcv.Matched() != matched || rcv.Unmatched() != unmatched || matched+unmatched != rcv.Windows() {
+		t.Errorf("chunk=%d: receiver counts %d matched + %d unmatched of %d windows; callback saw %d + %d",
+			chunk, rcv.Matched(), rcv.Unmatched(), rcv.Windows(), matched, unmatched)
 	}
 }
 
@@ -319,6 +365,16 @@ func TestSegmenterConfigValidation(t *testing.T) {
 	bad.Oversample = 1
 	if _, err := NewSegmenter(Config{Demod: bad}, func(Window) error { return nil }); err == nil {
 		t.Error("invalid demodulator config accepted")
+	}
+	// A payload length that disagrees with the capture's is an error
+	// naming both, not a run that scores every window against the wrong
+	// symbol count.
+	capture := testCapture(t, 1, 1, sim.TimelineConfig{})
+	for _, n := range []int{capture.PayloadSymbols / 2, capture.PayloadSymbols + 8} {
+		_, err := NewSource(Config{Demod: core.DefaultConfig(), PayloadSymbols: n}, capture, 0)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprint(n)) || !strings.Contains(err.Error(), fmt.Sprint(capture.PayloadSymbols)) {
+			t.Errorf("payload length %d on a %d-symbol capture: error %v, want one naming both lengths", n, capture.PayloadSymbols, err)
+		}
 	}
 }
 

@@ -262,7 +262,9 @@ func RenderTimeline(ts *TagSet, cfg Config, tl TimelineConfig) (*TagStream, erro
 // delivered in chunkSamples-sized chunks (0 = one chunk): each Next call
 // advances segmentation until a frame window pops out and submits it as a
 // stream-decode job, so segmentation overlaps demodulation. Extracted
-// windows are matched back to the capture's schedule for scoring.
+// windows are matched back to the capture's schedule for scoring. A zero
+// cfg.PayloadSymbols takes the capture's payload length; a non-zero one
+// that disagrees with it is an error.
 func NewStreamSource(cfg StreamConfig, capture *TagStream, chunkSamples int) (*StreamSource, error) {
 	return stream.NewSource(cfg, capture, chunkSamples)
 }
