@@ -1,11 +1,11 @@
 # Local targets mirroring .github/workflows/ci.yml: `make ci` runs the
 # blocking CI job's build, vet, lint, gofmt, short race test, example,
-# golden-replay and bench-module steps. `make bench` runs the repository
-# benchmark (bench/), the one source of performance numbers.
+# golden-replay, benchmark-smoke and bench-module steps. `make bench` runs
+# the repository benchmark (bench/), the one source of performance numbers.
 
 GO ?= go
 
-.PHONY: build test test-short examples bench bench-check golden fuzz fuzz-sweep fmt fmt-check vet lint ci
+.PHONY: build test test-short examples bench bench-check bench-smoke golden fuzz fuzz-sweep fmt fmt-check vet lint ci
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,13 @@ bench:
 	@for w in capture capture-fxp sparse service; do \
 		bash bench/run.sh --workload $$w --seed 7 --seconds 20 --trace 0 || exit 1; \
 	done
+
+# Every Go Benchmark* function once (the root package and the internal
+# packages; the bench/ module has none), so a benchmark that no longer
+# builds, fails or deadlocks fails CI. It times nothing: numbers come
+# from `make bench`.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # The bench module's vet and tests: a tiny-scale run of every workload with
 # its correctness checks, plus the BENCHMARK.json pin (blocking in CI).
@@ -110,4 +117,4 @@ lint:
 	$(GO) build -o bin/saiyanvet ./cmd/saiyanvet
 	$(GO) vet -vettool=$(CURDIR)/bin/saiyanvet ./...
 
-ci: build vet lint fmt-check test-short examples golden bench-check
+ci: build vet lint fmt-check test-short examples golden bench-smoke bench-check

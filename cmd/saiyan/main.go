@@ -194,18 +194,10 @@ func runExperiments(ids []string, g *globals) error {
 // sends `frames` downlink frames and the worker pool demodulates them
 // concurrently, printing the aggregate throughput/error snapshot.
 func runPipeline(g *globals) error {
-	ts, err := saiyan.NewTagSet(saiyan.DefaultParams(), saiyan.DefaultLinkBudget(), g.tags, 20, 150, g.seed)
+	src, cfg, err := liveTraffic(g)
 	if err != nil {
 		return err
 	}
-	src, err := saiyan.NewTagTrafficSource(ts, g.frames)
-	if err != nil {
-		return err
-	}
-	cfg := saiyan.DefaultPipelineConfig()
-	cfg.Workers = g.workers
-	cfg.Seed = g.seed
-	cfg.DiscardResults = true
 	p, err := saiyan.NewPipeline(cfg)
 	if err != nil {
 		return err
@@ -216,6 +208,22 @@ func runPipeline(g *globals) error {
 	}
 	fmt.Printf("pipeline: %d tags x %d frames (20-150 m)\n%v\n", g.tags, g.frames, st)
 	return nil
+}
+
+// liveTraffic builds the live workload -pipeline and record share: g.tags
+// tags placed 20-150 m out sending g.frames frames each, and a stats-only
+// pipeline config for it.
+func liveTraffic(g *globals) (saiyan.PipelineSource, saiyan.PipelineConfig, error) {
+	cfg := saiyan.DefaultPipelineConfig()
+	cfg.Workers = g.workers
+	cfg.Seed = g.seed
+	cfg.DiscardResults = true
+	ts, err := saiyan.NewTagSet(saiyan.DefaultParams(), saiyan.DefaultLinkBudget(), g.tags, 20, 150, g.seed)
+	if err != nil {
+		return nil, cfg, err
+	}
+	src, err := saiyan.NewTagTrafficSource(ts, g.frames)
+	return src, cfg, err
 }
 
 // runRecord demodulates live multi-tag traffic while capturing every frame
@@ -238,18 +246,10 @@ func runRecord(args []string, g *globals) error {
 	if extra := fs.Args(); len(extra) > 0 {
 		return fmt.Errorf("unexpected arguments %q", extra)
 	}
-	ts, err := saiyan.NewTagSet(saiyan.DefaultParams(), saiyan.DefaultLinkBudget(), g.tags, 20, 150, g.seed)
+	src, cfg, err := liveTraffic(g)
 	if err != nil {
 		return err
 	}
-	src, err := saiyan.NewTagTrafficSource(ts, g.frames)
-	if err != nil {
-		return err
-	}
-	cfg := saiyan.DefaultPipelineConfig()
-	cfg.Workers = g.workers
-	cfg.Seed = g.seed
-	cfg.DiscardResults = true
 	st, err := saiyan.RecordTrace(context.Background(), *out, cfg, src, *samples)
 	if err != nil {
 		return err
@@ -404,21 +404,15 @@ func runFxp(args []string, g *globals) error {
 			return saiyan.PipelineStats{}, nil, err
 		}
 		decoded := make(map[uint64][]int, len(traffic))
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for r := range pl.Results() {
-				decoded[r.Seq] = r.Symbols
+		st, err := pl.Collect(func() error {
+			for _, tf := range traffic {
+				if err := pl.Submit(tf.job); err != nil {
+					return err
+				}
 			}
-		}()
-		for _, tf := range traffic {
-			if err := pl.Submit(tf.job); err != nil {
-				return saiyan.PipelineStats{}, nil, err
-			}
-		}
-		st := pl.Drain()
-		<-done
-		return st, decoded, nil
+			return nil
+		}, func(r saiyan.PipelineResult) { decoded[r.Seq] = r.Symbols })
+		return st, decoded, err
 	}
 
 	flStats, flSyms, err := runOne(saiyan.DatapathFloat)

@@ -44,20 +44,19 @@
 //	cfg := saiyan.DefaultPipelineConfig()      // one worker per CPU
 //	cfg.Seed = seed
 //	p, _ := saiyan.NewPipeline(cfg)
-//	go func() {
-//		for r := range p.Results() { ... }     // consume while submitting
-//	}()
 //	frame, want, _ := tags.Frame(0, 0)
-//	p.Submit(saiyan.PipelineJob{Tag: 0, Frame: frame, RSSDBm: tags.Tags[0].RSSDBm, Want: want})
-//	stats := p.Drain()                          // frames/s, Msamples/s, SER, PRR
+//	stats, _ := p.Collect(func() error {        // submit on this goroutine
+//		return p.Submit(saiyan.PipelineJob{Tag: 0, Frame: frame, RSSDBm: tags.Tags[0].RSSDBm, Want: want})
+//	}, func(r saiyan.PipelineResult) { ... })  // each result, in completion order
+//	// stats: frames/s, Msamples/s, SER, PRR
 //
 // Determinism survives concurrency: each frame's noise comes from an RNG
 // shard keyed by its submission sequence number and calibration is seeded
 // per distance quantum, so a fixed seed yields a bit-identical symbol
 // stream whether one worker runs or sixteen. Workers share a per-distance
-// calibration table (quantized to PipelineConfig.CalibrationQuantumDB,
-// mirroring the prototype's per-distance threshold tables) and clone the
-// calibrated master demodulator on first use.
+// calibration table (quantized to 1 dB, mirroring the prototype's
+// per-distance threshold tables) and clone the calibrated master
+// demodulator on first use.
 //
 // # Record & replay
 //
@@ -259,8 +258,7 @@
 //	cfg.Demod.Datapath = saiyan.DatapathFixed
 //	cfg.Demod.ADCBits = 12
 //	p, _ := saiyan.NewPipeline(cfg)
-//	// ... submit frames ...
-//	st := p.Drain()
+//	st, _ := p.Collect(func() error { return p.Submit(jobs...) }, nil)
 //	mcu := saiyan.DefaultMCUBudget()
 //	uw := mcu.DutyCycledPowerUW(st.FxpCycles, airtime, 0.01) // vs saiyan.MCUTable2UW
 //

@@ -191,7 +191,7 @@ type jobRef struct {
 // group is segmented in turn straight into the worker pool, and every
 // result lands on the one event its window claimed. Cancelling ctx aborts
 // between chunk pushes and before each submission; windows already
-// submitted still decode before Drain returns.
+// submitted still decode before Collect returns.
 func (g *Gateway) ingestRateGroup(ctx context.Context, epoch int, groups []*ingestGroup) error {
 	pcfg := pipeline.Config{
 		Demod:   g.cfg.demod(groups[0].k),
@@ -209,28 +209,20 @@ func (g *Gateway) ingestRateGroup(ctx context.Context, epoch int, groups []*inge
 
 	var refs []jobRef
 	results := make([]pipeline.Result, 0, 64)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for r := range p.Results() {
-			results = append(results, r)
+	st, err := p.Collect(func() error {
+		for _, grp := range groups {
+			if err := g.segment(ctx, p, epoch, grp, &refs); err != nil {
+				return err
+			}
 		}
-	}()
-
-	var submitErr error
-	for _, grp := range groups {
-		if submitErr = g.segment(ctx, p, epoch, grp, &refs); submitErr != nil {
-			break
-		}
-	}
-	st := p.Drain()
-	<-done
+		return nil
+	}, func(r pipeline.Result) { results = append(results, r) })
 	// The fixed-point datapath's cycle ledger is deterministic per decode,
 	// so the gateway-wide sum is worker-count invariant like every other
 	// aggregate counter (0 under the float datapath).
 	g.agg.fxpCycles += st.FxpCycles
-	if submitErr != nil {
-		return submitErr
+	if err != nil {
+		return err
 	}
 
 	// Results arrive in worker-completion order, but each writes only the

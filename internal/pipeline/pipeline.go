@@ -11,10 +11,10 @@
 // stream owned by whichever worker happened to pick it up.
 //
 // Calibration follows the prototype's per-distance threshold table
-// (Section 4.1): received signal strengths are quantized to
-// Config.CalibrationQuantumDB, a master demodulator is calibrated once per
-// quantum in a shared cache, and each worker clones the master so frames
-// from the same distance ring never pay calibration twice.
+// (Section 4.1): received signal strengths are quantized to a 1 dB grid, a
+// master demodulator is calibrated once per quantum in a shared cache, and
+// each worker clones the master so frames from the same distance ring
+// never pay calibration twice.
 //
 // Workloads arrive through the pull-based Source interface (Run): live
 // simulated traffic (NewTagSetSource) and recorded traces
@@ -55,12 +55,6 @@ type Config struct {
 	// per-quantum calibration.
 	Seed uint64
 
-	// CalibrationQuantumDB is the granularity of the per-distance threshold
-	// table: RSS values within one quantum share a calibration. Default
-	// 1 dB; the paper's prototype likewise stores a discrete per-distance
-	// table rather than recalibrating per packet.
-	CalibrationQuantumDB float64
-
 	// AGC tunes the online threshold estimator used for stream jobs
 	// (Job.Env): extracted windows carry no distance information, so each
 	// worker bootstraps thresholds from the window's own preamble. The zero
@@ -85,11 +79,15 @@ type Config struct {
 	Flight *flight.Recorder
 }
 
-// Channel sizes per worker: the batch queue between Submit and the
-// workers, and the Results buffer.
+// Per-worker channel sizes (the batch queue between Submit and the
+// workers, and the results buffer) and the calibration grid.
 const (
 	queuePerWorker   = 2
 	resultsPerWorker = 4
+	// calibrationQuantumDB is the per-distance threshold table's grid: RSS
+	// values within one quantum share a calibration, as the prototype
+	// stores a discrete per-distance table rather than recalibrating.
+	calibrationQuantumDB = 1
 )
 
 // withDefaults fills zero fields and validates.
@@ -99,12 +97,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Workers < 1 {
 		return c, fmt.Errorf("pipeline: workers %d < 1", c.Workers)
-	}
-	if c.CalibrationQuantumDB == 0 {
-		c.CalibrationQuantumDB = 1
-	}
-	if c.CalibrationQuantumDB < 0 {
-		return c, fmt.Errorf("pipeline: calibration quantum %g dB < 0", c.CalibrationQuantumDB)
 	}
 	return c, nil
 }
@@ -183,10 +175,9 @@ type job struct {
 // ErrDrained is returned by Submit after Drain has begun.
 var ErrDrained = errors.New("pipeline: submit after Drain")
 
-// Pipeline is a running worker pool. Construct with New, feed it with
-// Submit (any number of times, from one goroutine), then call Drain to
-// flush in-flight batches and collect the final Stats. Results are
-// delivered on Results unless Config.DiscardResults is set.
+// Pipeline is a running worker pool. Construct with New, then run it once
+// with Collect (per-frame Results) or Run (a Source, Stats only): both
+// submit from one goroutine and drain the pool for the final Stats.
 type Pipeline struct {
 	cfg     Config
 	jobs    chan []job
@@ -306,12 +297,14 @@ func New(cfg Config) (*Pipeline, error) {
 	return p, nil
 }
 
-// Submit enqueues a batch of frames. The queue holds 2*Workers batches;
-// once it is full Submit blocks until a worker takes one (backpressure).
-// Jobs are stamped with a global sequence number in submission order;
-// calling Submit from a single goroutine therefore yields a deterministic
-// symbol stream for a fixed seed, independent of worker count. Submit
-// returns ErrDrained once Drain has been called.
+// Submit enqueues a batch of frames. Call it from Collect's feed, or with
+// Config.DiscardResults set: otherwise nothing reads the results and the
+// workers stall. The queue holds 2*Workers batches; once it is full
+// Submit blocks until a worker takes one (backpressure). Jobs are stamped
+// with a global sequence number in submission order; calling Submit from
+// a single goroutine therefore yields a deterministic symbol stream for a
+// fixed seed, independent of worker count. Submit returns ErrDrained once
+// Drain has been called.
 func (p *Pipeline) Submit(batch ...Job) error {
 	if len(batch) == 0 {
 		return nil
@@ -341,25 +334,44 @@ func (p *Pipeline) Submit(batch ...Job) error {
 //lint:allow unused benchmarks and allocation pins warm the table with it so calibration stays outside what they measure
 func (p *Pipeline) Precalibrate(rssDBm ...float64) {
 	for _, rss := range rssDBm {
-		p.master(p.quantize(rss))
+		p.master(quantize(rss))
 	}
 }
 
-// Results delivers per-frame outcomes. The channel is closed by Drain
-// after the last in-flight frame completes. It buffers 4*Workers
-// results: unless Config.DiscardResults is set (then nothing is ever
-// sent), the consumer must drain it concurrently with submission or the
-// workers stall once it fills.
-func (p *Pipeline) Results() <-chan Result {
-	return p.results
+// Collect runs the pool once: feed submits with p.Submit on the calling
+// goroutine while a second one hands every Result to each (nil drops
+// them) in completion order, so workers never stall on unread results.
+// Then Collect drains the pool and returns the final Stats with feed's
+// error, or else the record tee's first error. With Config.DiscardResults
+// set no result is ever sent and no reader goroutine starts.
+func (p *Pipeline) Collect(feed func() error, each func(Result)) (Stats, error) {
+	var read sync.WaitGroup
+	if !p.cfg.DiscardResults {
+		if each == nil {
+			each = func(Result) {}
+		}
+		read.Add(1)
+		go func() {
+			defer read.Done()
+			for r := range p.results {
+				each(r)
+			}
+		}()
+	}
+	err := feed()
+	st := p.Drain()
+	read.Wait()
+	if err == nil {
+		err = p.recErr
+	}
+	return st, err
 }
 
 // Drain closes the submission side, waits for every in-flight batch to
-// finish, flushes the record tee (if attached), closes Results, freezes
-// the throughput clock, and returns the final Stats. Drain is idempotent;
-// concurrent readers of Results see the channel close after the last
-// result. Drain does not Close an attached trace.Writer — the caller that
-// attached it finalizes the file.
+// finish, flushes the record tee (if attached), closes the results
+// channel, freezes the throughput clock, and returns the final Stats.
+// Drain is idempotent. Drain does not Close an attached trace.Writer — the
+// caller that attached it finalizes the file.
 func (p *Pipeline) Drain() Stats {
 	p.once.Do(func() {
 		p.submitMu.Lock()
@@ -380,10 +392,6 @@ func (p *Pipeline) Drain() Stats {
 	return p.Stats()
 }
 
-// TeeErr reports the first error the record tee hit while writing, or nil.
-// It is meaningful after Drain.
-func (p *Pipeline) TeeErr() error { return p.recErr }
-
 // TraceHeader builds the trace metadata describing this pipeline: the
 // normalized demodulator configuration, the seed, and the calibration
 // quantum — everything a replay needs to reproduce the run bit-exactly.
@@ -393,7 +401,7 @@ func (p *Pipeline) TraceHeader() trace.Header {
 	return trace.Header{
 		Demod:                p.cfg.Demod,
 		Seed:                 p.cfg.Seed,
-		CalibrationQuantumDB: p.cfg.CalibrationQuantumDB,
+		CalibrationQuantumDB: calibrationQuantumDB,
 	}
 }
 
@@ -592,7 +600,7 @@ func (p *Pipeline) process(ws *workerState, sc *core.FrameScratch, j job, w int)
 	var cycles uint64
 	switch {
 	case j.Frame != nil:
-		q := p.quantize(j.RSSDBm)
+		q := quantize(j.RSSDBm)
 		d := ws.demods[q]
 		if d == nil {
 			d = p.master(q).Clone()
@@ -673,12 +681,8 @@ func (p *Pipeline) process(ws *workerState, sc *core.FrameScratch, j job, w int)
 }
 
 // quantize snaps an RSS onto the per-distance calibration grid.
-func (p *Pipeline) quantize(rssDBm float64) float64 {
-	q := p.cfg.CalibrationQuantumDB
-	if q <= 0 {
-		return rssDBm
-	}
-	return math.Round(rssDBm/q) * q
+func quantize(rssDBm float64) float64 {
+	return math.Round(rssDBm/calibrationQuantumDB) * calibrationQuantumDB
 }
 
 // master returns the shared calibrated demodulator for one RSS quantum,

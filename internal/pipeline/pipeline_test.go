@@ -1,9 +1,9 @@
 package pipeline
 
 import (
+	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 
@@ -44,25 +44,21 @@ func runPipeline(t testing.TB, cfg Config, jobs []Job, batchSize int) ([]Result,
 		t.Fatal(err)
 	}
 	var results []Result
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for r := range p.Results() {
-			results = append(results, r)
+	st, err := p.Collect(func() error {
+		for at := 0; at < len(jobs); at += batchSize {
+			hi := at + batchSize
+			if hi > len(jobs) {
+				hi = len(jobs)
+			}
+			if err := p.Submit(jobs[at:hi]...); err != nil {
+				return err
+			}
 		}
-	}()
-	for at := 0; at < len(jobs); at += batchSize {
-		hi := at + batchSize
-		if hi > len(jobs) {
-			hi = len(jobs)
-		}
-		if err := p.Submit(jobs[at:hi]...); err != nil {
-			t.Fatal(err)
-		}
+		return nil
+	}, func(r Result) { results = append(results, r) })
+	if err != nil {
+		t.Fatal(err)
 	}
-	st := p.Drain()
-	wg.Wait()
 	return results, st
 }
 
@@ -122,18 +118,10 @@ func TestPrecalibrateMatchesLazy(t *testing.T) {
 		t.Errorf("throughput clock started during Precalibrate: %v", st.Elapsed)
 	}
 	var warm []Result
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for r := range p.Results() {
-			warm = append(warm, r)
-		}
-	}()
-	if err := p.Submit(jobs...); err != nil {
+	if _, err := p.Collect(func() error { return p.Submit(jobs...) },
+		func(r Result) { warm = append(warm, r) }); err != nil {
 		t.Fatal(err)
 	}
-	p.Drain()
-	<-done
 	if signature(lazy) != signature(warm) {
 		t.Error("precalibrated pipeline decoded a different stream than lazy calibration")
 	}
@@ -252,73 +240,81 @@ func TestStatsElapsedSemantics(t *testing.T) {
 	}
 }
 
-// TestDrainGraceful verifies Drain flushes in-flight batches, closes
-// Results, freezes the clock, and stays idempotent; Submit afterwards
-// fails with ErrDrained.
+// TestDrainGraceful verifies Collect hands every submitted frame to each
+// exactly once, drains in-flight batches, freezes the clock, and leaves
+// Drain idempotent; Submit afterwards fails with ErrDrained. A feed that
+// fails after k submissions still gets its k frames decoded, and Collect
+// returns feed's error.
 func TestDrainGraceful(t *testing.T) {
 	jobs := testTraffic(t, 3, 2)
-	cfg := DefaultConfig()
-	cfg.Seed = testSeed
-	// One worker queues 2 batches: submitting 6 one at a time exercises
-	// Submit's backpressure.
-	cfg.Workers = 1
-	p, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var results []Result
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for r := range p.Results() {
-			results = append(results, r)
-		}
-	}()
-	for _, j := range jobs {
-		if err := p.Submit(j); err != nil {
+	errFeed := errors.New("feed failed")
+	for _, k := range []int{len(jobs), 2} {
+		cfg := DefaultConfig()
+		cfg.Seed = testSeed
+		// One worker queues 2 batches: submitting 6 one at a time
+		// exercises Submit's backpressure.
+		cfg.Workers = 1
+		p, err := New(cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	st := p.Drain()
-	<-done
-	if st.FramesOut != uint64(len(jobs)) {
-		t.Errorf("Drain lost frames: FramesOut=%d, want %d", st.FramesOut, len(jobs))
-	}
-	if len(results) != len(jobs) {
-		t.Errorf("Results delivered %d frames, want %d", len(results), len(jobs))
-	}
-	if err := p.Submit(jobs[0]); err != ErrDrained {
-		t.Errorf("Submit after Drain: err=%v, want ErrDrained", err)
-	}
-	again := p.Drain()
-	if again.Elapsed != st.Elapsed {
-		t.Errorf("second Drain moved the clock: %v vs %v", again.Elapsed, st.Elapsed)
+		seen := make(map[uint64]int)
+		st, err := p.Collect(func() error {
+			for _, j := range jobs[:k] {
+				if err := p.Submit(j); err != nil {
+					return err
+				}
+			}
+			if k < len(jobs) {
+				return errFeed
+			}
+			return nil
+		}, func(r Result) { seen[r.Seq]++ })
+		if wantErr := k < len(jobs); (err != nil) != wantErr || (wantErr && !errors.Is(err, errFeed)) {
+			t.Errorf("k=%d: Collect err=%v, want feed's error: %v", k, err, wantErr)
+		}
+		if st.FramesOut != uint64(k) {
+			t.Errorf("k=%d: Collect lost frames: FramesOut=%d, want %d", k, st.FramesOut, k)
+		}
+		if len(seen) != k {
+			t.Errorf("k=%d: each saw %d distinct frames, want %d", k, len(seen), k)
+		}
+		for seq := uint64(0); seq < uint64(k); seq++ {
+			if seen[seq] != 1 {
+				t.Errorf("k=%d: each saw seq %d %d times, want once", k, seq, seen[seq])
+			}
+		}
+		if err := p.Submit(jobs[0]); err != ErrDrained {
+			t.Errorf("k=%d: Submit after Collect: err=%v, want ErrDrained", k, err)
+		}
+		again := p.Drain()
+		if again.Elapsed != st.Elapsed {
+			t.Errorf("k=%d: second Drain moved the clock: %v vs %v", k, again.Elapsed, st.Elapsed)
+		}
 	}
 }
 
-// TestDiscardResults verifies the stats-only mode never blocks on an
-// unread Results channel.
+// TestDiscardResults verifies the stats-only mode never blocks on unread
+// results and never hands one to Collect's each.
 func TestDiscardResults(t *testing.T) {
 	jobs := testTraffic(t, 3, 2)
 	cfg := DefaultConfig()
 	cfg.Seed = testSeed
 	// One worker buffers 4 results, fewer than the 6 jobs: an unread
-	// Results channel would stall the worker if results were kept.
+	// results channel would stall the worker if results were kept.
 	cfg.Workers = 1
 	cfg.DiscardResults = true
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Submit(jobs...); err != nil {
+	st, err := p.Collect(func() error { return p.Submit(jobs...) },
+		func(Result) { t.Error("DiscardResults pipeline delivered a result") })
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := p.Drain()
 	if st.FramesOut != uint64(len(jobs)) {
 		t.Errorf("FramesOut=%d, want %d", st.FramesOut, len(jobs))
-	}
-	if _, ok := <-p.Results(); ok {
-		t.Error("DiscardResults pipeline delivered a result")
 	}
 }
 
@@ -341,7 +337,6 @@ func TestNilFrameSurfacesError(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Workers: -1},
-		{CalibrationQuantumDB: -1},
 	}
 	for i, cfg := range bad {
 		cfg.Demod = DefaultConfig().Demod

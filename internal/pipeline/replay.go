@@ -2,22 +2,23 @@ package pipeline
 
 import (
 	"context"
+	"fmt"
 	"io"
-	"sync"
 
 	"saiyan/internal/trace"
 )
 
 // ConfigFromHeader rebuilds the pipeline configuration a trace was
-// recorded under: same demodulator chain, same seed, same calibration
-// quantum. Workers is left zero (one per CPU) — worker count never affects
-// the decoded stream.
-func ConfigFromHeader(h trace.Header) Config {
-	return Config{
-		Demod:                h.Demod,
-		Seed:                 h.Seed,
-		CalibrationQuantumDB: h.CalibrationQuantumDB,
+// recorded under: same demodulator chain, same seed. Workers is left zero
+// (one per CPU) — worker count never affects the decoded stream. A header
+// whose calibration quantum is neither absent nor the pipeline's 1 dB is
+// refused: its threshold table cannot be rebuilt, so it cannot replay
+// bit-exactly.
+func ConfigFromHeader(h trace.Header) (Config, error) {
+	if q := h.CalibrationQuantumDB; q != 0 && q != calibrationQuantumDB {
+		return Config{}, fmt.Errorf("pipeline: trace calibrated per %g dB, not 1 dB: cannot replay bit-exactly", q)
 	}
+	return Config{Demod: h.Demod, Seed: h.Seed}, nil
 }
 
 // Replay re-demodulates every record of an open trace through a fresh
@@ -26,7 +27,10 @@ func ConfigFromHeader(h trace.Header) Config {
 // bit-identical to the recording run for any worker count, because every
 // record pins its noise shard and calibration is seeded from the header.
 func Replay(r *trace.Reader, workers int) (Stats, error) {
-	cfg := ConfigFromHeader(r.Header())
+	cfg, err := ConfigFromHeader(r.Header())
+	if err != nil {
+		return Stats{}, err
+	}
 	cfg.Workers = max(workers, 0)
 	cfg.DiscardResults = true
 	p, err := New(cfg)
@@ -41,6 +45,11 @@ func Replay(r *trace.Reader, workers int) (Stats, error) {
 // of frames whose outcome (detection flag or decoded symbols) diverged.
 // Records without recorded decisions are replayed but not compared.
 func VerifyReplay(r *trace.Reader, workers int) (Stats, int, error) {
+	cfg, err := ConfigFromHeader(r.Header())
+	if err != nil {
+		return Stats{}, 0, err
+	}
+	cfg.Workers = max(workers, 0)
 	// Drain the trace up front: verification needs the recorded decisions
 	// side by side with the replayed ones.
 	var recs []*trace.Record
@@ -59,40 +68,31 @@ func VerifyReplay(r *trace.Reader, workers int) (Stats, int, error) {
 		recs = append(recs, rec)
 	}
 
-	cfg := ConfigFromHeader(r.Header())
-	cfg.Workers = max(workers, 0)
 	p, err := New(cfg)
 	if err != nil {
 		return Stats{}, 0, err
 	}
 	params := r.Header().Demod.Params
-
 	results := make([]Result, len(recs))
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for res := range p.Results() {
-			if res.Seq < uint64(len(results)) {
-				results[res.Seq] = res
+	st, err := p.Collect(func() error {
+		for _, rec := range recs {
+			j, err := jobFromRecord(params, rec)
+			if err != nil {
+				return err
+			}
+			if err := p.Submit(j); err != nil {
+				return err
 			}
 		}
-	}()
-	for _, rec := range recs {
-		j, err := jobFromRecord(params, rec)
-		if err != nil {
-			p.Drain()
-			wg.Wait()
-			return Stats{}, 0, err
+		return nil
+	}, func(res Result) {
+		if res.Seq < uint64(len(results)) {
+			results[res.Seq] = res
 		}
-		if err := p.Submit(j); err != nil {
-			p.Drain()
-			wg.Wait()
-			return Stats{}, 0, err
-		}
+	})
+	if err != nil {
+		return Stats{}, 0, err
 	}
-	st := p.Drain()
-	wg.Wait()
 
 	mismatches := 0
 	for i, rec := range recs {

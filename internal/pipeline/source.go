@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
 
 	"saiyan/internal/lora"
 	"saiyan/internal/sim"
@@ -29,16 +28,14 @@ type Source interface {
 // channel operations, small enough to keep every worker fed near the tail.
 const runBatch = 8
 
-// Run pulls src dry through the pipeline and drains it, returning the
-// final Stats. Run consumes the Results channel itself (per-frame results
-// are discarded; the aggregate Stats and any attached record tee capture
-// the outcome) — callers wanting per-frame results use Submit/Results
-// directly. Every frame pulled from the source before a *source* error
-// still completes: it is counted in the returned Stats and captured by the
-// tee. Frames that were pulled but could not be submitted — a Submit
-// failure means someone called Drain concurrently — are reported in the
-// returned error together with their count, so no pulled frame ever
-// disappears silently.
+// Run pulls src dry through the pipeline with Collect, discarding the
+// per-frame results (the aggregate Stats and any attached record tee
+// capture the outcome), and returns the final Stats. Every frame pulled
+// from the source before a *source* error still completes: it is counted
+// in the returned Stats and captured by the tee. Frames that were pulled
+// but could not be submitted — a Submit failure means someone called
+// Drain concurrently — are reported in the returned error together with
+// their count, so no pulled frame ever disappears silently.
 //
 // Cancelling ctx stops the run between source pulls: frames already pulled
 // are still submitted and complete (they are counted in the returned
@@ -48,61 +45,47 @@ func (p *Pipeline) Run(ctx context.Context, src Source) (Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var drainWG sync.WaitGroup
-	if !p.cfg.DiscardResults {
-		drainWG.Add(1)
-		go func() {
-			defer drainWG.Done()
-			for range p.results {
-			}
-		}()
-	}
-	var srcErr error
 	dropped := 0
-	batch := make([]Job, 0, runBatch)
-	for {
-		if err := ctx.Err(); err != nil {
-			srcErr = err
-			break
-		}
-		j, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			srcErr = fmt.Errorf("pipeline: source: %w", err)
-			break
-		}
-		batch = append(batch, j)
-		if len(batch) == runBatch {
-			if err := p.Submit(batch...); err != nil {
+	st, err := p.Collect(func() error {
+		var srcErr error
+		batch := make([]Job, 0, runBatch)
+		for {
+			if err := ctx.Err(); err != nil {
 				srcErr = err
-				dropped += len(batch)
-				batch = batch[:0]
 				break
 			}
-			batch = batch[:0]
+			j, err := src.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				srcErr = fmt.Errorf("pipeline: source: %w", err)
+				break
+			}
+			batch = append(batch, j)
+			if len(batch) == runBatch {
+				if err := p.Submit(batch...); err != nil {
+					dropped += len(batch)
+					return err
+				}
+				batch = batch[:0]
+			}
 		}
-	}
-	if len(batch) > 0 {
 		// Flush frames pulled before a source error too — work the source
-		// handed over is real and belongs in the capture.
+		// handed over is real and belongs in the capture. An empty batch
+		// submits nothing.
 		if err := p.Submit(batch...); err != nil {
 			dropped += len(batch)
 			if srcErr == nil {
 				srcErr = err
 			}
 		}
-	}
-	st := p.Drain()
-	drainWG.Wait()
-	if srcErr == nil {
-		srcErr = p.TeeErr()
-	}
+		return srcErr
+	}, nil)
 	if dropped > 0 {
-		srcErr = fmt.Errorf("%w (%d frames pulled from the source were dropped unprocessed)", srcErr, dropped)
+		err = fmt.Errorf("%w (%d frames pulled from the source were dropped unprocessed)", err, dropped)
 	}
-	return st, srcErr
+	return st, err
 }
 
 // tagSetSource adapts a live sim.Traffic schedule to the Source interface.

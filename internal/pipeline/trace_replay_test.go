@@ -7,6 +7,7 @@ import (
 	"flag"
 	"io"
 	"os"
+	"strings"
 	"testing"
 
 	"saiyan/internal/lora"
@@ -244,12 +245,10 @@ func TestRecordRejectsForeignParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Submit(Job{Tag: 0, Frame: frame, RSSDBm: -60}); err != nil {
-		t.Fatal(err)
-	}
-	p.Drain()
-	if err := p.TeeErr(); err == nil {
-		t.Error("recording a foreign-params frame was not refused")
+	if _, err := p.Collect(func() error {
+		return p.Submit(Job{Tag: 0, Frame: frame, RSSDBm: -60})
+	}, nil); err == nil || !strings.Contains(err.Error(), "pipeline configured for") {
+		t.Errorf("recording a foreign-params frame: err=%v, want the tee's refusal", err)
 	}
 	w.Abort()
 }

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"fmt"
 	"io"
 
 	"saiyan/internal/pipeline"
@@ -94,6 +95,14 @@ func (s Stats) Recovery() float64 {
 		return 0
 	}
 	return float64(s.FramesCorrect) / float64(s.FramesScheduled)
+}
+
+// String renders the pipeline's one-line report followed by the
+// segmentation counters, which the promoted pipeline.Stats.String would
+// drop.
+func (s Stats) String() string {
+	return fmt.Sprintf("%v scheduled=%d windows=%d matched=%d samples=%d",
+		s.Stats, s.FramesScheduled, s.WindowsEmitted, s.WindowsMatched, s.SamplesIn)
 }
 
 // SamplesPerSec is the segmentation throughput over the run.

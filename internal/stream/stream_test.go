@@ -73,6 +73,12 @@ func TestStreamEndToEnd(t *testing.T) {
 		if st.FramesScheduled != 12 {
 			t.Fatalf("workers=%d: scheduled %d frames, want 12", workers, st.FramesScheduled)
 		}
+		// %v prints the pipeline line and the segmentation counters.
+		want := fmt.Sprintf("%v scheduled=12 windows=%d matched=%d samples=%d",
+			st.Stats, st.WindowsEmitted, st.WindowsMatched, st.SamplesIn)
+		if got := fmt.Sprint(st); got != want {
+			t.Errorf("workers=%d: Stats prints %q, want %q", workers, got, want)
+		}
 		if rec := st.Recovery(); rec < 0.95 {
 			t.Errorf("workers=%d: recovery %.2f (%d/%d correct, %d windows, %d matched), want >= 0.95",
 				workers, rec, st.FramesCorrect, st.FramesScheduled, st.WindowsEmitted, st.WindowsMatched)
@@ -420,41 +426,38 @@ func TestRecycledWindowsDecodeAsOwnedCopies(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make([]outcome, len(owned))
-	collected := make(chan int)
-	go func() {
-		n := 0
-		for res := range p.Results() {
-			if res.Err != nil {
-				t.Error(res.Err)
-			}
-			if int(res.Seq) < len(got) {
-				got[res.Seq] = outcome{res.Symbols, res.Detected}
-			}
-			n++
-		}
-		collected <- n
-	}()
+	n := 0
 	var released atomic.Int64
-	seg, err := NewSegmenter(scfg, func(w Window) error {
-		return p.Submit(pipeline.Job{Tag: -1, Env: w.Env, EnvC: w.EnvC, NSymbols: w.NSymbols,
-			Release: func(env, envC []float64) {
-				released.Add(1)
-				w.Release(env, envC)
-			}})
+	_, err = p.Collect(func() error {
+		seg, err := NewSegmenter(scfg, func(w Window) error {
+			return p.Submit(pipeline.Job{Tag: -1, Env: w.Env, EnvC: w.EnvC, NSymbols: w.NSymbols,
+				Release: func(env, envC []float64) {
+					released.Add(1)
+					w.Release(env, envC)
+				}})
+		})
+		if err != nil {
+			return err
+		}
+		for _, c := range chunks {
+			if err := seg.Push(c.Env, c.EnvC); err != nil {
+				return err
+			}
+		}
+		return seg.Flush()
+	}, func(res pipeline.Result) {
+		if res.Err != nil {
+			t.Error(res.Err)
+		}
+		if int(res.Seq) < len(got) {
+			got[res.Seq] = outcome{res.Symbols, res.Detected}
+		}
+		n++
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range chunks {
-		if err := seg.Push(c.Env, c.EnvC); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := seg.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	p.Drain()
-	if n := <-collected; n != len(owned) {
+	if n != len(owned) {
 		t.Fatalf("%d results, want %d", n, len(owned))
 	}
 	if n := released.Load(); n != int64(len(owned)) {

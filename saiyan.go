@@ -123,14 +123,18 @@ type (
 // Concurrent demodulation pipeline types.
 type (
 	// Pipeline fans frames from many tags out to a pool of demodulator
-	// workers; build with NewPipeline, feed with Submit, finish with Drain.
+	// workers; build with NewPipeline, then run it with Collect (submit
+	// from its feed, read each PipelineResult) or Run (pull a source).
 	Pipeline = pipeline.Pipeline
-	// PipelineConfig tunes the worker pool, queue depths, seed, and the
-	// per-distance calibration quantum. Zero value: every field except
-	// Demod defaults (one worker per CPU); Demod is required.
+	// PipelineConfig tunes the worker pool, seed, AGC and telemetry.
+	// Zero value: every field except Demod defaults (one worker per CPU);
+	// Demod is required.
 	PipelineConfig = pipeline.Config
 	// PipelineJob is one downlink frame awaiting demodulation.
 	PipelineJob = pipeline.Job
+	// PipelineResult is the demodulation outcome of one PipelineJob, as
+	// Pipeline.Collect hands it over.
+	PipelineResult = pipeline.Result
 	// PipelineStats is the aggregate throughput/error snapshot.
 	PipelineStats = pipeline.Stats
 	// TagSet generates deterministic multi-tag downlink traffic.

@@ -306,6 +306,31 @@ func TestFacadeTraceErrors(t *testing.T) {
 	if _, err := saiyan.ReplayTrace(path, 1); !errors.Is(err, trace.ErrCorrupt) {
 		t.Errorf("junk file: err=%v, want trace.ErrCorrupt", err)
 	}
+
+	// A trace calibrated on a 2 dB grid cannot replay bit-exactly on the
+	// pipeline's 1 dB table: both replay paths refuse its header. A header
+	// without a quantum means the 1 dB table.
+	for _, q := range []float64{0, 2} {
+		path := filepath.Join(t.TempDir(), "empty.trace")
+		w, err := trace.Create(path, trace.Header{Demod: saiyan.DefaultConfig(), Seed: 1, CalibrationQuantumDB: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, replayErr := saiyan.ReplayTrace(path, 1)
+		_, _, verifyErr := saiyan.VerifyTrace(path, 1)
+		for _, err := range []error{replayErr, verifyErr} {
+			ok := err == nil
+			if q == 2 {
+				ok = err != nil && strings.Contains(err.Error(), "2 dB")
+			}
+			if !ok {
+				t.Errorf("%g dB quantum: err=%v, want refused=%v", q, err, q == 2)
+			}
+		}
+	}
 }
 
 func TestFacadeAGC(t *testing.T) {
