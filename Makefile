@@ -50,7 +50,9 @@ bench-check:
 # TestGatewayOutputPinned reports. After one to the stream receive path
 # (the jobs stream.Source yields, or stream.Demodulate's counters), set
 # streamOutputPin (internal/stream/pin_test.go) to the hash
-# TestStreamOutputPinned reports. After an intentional change to the
+# TestStreamOutputPinned reports, and fxpCorrelationPin (same file) to the
+# hash TestFxpCorrelationPinned reports if the fixed-point correlation
+# decode moved. After an intentional change to the
 # comparator (ModeVanilla/ModeFreqShift) decoders on either datapath, set
 # peakTrackingPin (internal/core/pin_test.go) to the hash
 # TestPeakTrackingPinned reports. After an intentional change to a
@@ -63,18 +65,19 @@ bench-check:
 # (core.Prewarmed and the segmenter's hunt calibrations) and must hash the
 # same.
 golden:
-	$(GO) test -run 'TestGoldenTraceReplay|TestGatewayOutputPinned|TestStreamOutputPinned' -count=2 -v ./internal/pipeline ./internal/gateway ./internal/stream
+	$(GO) test -run 'TestGoldenTraceReplay|TestGatewayOutputPinned|TestStreamOutputPinned|TestFxpCorrelationPinned' -count=2 -v ./internal/pipeline ./internal/gateway ./internal/stream
 	$(GO) test -run 'TestPeakTrackingPinned|TestAllExperimentsQuick|TestWaveOutputPinned' -count=1 -v ./internal/core ./internal/experiments ./cmd/saiyan
 
 # Short fuzz session over the trace codec.
 fuzz:
 	$(GO) test -run FuzzTraceRoundTrip -fuzz FuzzTraceRoundTrip -fuzztime 30s ./internal/trace
 
-# Scheduled CI fuzz sweep: ~10 minutes split across the ten codec,
+# Scheduled CI fuzz sweep: ~11 minutes split across the eleven codec,
 # datapath, render, detection and segmentation fuzzers (go test allows one
 # -fuzz target per invocation). FuzzChunkRead covers the framing shared by
 # traces, the wire and flight dumps; the trace and wire fuzzers cover their
-# payload codecs. FuzzFIRApply holds the interleaved FIR kernel bit-exact
+# payload codecs. FuzzADCQuantize holds the batch ADC quantizer to its
+# per-sample Code. FuzzFIRApply holds the interleaved FIR kernel bit-exact
 # to the one-output-at-a-time reference loop, FuzzFusedIF holds the fused
 # IF filter to the two-stage chain, FuzzFirstPeriodicRun checks the
 # preamble hunt's periodic-run search, FuzzCorrelationRun holds the
@@ -88,6 +91,7 @@ fuzz-sweep:
 	$(GO) test -run FuzzWireFrame -fuzz FuzzWireFrame -fuzztime $(FUZZ_TIME) ./internal/server
 	$(GO) test -run FuzzCommandRoundTrip -fuzz FuzzCommandRoundTrip -fuzztime $(FUZZ_TIME) ./internal/mac
 	$(GO) test -run FuzzFxpOps -fuzz FuzzFxpOps -fuzztime $(FUZZ_TIME) ./internal/fxp
+	$(GO) test -run FuzzADCQuantize -fuzz FuzzADCQuantize -fuzztime $(FUZZ_TIME) ./internal/fxp
 	$(GO) test -run FuzzFIRApply -fuzz FuzzFIRApply -fuzztime $(FUZZ_TIME) ./internal/dsp
 	$(GO) test -run FuzzFusedIF -fuzz FuzzFusedIF -fuzztime $(FUZZ_TIME) ./internal/core
 	$(GO) test -run FuzzFirstPeriodicRun -fuzz FuzzFirstPeriodicRun -fuzztime $(FUZZ_TIME) ./internal/core

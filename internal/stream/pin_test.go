@@ -26,6 +26,84 @@ import (
 // hash the test reports and says so.
 const streamOutputPin = "a5f54deedcbefe5a9213554a7ea7f07dffa044c0a7d9d4a6349d1e3adf57a01b"
 
+// fxpCorrelationPin is the SHA-256 of everything fxpCorrelationHash
+// covers: the fixed-point correlation decode, window by window. The stream
+// pin sees that decode only through aggregate counters; this one names the
+// symbols and the MCU cycles of every window, so it fails on a change that
+// moves one symbol or one ledger entry even where the counters balance.
+const fxpCorrelationPin = "6f209624a1f8885b128dfd9b60a02e8343251b577dfcc2ccb506e10239463d60"
+
+// TestFxpCorrelationPinned hashes the fixed-point ModeFull decode of every
+// window Source yields on the stream pin's two captures at K = 1, 2 and 3.
+func TestFxpCorrelationPinned(t *testing.T) {
+	if got := fxpCorrelationHash(t); got != fxpCorrelationPin {
+		t.Errorf("fixed-point correlation hash %s, want %s", got, fxpCorrelationPin)
+	}
+}
+
+// fxpCorrelationHash hashes, for every capture and K in turn, each
+// window's detection flag, symbols and MCU cycles as one DecodeStreamWindow
+// call on a clone of the prewarmed fixed-point master reports them.
+func fxpCorrelationHash(t *testing.T) string {
+	t.Helper()
+	h := sha256.New()
+	ints := func(vs ...int) {
+		for _, v := range vs {
+			binary.Write(h, binary.LittleEndian, int64(v))
+		}
+	}
+	for ti, tl := range pinTimelines {
+		for k := 1; k <= 3; k++ {
+			demod := core.DefaultConfig()
+			demod.Params.K = k
+			ts, err := sim.NewTagSet(demod.Params, radio.DefaultLinkBudget(), 3, 20, 80, testSeed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			capture, err := ts.RenderTimeline(demod, tl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			demod.Datapath = core.DatapathFixed
+			src, err := NewSource(Config{Demod: demod, Seed: testSeed}, capture, 97)
+			if err != nil {
+				t.Fatal(err)
+			}
+			master, _, err := core.Prewarmed(demod)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := master.Clone()
+			windows := 0
+			for {
+				j, err := src.Next()
+				if errors.Is(err, io.EOF) {
+					break
+				}
+				if err != nil {
+					t.Fatalf("timeline %d K=%d: %v", ti, k, err)
+				}
+				syms, ok, err := d.DecodeStreamWindow(j.Env, j.EnvC, j.NSymbols, core.DefaultAGCConfig())
+				if err != nil {
+					t.Fatalf("timeline %d K=%d window %d: %v", ti, k, windows, err)
+				}
+				detected := 0
+				if ok {
+					detected = 1
+				}
+				ints(windows, detected, len(syms))
+				ints(syms...)
+				ints(int(d.TakeFxpCycles()))
+				windows++
+			}
+			if windows == 0 {
+				t.Fatalf("timeline %d K=%d: no windows", ti, k)
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // TestStreamOutputPinned hashes the stream receive path end to end on a
 // short-gap capture and on a sparse one with collisions, in ModeFull and
 // ModeVanilla, on the float and fixed datapaths, against one SHA-256.
@@ -35,6 +113,13 @@ func TestStreamOutputPinned(t *testing.T) {
 	}
 }
 
+// pinTimelines are the pinned captures: a short-gap one, and a sparse one
+// with collisions.
+var pinTimelines = []sim.TimelineConfig{
+	{FramesPerTag: 3},
+	{FramesPerTag: 3, MinGapSymbols: 100, MaxGapSymbols: 400, OverlapEvery: 5},
+}
+
 // streamOutputHash hashes, for every capture and demodulator config in
 // turn: every job Source.Next yields (Tag, NSymbols, Want, and the bits of
 // Env and EnvC), then the JSON of Demodulate's Stats at 1 and at 4 workers
@@ -42,11 +127,7 @@ func TestStreamOutputPinned(t *testing.T) {
 func streamOutputHash(t *testing.T) string {
 	t.Helper()
 	h := sha256.New()
-	timelines := []sim.TimelineConfig{
-		{FramesPerTag: 3},
-		{FramesPerTag: 3, MinGapSymbols: 100, MaxGapSymbols: 400, OverlapEvery: 5},
-	}
-	for ti, tl := range timelines {
+	for ti, tl := range pinTimelines {
 		for _, mode := range []core.Mode{core.ModeFull, core.ModeVanilla} {
 			demod := core.DefaultConfig()
 			demod.Mode = mode
