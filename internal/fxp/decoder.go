@@ -61,9 +61,10 @@ type Decoder struct {
 
 	bank *templateBank // quantized correlation templates (shared, read-only)
 
-	ops        OpCounts
-	scratchQ   []Q15
-	scratchBit []bool
+	ops          OpCounts
+	scratchQ     []Q15
+	scratchBit   []bool
+	scratchCross []int64 // DecodeCorrelation's per-template Σ(w·t)
 	// The peak tracker's symbol window bounds and analog.PeakEdges output.
 	scratchBounds []int
 	scratchEdges  []analog.PeakEdge
@@ -150,23 +151,16 @@ func (x *Decoder) TakeCycles() uint64 {
 	return c
 }
 
-// window returns the [lo, hi) decimated-rate indices of payload symbol s —
-// the integer-exact twin of the float demodulator's symbolWindow:
+// bound returns the decimated-rate index where payload symbol s starts,
+// clamped to n; symbol s spans [bound(s), bound(s+1)). It is the
+// integer-exact twin of the float demodulator's symbolWindow:
 // round(s * SimSamplesPerSymbol / decim) computed as
 // floor((2*s*spb + decim) / (2*decim)), which is round-half-up on the same
 // exact rational.
-func (x *Decoder) window(s, decim, n int) (int, int) {
+func (x *Decoder) bound(s, decim, n int) int {
 	spb := int64(x.cfg.SimSamplesPerSymbol)
 	d := int64(decim)
-	lo := int((2*int64(s)*spb + d) / (2 * d))
-	hi := int((2*int64(s+1)*spb + d) / (2 * d))
-	if lo > n {
-		lo = n
-	}
-	if hi > n {
-		hi = n
-	}
-	return lo, hi
+	return min(int((2*int64(s)*spb+d)/(2*d)), n)
 }
 
 // symbolFromEdge maps a comparator falling edge at sample index `edge` of an
@@ -218,7 +212,7 @@ func (x *Decoder) DecodePeakTracking(env []Q15, nSymbols int) []int {
 	}
 	bounds := x.scratchBounds[:nSymbols+1]
 	for s := range bounds {
-		bounds[s], _ = x.window(s, x.cfg.SamplerDecim, len(bits))
+		bounds[s] = x.bound(s, x.cfg.SamplerDecim, len(bits))
 	}
 	x.scratchEdges = analog.PeakEdges(x.scratchEdges, bits, bounds)
 	out := make([]int, nSymbols) //lint:allow hotalloc the returned symbol slice is the function's contract
@@ -254,6 +248,13 @@ func (x *Decoder) DecodePeakTracking(env []Q15, nSymbols int) []int {
 // precomputed isqrt(Et) with a widening 64x128 product. Truncated edge
 // windows rebuild Σt/Σt² from prefix sums and pay one integer square root.
 //
+// The host computes Σw, Σw² and every Σ(w·t) of a window in blocks of up
+// to four templates, one pass over the window per block (templateBank.
+// correlate); the ledger charges what the MCU's one-template-at-a-time
+// loop executes — a statistics pass, then a MAC pass and a compare per
+// template, or the statistics pass alone for a flat window — so the
+// cycle count does not depend on how the host orders the exact sums.
+//
 //saiyan:hotpath
 func (x *Decoder) DecodeCorrelation(env []Q15, nSymbols int) []int {
 	out := make([]int, nSymbols) //lint:allow hotalloc the returned symbol slice is the function's contract
@@ -261,76 +262,66 @@ func (x *Decoder) DecodeCorrelation(env []Q15, nSymbols int) []int {
 		return out
 	}
 	bank := x.bank
+	if cap(x.scratchCross) < bank.count {
+		x.scratchCross = make([]int64, bank.count) //lint:allow hotalloc amortized: runs only on scratch growth
+	}
+	cross := x.scratchCross[:bank.count]
+	nt := uint64(bank.count)
+	hi := x.bound(0, x.cfg.CorrDecim, len(env))
 	for s := 0; s < nSymbols; s++ {
-		lo, hi := x.window(s, x.cfg.CorrDecim, len(env))
+		lo := hi
+		hi = x.bound(s+1, x.cfg.CorrDecim, len(env))
 		if lo >= hi {
 			continue
 		}
-		win := env[lo:hi]
-		n := len(win)
-		if n > bank.length {
-			n = bank.length
-		}
-		if n == 0 {
-			continue
-		}
-		// Window statistics, one fused pass: Σw and Σw².
-		var sw, swsq int64
-		for _, w := range win[:n] {
-			wv := int64(w)
-			sw += wv
-			swsq += wv * wv
-		}
+		n := min(hi-lo, bank.length)
+		sw, swsq := bank.correlate(cross, env[lo:lo+n])
 		nn := uint64(n)
+		// The statistics pass: a load, an add and a MAC per sample.
 		x.ops.Load += nn
 		x.ops.Add += nn
 		x.ops.MAC += nn
-		ew := int64(n)*swsq - sw*sw
-		if ew <= 0 {
+		if int64(n)*swsq-sw*sw <= 0 {
 			continue // flat window: every score is zero, keep symbol 0
+		}
+		// Per template: the cross-term MAC pass (two loads and a MAC per
+		// sample), D (two multiplies, an add) and the ranking compare (two
+		// multiplies, a compare).
+		x.ops.Load += 2 * nn * nt
+		x.ops.MAC += nn * nt
+		x.ops.Mul += 4 * nt
+		x.ops.Add += nt
+		x.ops.Cmp += nt
+		truncated := n != bank.length
+		if truncated {
+			// Exact stats from prefix sums, one LUT+Newton square root for
+			// the normalizer, per template.
+			x.ops.Mul += 2 * nt
+			x.ops.Add += nt
+			x.ops.Sqrt += nt
 		}
 		best := 0
 		var bestD int64
 		var bestS uint64
-		for t := 0; t < len(bank.q); t++ {
-			tq := bank.q[t]
-			// Cross term Σ(w·t): one MAC pass over the window.
-			var swt int64
-			for i := 0; i < n; i++ {
-				swt += int64(win[i]) * int64(tq[i])
-			}
-			x.ops.Load += 2 * nn
-			x.ops.MAC += nn
-
+		for t, swt := range cross {
 			st, sqrtEt := bank.sum[t], bank.sqrtEt[t]
-			if n != bank.length {
-				// Truncated edge window: exact stats from prefix sums,
-				// one LUT+Newton square root for the normalizer.
-				st = bank.prefix[t][n]
-				et := int64(n)*bank.prefixSq[t][n] - st*st
-				sqrtEt = ISqrt64(uint64(et))
-				x.ops.Mul += 2
-				x.ops.Add++
-				x.ops.Sqrt++
+			if truncated {
+				p := t*(bank.length+1) + n
+				st = bank.prefix[p]
+				sqrtEt = ISqrt64(uint64(int64(n)*bank.prefixSq[p] - st*st))
 			}
 			d := int64(n)*swt - sw*st
-			x.ops.Mul += 2
-			x.ops.Add++
-
-			cd, cs := d, sqrtEt
-			if cs == 0 {
-				cd, cs = 0, 1 // zero-energy template scores zero
+			if sqrtEt == 0 {
+				d, sqrtEt = 0, 1 // zero-energy template scores zero
 			}
 			// Division-free ranking. Template 0 seeds the argmax
 			// unconditionally (the float decoder starts from -Inf, so even
 			// an anticorrelated first template wins the empty slot); after
 			// that, strictly-greater keeps the first of a tie, matching the
 			// float argmax exactly.
-			if t == 0 || RatioCmp(cd, cs, bestD, bestS) > 0 {
-				best, bestD, bestS = t, cd, cs
+			if t == 0 || RatioCmp(d, sqrtEt, bestD, bestS) > 0 {
+				best, bestD, bestS = t, d, sqrtEt
 			}
-			x.ops.Mul += 2
-			x.ops.Cmp++
 		}
 		out[s] = best
 	}
@@ -341,14 +332,75 @@ func (x *Decoder) DecodeCorrelation(env []Q15, nSymbols int) []int {
 // precomputed integer statistics the division-free compare needs: full-
 // length sums and isqrt energies for the common case, prefix sums for
 // truncated edge windows. Read-only after construction, shared by clones.
+// Templates and prefix sums are stored flat, template after template.
 type templateBank struct {
-	q      [][]Q15
+	q      []Q15 // count templates of length codes: template t at [t*length, (t+1)*length)
+	count  int
 	length int
-	sum    []int64  // Σ q[t] over the full length
-	sqrtEt []uint64 // isqrt(length*Σq² - (Σq)²)
-	// prefix[t][i] = Σ q[t][:i]; prefixSq likewise for squares.
-	prefix   [][]int64
-	prefixSq [][]int64
+	sum    []int64  // Σ of template t over the full length
+	sqrtEt []uint64 // isqrt(length*Σq² - (Σq)²) of template t
+	// prefix[t*(length+1)+i] is Σ of template t's first i codes;
+	// prefixSq likewise for squares.
+	prefix   []int64
+	prefixSq []int64
+}
+
+// tmpl returns template t's first n codes.
+func (b *templateBank) tmpl(t, n int) []Q15 {
+	o := t * b.length
+	return b.q[o : o+n : o+n]
+}
+
+// correlate sets cross[t] to Σ(w·t) over win for every template and
+// returns Σw and Σw². Templates go four to a pass over the window, a
+// single pair when there are only two; a short last block repeats its last
+// template and drops the repeats. Every pass also sums the window
+// statistics, which is cheaper than a second loop body; the sums are exact
+// int64s, so the grouping cannot change them. len(win) must not exceed the
+// template length.
+func (b *templateBank) correlate(cross []int64, win []Q15) (sw, swsq int64) {
+	n, last := len(win), len(cross)-1
+	if last < 2 {
+		sw, swsq, cross[0], cross[last] = windowCross2(win, b.tmpl(0, n), b.tmpl(last, n))
+		return sw, swsq
+	}
+	for t0 := 0; t0 <= last; t0 += 4 {
+		var c [4]int64
+		sw, swsq, c = windowCross4(win, b.tmpl(t0, n), b.tmpl(min(t0+1, last), n),
+			b.tmpl(min(t0+2, last), n), b.tmpl(min(t0+3, last), n))
+		copy(cross[t0:], c[:])
+	}
+	return sw, swsq
+}
+
+// windowCross2 returns Σw, Σw², Σ(w·a) and Σ(w·b) in one pass; a and b
+// are at least as long as w.
+func windowCross2(w, a, b []Q15) (sw, swsq, sa, sb int64) {
+	a, b = a[:len(w)], b[:len(w)]
+	for i, v := range w {
+		wv := int64(v)
+		sw += wv
+		swsq += wv * wv
+		sa += wv * int64(a[i])
+		sb += wv * int64(b[i])
+	}
+	return sw, swsq, sa, sb
+}
+
+// windowCross4 returns Σw, Σw² and Σ(w·t) for four templates in one pass.
+func windowCross4(w, a, b, c, d []Q15) (sw, swsq int64, s [4]int64) {
+	a, b, c, d = a[:len(w)], b[:len(w)], c[:len(w)], d[:len(w)]
+	var sa, sb, sc, sd int64
+	for i, v := range w {
+		wv := int64(v)
+		sw += wv
+		swsq += wv * wv
+		sa += wv * int64(a[i])
+		sb += wv * int64(b[i])
+		sc += wv * int64(c[i])
+		sd += wv * int64(d[i])
+	}
+	return sw, swsq, [4]int64{sa, sb, sc, sd}
 }
 
 func newTemplateBank(templates [][]float64, bits int) (*templateBank, error) {
@@ -374,25 +426,24 @@ func newTemplateBank(templates [][]float64, bits int) (*templateBank, error) {
 		return nil, fmt.Errorf("fxp: templates have no positive excursion")
 	}
 	adc := ADC{Bits: bits, FullScale: peak}
+	count := len(templates)
 	b := &templateBank{
-		q:        make([][]Q15, len(templates)),
+		q:        make([]Q15, count*length),
+		count:    count,
 		length:   length,
-		sum:      make([]int64, len(templates)),
-		sqrtEt:   make([]uint64, len(templates)),
-		prefix:   make([][]int64, len(templates)),
-		prefixSq: make([][]int64, len(templates)),
+		sum:      make([]int64, count),
+		sqrtEt:   make([]uint64, count),
+		prefix:   make([]int64, count*(length+1)),
+		prefixSq: make([]int64, count*(length+1)),
 	}
 	for t, tmpl := range templates {
-		q := adc.Quantize(nil, tmpl)
-		pre := make([]int64, length+1)
-		preSq := make([]int64, length+1)
+		q := adc.Quantize(b.q[t*length:t*length], tmpl)
+		pre := b.prefix[t*(length+1) : (t+1)*(length+1)]
+		preSq := b.prefixSq[t*(length+1) : (t+1)*(length+1)]
 		for i, c := range q {
 			pre[i+1] = pre[i] + int64(c)
 			preSq[i+1] = preSq[i] + int64(c)*int64(c)
 		}
-		b.q[t] = q
-		b.prefix[t] = pre
-		b.prefixSq[t] = preSq
 		b.sum[t] = pre[length]
 		et := int64(length)*preSq[length] - pre[length]*pre[length]
 		b.sqrtEt[t] = ISqrt64(uint64(et))

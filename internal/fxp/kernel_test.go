@@ -62,6 +62,33 @@ func TestADCQuantizeMatchesCode(t *testing.T) {
 	}
 }
 
+// TestRoundCodeMatchesRound holds the quantizer's rounding step to
+// math.Round with saturation on the scaled values themselves, including
+// 0.49999999999999994, which no ADC input scales to exactly but where
+// int(x+0.5) alone would read 1.
+func TestRoundCodeMatchesRound(t *testing.T) {
+	for _, top := range []int{3, 4095, 32767} {
+		in := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+			math.SmallestNonzeroFloat64, 0.49999999999999994, -0.5, float64(top), 1e300}
+		for c := 0; c <= top+1; c++ {
+			x := float64(c) - 0.5
+			in = append(in, x, math.Nextafter(x, 0), math.Nextafter(x, math.Inf(1)), float64(c))
+		}
+		for _, x := range in {
+			want := 0
+			switch {
+			case x >= float64(top):
+				want = top
+			case x > 0:
+				want = int(math.Round(x))
+			}
+			if got := roundCode(x, top); got != want {
+				t.Errorf("top %d: roundCode(%v) = %d, want %d", top, x, got, want)
+			}
+		}
+	}
+}
+
 // FuzzADCQuantize holds Quantize to Code on arbitrary envelope values and
 // full-scale ranges.
 func FuzzADCQuantize(f *testing.F) {
@@ -112,7 +139,7 @@ func decodeCorrelationRef(x *Decoder, tq [][]Q15, env []Q15, nSymbols int) ([]in
 	out := make([]int, nSymbols)
 	length := len(tq[0])
 	for s := 0; s < nSymbols; s++ {
-		lo, hi := x.window(s, x.cfg.CorrDecim, len(env))
+		lo, hi := x.bound(s, x.cfg.CorrDecim, len(env)), x.bound(s+1, x.cfg.CorrDecim, len(env))
 		if lo >= hi {
 			continue
 		}
