@@ -148,16 +148,26 @@ func (g *Gateway) ingest(ctx context.Context, plan *epochPlan) error {
 }
 
 // renderGroups renders every group's capture, at most Config.Workers at a
-// time. RenderTimeline is a pure function of the tag set, the timeline and
-// the demodulator configuration, so the captures are the same whatever the
-// concurrency; everything order-sensitive (segmentation, flight shard 0,
-// metrics) runs afterwards on the epoch goroutine, in group order. On
-// failure it reports the first failing group in that order.
+// time, longest first (renderCost), so the largest render does not start
+// last and run alone. RenderTimeline is a pure function of the tag set,
+// the timeline and the demodulator configuration, so the captures are the
+// same whatever the concurrency and dispatch order; everything
+// order-sensitive (segmentation, flight shard 0, metrics) runs afterwards
+// on the epoch goroutine, in group order. On failure it reports the first
+// failing group in that order.
 func (g *Gateway) renderGroups(groups []*ingestGroup) error {
+	order := make([]int, len(groups))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return renderCost(groups[order[a]]) > renderCost(groups[order[b]])
+	})
 	errs := make([]error, len(groups))
 	sem := make(chan struct{}, g.cfg.Workers)
 	var wg sync.WaitGroup
-	for i, grp := range groups {
+	for _, i := range order {
+		grp := groups[i]
 		demod := g.cfg.demod(grp.k)
 		sem <- struct{}{}
 		wg.Add(1)
@@ -176,6 +186,14 @@ func (g *Gateway) renderGroups(groups []*ingestGroup) error {
 		}
 	}
 	return nil
+}
+
+// renderCost estimates a group's render time: its frame count, doubled
+// per step of K, because the sampler rate (3.2*BW/2^(SF-K)), and with it
+// the samples rendered per symbol, doubles per step.
+func renderCost(grp *ingestGroup) int {
+	frames := len(grp.set.Tags)*grp.tl.FramesPerTag + len(grp.tl.Retransmits)
+	return frames << grp.k
 }
 
 // jobRef is what the result fold needs of one submitted window: the group
