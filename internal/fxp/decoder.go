@@ -248,12 +248,12 @@ func (x *Decoder) DecodePeakTracking(env []Q15, nSymbols int) []int {
 // precomputed isqrt(Et) with a widening 64x128 product. Truncated edge
 // windows rebuild Σt/Σt² from prefix sums and pay one integer square root.
 //
-// The host computes Σw, Σw² and every Σ(w·t) of a window in blocks of up
-// to four templates, one pass over the window per block (templateBank.
-// correlate); the ledger charges what the MCU's one-template-at-a-time
-// loop executes — a statistics pass, then a MAC pass and a compare per
-// template, or the statistics pass alone for a flat window — so the
-// cycle count does not depend on how the host orders the exact sums.
+// The host sums Σw, Σw² and every Σ(w·t) of a window with one pass per
+// block of up to four templates (see correlate). The ledger charges what
+// the MCU's one-template-at-a-time loop executes: a statistics pass, then
+// a MAC pass and a compare per template, or the statistics pass alone for
+// a flat window. So the cycle count does not depend on how the host
+// groups the exact sums.
 //
 //saiyan:hotpath
 func (x *Decoder) DecodeCorrelation(env []Q15, nSymbols int) []int {
@@ -352,12 +352,12 @@ func (b *templateBank) tmpl(t, n int) []Q15 {
 }
 
 // correlate sets cross[t] to Σ(w·t) over win for every template and
-// returns Σw and Σw². Templates go four to a pass over the window, a
-// single pair when there are only two; a short last block repeats its last
-// template and drops the repeats. Every pass also sums the window
-// statistics, which is cheaper than a second loop body; the sums are exact
-// int64s, so the grouping cannot change them. len(win) must not exceed the
-// template length.
+// returns Σw and Σw². Templates go four to a pass over the window, or two
+// when there are at most two; a short block repeats its last template and
+// drops the repeats. Every pass also sums the window statistics, which is
+// cheaper than a second loop body. The sums are exact int64s, so the
+// grouping cannot change them. len(win) must not exceed the template
+// length.
 func (b *templateBank) correlate(cross []int64, win []Q15) (sw, swsq int64) {
 	n, last := len(win), len(cross)-1
 	if last < 2 {

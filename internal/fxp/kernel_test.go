@@ -329,8 +329,7 @@ func BenchmarkADCQuantize(b *testing.B) {
 	}
 	dst := make([]Q15, len(env))
 	b.SetBytes(int64(len(env)) * 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		dst = a.Quantize(dst, env)
 	}
 }
@@ -359,8 +358,7 @@ func BenchmarkDecodeCorrelation(b *testing.B) {
 			for i := range env {
 				env[i] = Q15(rng.Intn(int(MaxQ15)))
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			for b.Loop() {
 				d.DecodeCorrelation(env, nSymbols)
 			}
 			d.TakeCycles()
