@@ -249,10 +249,10 @@ func (x *Decoder) DecodePeakTracking(env []Q15, nSymbols int) []int {
 // windows rebuild Σt/Σt² from prefix sums and pay one integer square root.
 //
 // The host sums Σw, Σw² and every Σ(w·t) of a window with one pass per
-// block of up to four templates (see correlate). The ledger charges what
-// the MCU's one-template-at-a-time loop executes: a statistics pass, then
-// a MAC pass and a compare per template, or the statistics pass alone for
-// a flat window. So the cycle count does not depend on how the host
+// pair of templates (see correlate). The ledger charges what the MCU's
+// one-template-at-a-time loop executes: a statistics pass, then a MAC
+// pass and a compare per template, or the statistics pass alone for a
+// flat window. So the cycle count does not depend on how the host
 // groups the exact sums.
 //
 //saiyan:hotpath
@@ -262,11 +262,12 @@ func (x *Decoder) DecodeCorrelation(env []Q15, nSymbols int) []int {
 		return out
 	}
 	bank := x.bank
-	if cap(x.scratchCross) < bank.count {
-		x.scratchCross = make([]int64, bank.count) //lint:allow hotalloc amortized: runs only on scratch growth
+	count := len(bank.sum)
+	if cap(x.scratchCross) < count {
+		x.scratchCross = make([]int64, count) //lint:allow hotalloc amortized: runs only on scratch growth
 	}
-	cross := x.scratchCross[:bank.count]
-	nt := uint64(bank.count)
+	cross := x.scratchCross[:count]
+	nt := uint64(count)
 	hi := x.bound(0, x.cfg.CorrDecim, len(env))
 	for s := 0; s < nSymbols; s++ {
 		lo := hi
@@ -334,8 +335,7 @@ func (x *Decoder) DecodeCorrelation(env []Q15, nSymbols int) []int {
 // truncated edge windows. Read-only after construction, shared by clones.
 // Templates and prefix sums are stored flat, template after template.
 type templateBank struct {
-	q      []Q15 // count templates of length codes: template t at [t*length, (t+1)*length)
-	count  int
+	q      []Q15 // len(sum) templates of length codes: template t at [t*length, (t+1)*length)
 	length int
 	sum    []int64  // Σ of template t over the full length
 	sqrtEt []uint64 // isqrt(length*Σq² - (Σq)²) of template t
@@ -352,23 +352,16 @@ func (b *templateBank) tmpl(t, n int) []Q15 {
 }
 
 // correlate sets cross[t] to Σ(w·t) over win for every template and
-// returns Σw and Σw². Templates go four to a pass over the window, or two
-// when there are at most two; a short block repeats its last template and
-// drops the repeats. Every pass also sums the window statistics, which is
-// cheaper than a second loop body. The sums are exact int64s, so the
-// grouping cannot change them. len(win) must not exceed the template
-// length.
+// returns Σw and Σw². Templates go two to a pass over the window; with an
+// odd count the last pass pairs the last template with itself. Every pass
+// also sums the window statistics, which is cheaper than a second loop
+// body. The sums are exact int64s, so the grouping cannot change them.
+// len(win) must not exceed the template length.
 func (b *templateBank) correlate(cross []int64, win []Q15) (sw, swsq int64) {
 	n, last := len(win), len(cross)-1
-	if last < 2 {
-		sw, swsq, cross[0], cross[last] = windowCross2(win, b.tmpl(0, n), b.tmpl(last, n))
-		return sw, swsq
-	}
-	for t0 := 0; t0 <= last; t0 += 4 {
-		var c [4]int64
-		sw, swsq, c = windowCross4(win, b.tmpl(t0, n), b.tmpl(min(t0+1, last), n),
-			b.tmpl(min(t0+2, last), n), b.tmpl(min(t0+3, last), n))
-		copy(cross[t0:], c[:])
+	for t0 := 0; t0 <= last; t0 += 2 {
+		t1 := min(t0+1, last)
+		sw, swsq, cross[t0], cross[t1] = windowCross2(win, b.tmpl(t0, n), b.tmpl(t1, n))
 	}
 	return sw, swsq
 }
@@ -385,22 +378,6 @@ func windowCross2(w, a, b []Q15) (sw, swsq, sa, sb int64) {
 		sb += wv * int64(b[i])
 	}
 	return sw, swsq, sa, sb
-}
-
-// windowCross4 returns Σw, Σw² and Σ(w·t) for four templates in one pass.
-func windowCross4(w, a, b, c, d []Q15) (sw, swsq int64, s [4]int64) {
-	a, b, c, d = a[:len(w)], b[:len(w)], c[:len(w)], d[:len(w)]
-	var sa, sb, sc, sd int64
-	for i, v := range w {
-		wv := int64(v)
-		sw += wv
-		swsq += wv * wv
-		sa += wv * int64(a[i])
-		sb += wv * int64(b[i])
-		sc += wv * int64(c[i])
-		sd += wv * int64(d[i])
-	}
-	return sw, swsq, [4]int64{sa, sb, sc, sd}
 }
 
 func newTemplateBank(templates [][]float64, bits int) (*templateBank, error) {
@@ -429,7 +406,6 @@ func newTemplateBank(templates [][]float64, bits int) (*templateBank, error) {
 	count := len(templates)
 	b := &templateBank{
 		q:        make([]Q15, count*length),
-		count:    count,
 		length:   length,
 		sum:      make([]int64, count),
 		sqrtEt:   make([]uint64, count),
