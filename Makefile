@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short examples bench bench-check bench-smoke golden fuzz fuzz-sweep fmt fmt-check vet lint ci
+.PHONY: build test test-short examples bench bench-check bench-smoke golden pins fuzz fuzz-sweep fmt fmt-check vet lint ci
 
 build:
 	$(GO) build ./...
@@ -41,32 +41,19 @@ bench-smoke:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
-# Replay the checked-in golden trace and check the gateway, stream,
-# peak-tracking, experiment-table and waveform output pins (blocking in
-# CI). After an intentional demodulator behavior change, regenerate the
-# trace with:
-#   go test ./internal/pipeline -run TestGoldenTraceReplay -update-golden
-# and set gatewayOutputPin (internal/gateway/pin_test.go) to the hash
-# TestGatewayOutputPinned reports. After one to the stream receive path
-# (the jobs stream.Source yields, or stream.Demodulate's counters), set
-# streamOutputPin (internal/stream/pin_test.go) to the hash
-# TestStreamOutputPinned reports, and fxpCorrelationPin (same file) to the
-# hash TestFxpCorrelationPinned reports if the fixed-point correlation
-# decode moved. After an intentional change to the
-# comparator (ModeVanilla/ModeFreqShift) decoders on either datapath, set
-# peakTrackingPin (internal/core/pin_test.go) to the hash
-# TestPeakTrackingPinned reports. After an intentional change to a
-# quick-mode experiment table, set experimentTablesPin
-# (internal/experiments/experiments_test.go) to the hash
-# TestAllExperimentsQuick reports outside -short; after one to a waveform,
-# set the hashes in cmd/saiyan/wave_test.go to those TestWaveOutputPinned
-# reports. The golden trace, gateway and stream pins run twice in one
-# process, so the second run replays against warm calibration memos
-# (core.Prewarmed and the segmenter's hunt calibrations) and must hash the
-# same.
+# The pin gate (blocking in CI): every pinned output (the golden trace's
+# decisions, the gateway, stream and decoder pins, the quick experiment
+# tables, `saiyan wave`) against the ledger testdata/pins.txt; the first
+# three packages run twice, so the second run meets warm calibration memos.
+# After an intended change, `make pins` rewrites the entries that moved and
+# prints old -> new; -p 1 keeps the test binaries from racing on the file.
+PIN_TESTS = TestGoldenTraceReplay|TestGatewayOutputPinned|TestStreamOutputPinned|TestFxpCorrelationPinned|TestPeakTrackingPinned|TestAllExperimentsQuick|TestWaveOutputPinned
 golden:
-	$(GO) test -run 'TestGoldenTraceReplay|TestGatewayOutputPinned|TestStreamOutputPinned|TestFxpCorrelationPinned' -count=2 -v ./internal/pipeline ./internal/gateway ./internal/stream
-	$(GO) test -run 'TestPeakTrackingPinned|TestAllExperimentsQuick|TestWaveOutputPinned' -count=1 -v ./internal/core ./internal/experiments ./cmd/saiyan
+	$(GO) test -run '$(PIN_TESTS)' -count=2 -v ./internal/pipeline ./internal/gateway ./internal/stream
+	$(GO) test -run '$(PIN_TESTS)' -count=1 -v ./internal/core ./internal/experiments ./cmd/saiyan
+
+pins:
+	$(GO) test -p 1 -count=1 -v -run '$(PIN_TESTS)' ./internal/pipeline ./internal/gateway ./internal/stream ./internal/core ./internal/experiments ./cmd/saiyan -args -update-pins
 
 # Short fuzz session over the trace codec.
 fuzz:

@@ -65,9 +65,14 @@ func TestDetectorsQuietOnNoise(t *testing.T) {
 }
 
 func TestDetectionRangesMatchPaperOrdering(t *testing.T) {
-	// Figure 21 outdoors: PLoRa 42.4 m, Aloba 30.6 m — PLoRa's correlation
-	// outranges Aloba's moving average, and both fall far short of
-	// Saiyan's ~148 m.
+	// Figure 21 outdoors: Saiyan ~148 m, and the baselines 42.4 m and
+	// 30.6 m. Which baseline holds 42.4 m is an open ambiguity: this test
+	// reads PLoRa 42.4 m, Aloba 30.6 m (PLoRa's correlation outranges
+	// Aloba's moving average), while the fig21 experiment pairs its
+	// "Saiyan vs Aloba vs PLoRa" title with "148.6/42.4/30.6 m", which
+	// reads Aloba 42.4 m, PLoRa 30.6 m. The paper's text is not in the
+	// repository, so the order asserted here is the reproduction's, not a
+	// checked paper claim. Both fall far short of Saiyan.
 	c := DefaultConventionalReceiver()
 	p := lora.DefaultParams()
 	dur := (lora.PreambleUpchirps + lora.SyncSymbols) * p.SymbolDuration()

@@ -9,8 +9,13 @@ import (
 // PLoRaDetector reproduces PLoRa's packet detection: cross-correlate the
 // RSSI envelope against the expected packet energy profile (a step that
 // stays high for the preamble duration). Correlating over the whole
-// preamble integrates out noise, which is why PLoRa detects farther than
-// Aloba (Figure 21: 42.4 m vs 30.6 m outdoors).
+// preamble integrates out noise, which is why the reproduction's PLoRa
+// detects farther than its Aloba. Which baseline the paper puts ahead is
+// an open ambiguity. Figure 21's outdoor baseline ranges are 42.4 m and
+// 30.6 m, and the repository reads them both ways:
+// TestDetectionRangesMatchPaperOrdering takes 42.4 m as PLoRa's, while the
+// fig21 experiment pairs its "Saiyan vs Aloba vs PLoRa" title with
+// "148.6/42.4/30.6 m", which makes 42.4 m Aloba's.
 type PLoRaDetector struct {
 	// TemplateSamples is the length of the on-period template.
 	TemplateSamples int

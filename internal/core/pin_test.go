@@ -2,21 +2,15 @@ package core
 
 import (
 	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
+	"hash"
 	"math"
 	"testing"
 
 	"saiyan/internal/dsp"
 	"saiyan/internal/lora"
+	"saiyan/internal/pins"
 )
-
-// peakTrackingPin is the SHA-256 of peakTrackingHash. The golden trace and
-// the gateway pin both decode in ModeFull, so this is the one pin that holds
-// the comparator decoders (Section 2.2) byte for byte across commits. A
-// change that alters their output on purpose sets the new hash here and
-// says so, as with the golden trace.
-const peakTrackingPin = "b726f64757645070f5309d59aa08f991827a67ce11411dfa2b03a5121e411893"
 
 // peakTrackingHash decodes 12 frames of 32 random symbols at four RSS
 // levels through every peak-tracking configuration: both comparator modes,
@@ -25,7 +19,7 @@ const peakTrackingPin = "b726f64757645070f5309d59aa08f991827a67ce11411dfa2b03a51
 // differently). Each frame hashes its mode, datapath, decoded symbols,
 // detection flag and the MCU cycles it cost. It also returns how many
 // frames were detected.
-func peakTrackingHash(t *testing.T) (string, int) {
+func peakTrackingHash(t *testing.T) (hash.Hash, int) {
 	t.Helper()
 	h := sha256.New()
 	detectedFrames := 0
@@ -70,15 +64,15 @@ func peakTrackingHash(t *testing.T) (string, int) {
 			}
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil)), detectedFrames
+	return h, detectedFrames
 }
 
 // TestPeakTrackingPinned holds the float and fixed-point peak-tracking
-// decoders' output across commits.
+// decoders' output across commits. The golden trace and the gateway pin
+// both decode in ModeFull, so this is the one pin that holds the
+// comparator decoders (Section 2.2) byte for byte.
 func TestPeakTrackingPinned(t *testing.T) {
-	got, detected := peakTrackingHash(t)
-	if got != peakTrackingPin {
-		t.Fatalf("peak-tracking output hash = %s, want %s (%d of 1152 frames detected)", got, peakTrackingPin, detected)
-	}
+	h, detected := peakTrackingHash(t)
 	t.Logf("%d of 1152 frames detected", detected)
+	pins.Check(t, "core/peak-tracking", h)
 }

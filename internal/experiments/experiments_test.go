@@ -3,9 +3,10 @@ package experiments
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/hex"
 	"strings"
 	"testing"
+
+	"saiyan/internal/pins"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -92,17 +93,12 @@ func TestQuickExperimentsSmoke(t *testing.T) {
 	}
 }
 
-// experimentTablesPin is the SHA-256 of every quick-mode table, rendered in
-// registry order at the default seed. It holds the reproduction's printed
-// results byte for byte across commits. A change that moves a table on
-// purpose sets the hash TestAllExperimentsQuick reports here and says so.
-const experimentTablesPin = "413540f3b87d1faa09937a7f9a44f2c0dfc061335a4f8111b93150929e926c92"
-
 // TestAllExperimentsQuick runs the entire registry in quick mode. It is the
 // integration test for the whole reproduction; the full run takes tens of
 // seconds, so -short further cuts the Monte-Carlo trial counts to keep
 // registry coverage while finishing in seconds. Outside -short it also
-// hashes every rendered table against experimentTablesPin.
+// pins the SHA-256 of every table, rendered in registry order at the
+// default seed: the reproduction's printed results, byte for byte.
 func TestAllExperimentsQuick(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Quick = true
@@ -128,7 +124,5 @@ func TestAllExperimentsQuick(t *testing.T) {
 	if testing.Short() || t.Failed() {
 		return
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != experimentTablesPin {
-		t.Fatalf("experiment tables hash = %s, want %s", got, experimentTablesPin)
-	}
+	pins.Check(t, "experiments/quick-tables", h)
 }

@@ -160,10 +160,7 @@ type client struct {
 	conn net.Conn
 	name string
 
-	subFrames  atomic.Bool
-	subMetrics atomic.Bool
-	subFlight  atomic.Bool
-	subHealth  atomic.Bool
+	subs atomic.Uint32 // sub* bits of the last subscribe message
 
 	// frames and metrics carry fully framed messages; the epoch loop
 	// enqueues without ever blocking (drop-and-count on a full queue) and
@@ -473,10 +470,7 @@ func (s *Server) readLoop(c *client) {
 				s.reject(c, fmt.Errorf("%w: malformed subscribe", ErrCorrupt))
 				continue
 			}
-			c.subFrames.Store(mask&subFrames != 0)
-			c.subMetrics.Store(mask&subMetrics != 0)
-			c.subFlight.Store(mask&subFlight != 0)
-			c.subHealth.Store(mask&subHealth != 0)
+			c.subs.Store(uint32(mask))
 		case msgPause, msgResume, msgCaptureStop:
 			s.enqueue(controlOp{from: c, typ: typ})
 		case msgRateOverride:
@@ -632,7 +626,7 @@ func (s *Server) onFrame(ev gateway.FrameEvent) {
 	reached, dropped := 0, 0
 	s.mu.Lock()
 	for c := range s.clients {
-		if !c.subFrames.Load() {
+		if c.subs.Load()&subFrames == 0 {
 			continue
 		}
 		if msg == nil {
@@ -673,7 +667,7 @@ func (s *Server) onDump(d flight.Dump) {
 	var msg []byte
 	s.mu.Lock()
 	for c := range s.clients {
-		if !c.subFlight.Load() {
+		if c.subs.Load()&subFlight == 0 {
 			continue
 		}
 		if msg == nil {
@@ -731,10 +725,11 @@ func (s *Server) publishEpoch(rep gateway.EpochReport) {
 		Channels:   len(snap.Channels),
 	}
 	for c := range s.clients {
-		if healthMsg != nil && c.subHealth.Load() {
+		subs := c.subs.Load()
+		if healthMsg != nil && subs&subHealth != 0 {
 			s.send(c, c.metrics, healthMsg, &c.metricsSent, &c.metricsDropped)
 		}
-		if !c.subMetrics.Load() {
+		if subs&subMetrics == 0 {
 			continue
 		}
 		s.send(c, c.metrics, repMsg, &c.metricsSent, &c.metricsDropped)

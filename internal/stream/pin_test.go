@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,36 +14,25 @@ import (
 
 	"saiyan/internal/core"
 	"saiyan/internal/lora"
+	"saiyan/internal/pins"
 	"saiyan/internal/radio"
 	"saiyan/internal/sim"
 )
 
-// streamOutputPin is the SHA-256 of everything streamOutputHash covers.
-// Like the gateway pins it holds across commits: a change that moves one
-// emitted window sample, one schedule claim or one decode counter fails
-// here. A change that alters the output on purpose sets the pin to the
-// hash the test reports and says so.
-const streamOutputPin = "a5f54deedcbefe5a9213554a7ea7f07dffa044c0a7d9d4a6349d1e3adf57a01b"
-
-// fxpCorrelationPin is the SHA-256 of everything fxpCorrelationHash
-// covers: the fixed-point correlation decode, window by window. The stream
-// pin sees that decode only through aggregate counters; this one names the
-// symbols and the MCU cycles of every window, so it fails on a change that
-// moves one symbol or one ledger entry even where the counters balance.
-const fxpCorrelationPin = "6f209624a1f8885b128dfd9b60a02e8343251b577dfcc2ccb506e10239463d60"
-
 // TestFxpCorrelationPinned hashes the fixed-point ModeFull decode of every
 // window Source yields on the stream pin's two captures at K = 1, 2 and 3.
+// The stream pin sees that decode only through aggregate counters; this one
+// names the symbols and the MCU cycles of every window, so it fails on a
+// change that moves one symbol or one ledger entry even where the counters
+// balance.
 func TestFxpCorrelationPinned(t *testing.T) {
-	if got := fxpCorrelationHash(t); got != fxpCorrelationPin {
-		t.Errorf("fixed-point correlation hash %s, want %s", got, fxpCorrelationPin)
-	}
+	pins.Check(t, "stream/fxp-correlation", fxpCorrelationHash(t))
 }
 
 // fxpCorrelationHash hashes, for every capture and K in turn, each
 // window's detection flag, symbols and MCU cycles as one DecodeStreamWindow
 // call on a clone of the prewarmed fixed-point master reports them.
-func fxpCorrelationHash(t *testing.T) string {
+func fxpCorrelationHash(t *testing.T) hash.Hash {
 	t.Helper()
 	h := sha256.New()
 	ints := func(vs ...int) {
@@ -101,16 +89,17 @@ func fxpCorrelationHash(t *testing.T) string {
 			}
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return h
 }
 
 // TestStreamOutputPinned hashes the stream receive path end to end on a
 // short-gap capture and on a sparse one with collisions, in ModeFull and
-// ModeVanilla, on the float and fixed datapaths, against one SHA-256.
+// ModeVanilla, on the float and fixed datapaths, against one SHA-256. Like
+// the gateway pins it holds across commits: a change that moves one
+// emitted window sample, one schedule claim or one decode counter fails
+// here.
 func TestStreamOutputPinned(t *testing.T) {
-	if got := streamOutputHash(t); got != streamOutputPin {
-		t.Errorf("stream output hash %s, want %s", got, streamOutputPin)
-	}
+	pins.Check(t, "stream/output", streamOutputHash(t))
 }
 
 // pinTimelines are the pinned captures: a short-gap one, and a sparse one
@@ -124,7 +113,7 @@ var pinTimelines = []sim.TimelineConfig{
 // turn: every job Source.Next yields (Tag, NSymbols, Want, and the bits of
 // Env and EnvC), then the JSON of Demodulate's Stats at 1 and at 4 workers
 // with the wall-clock Elapsed zeroed.
-func streamOutputHash(t *testing.T) string {
+func streamOutputHash(t *testing.T) hash.Hash {
 	t.Helper()
 	h := sha256.New()
 	for ti, tl := range pinTimelines {
@@ -161,7 +150,7 @@ func streamOutputHash(t *testing.T) string {
 			}
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return h
 }
 
 // hashJobs writes every job a Source over capture yields into h.
