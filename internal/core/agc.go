@@ -60,8 +60,7 @@ func (d *Demodulator) AutoCalibrate(env []float64, agc AGCConfig) {
 	low := dsp.SortedPercentile(sorted, 45)
 	d.noiseSigma = math.Max((low-floor)/0.6745, 1e-12) // MAD-style robust sigma
 
-	headroom := math.Pow(10, -d.cfg.ThresholdGapDB/20)
-	high := floor + (peak-floor)*headroom
+	high := floor + (peak-floor)*d.headroom
 	uf := math.Max(2*d.noiseSigma, 0.25*(peak-floor))
 	lowTh := high - uf
 	minLow := floor + d.noiseSigma
@@ -95,8 +94,7 @@ func (d *Demodulator) nominalBias() float64 {
 	env := d.RenderEnvelope(nil, traj, templateNominalRSS, nil)
 	floor := dsp.Min(env)
 	peak := dsp.Max(env)
-	headroom := math.Pow(10, -d.cfg.ThresholdGapDB/20)
-	high := floor + (peak-floor)*headroom
+	high := floor + (peak-floor)*d.headroom
 	low := high - 0.25*(peak-floor)
 	d.comparator = analog.Comparator[float64]{High: high, Low: low}
 	d.cachedBias = d.measureDecodeBias(templateNominalRSS)

@@ -26,7 +26,7 @@ func processFrameAuto(d *Demodulator, frame *lora.Frame, rssDBm float64, agc AGC
 	if d.cfg.Mode == ModeFull {
 		envC = d.RenderCorrEnvelope(nil, traj, rssDBm, rng)
 	}
-	return d.decodePayloadAt(env, envC, payloadAt, len(frame.Payload))
+	return d.decodePayloadAt(nil, env, envC, payloadAt, len(frame.Payload))
 }
 
 func TestAutoCalibrateMatchesOracle(t *testing.T) {

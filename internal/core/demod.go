@@ -59,8 +59,7 @@ func (d *Demodulator) CalibrateScalars(rssDBm float64, rng *rand.Rand) Calibrati
 	sig := d.RenderEnvelope(nil, traj, rssDBm, rng)
 	d.amax = dsp.Percentile(sig, 99)
 
-	headroom := math.Pow(10, -d.cfg.ThresholdGapDB/20)
-	high := d.baseline + (d.amax-d.baseline)*headroom
+	high := d.baseline + (d.amax-d.baseline)*d.headroom
 	// U_F: the envelope fluctuation amplitude. Use the larger of the noise
 	// ripple and a fixed fraction of the swing so U_L stays meaningful at
 	// high SNR too.
@@ -217,23 +216,28 @@ func (d *Demodulator) DemodulatePayload(trajHz []float64, rssDBm float64, nSymbo
 	if d.cfg.Mode == ModeFull {
 		render = d.RenderCorrEnvelope
 	}
-	return d.decodePayload(render(nil, trajHz, rssDBm, rng), nSymbols), nil
+	out := make([]int, nSymbols)
+	d.decodePayload(out, render(nil, trajHz, rssDBm, rng))
+	return out, nil
 }
 
-// decodePayload decodes nSymbols payload symbols from an envelope that
-// starts at the first payload symbol: the correlator-rate envelope in
-// ModeFull, the sampler-rate one otherwise. The fixed-point datapath
-// quantizes it through the ADC first.
-func (d *Demodulator) decodePayload(env []float64, nSymbols int) []int {
+// decodePayload decodes len(out) payload symbols into out from an
+// envelope that starts at the first payload symbol: the correlator-rate
+// envelope in ModeFull, the sampler-rate one otherwise. The fixed-point
+// datapath quantizes it through the ADC first.
+//
+//saiyan:hotpath
+func (d *Demodulator) decodePayload(out []int, env []float64) {
 	switch {
 	case d.cfg.Mode == ModeFull && d.fx != nil:
-		return d.fx.DecodeCorrelation(d.fx.Quantize(env), nSymbols)
+		d.fx.DecodeCorrelation(out, d.fx.Quantize(env))
 	case d.cfg.Mode == ModeFull:
-		return d.decodeByCorrelation(env, nSymbols)
+		d.decodeByCorrelation(out, env)
 	case d.fx != nil:
-		return d.fx.DecodePeakTracking(d.fx.Quantize(env), nSymbols)
+		d.fx.DecodePeakTracking(out, d.fx.Quantize(env))
+	default:
+		d.decodeByPeakTracking(out, env)
 	}
-	return d.decodeByPeakTracking(env, nSymbols)
 }
 
 // symbolWindow returns the [lo, hi) sampler-rate indices of payload symbol
@@ -255,11 +259,13 @@ func (d *Demodulator) symbolWindow(s, decim, n int) (int, int) {
 // decodeByPeakTracking implements the Section 2.2 decoder: quantize the
 // envelope with the double-threshold comparator, find each symbol window's
 // peak marker with analog.PeakEdges, and map its position to a chirp
-// value. fxp.DecodePeakTracking is the integer twin on the same classifier.
+// value, one symbol per element of out. fxp.DecodePeakTracking is the
+// integer twin on the same classifier.
 //
 //saiyan:hotpath
-func (d *Demodulator) decodeByPeakTracking(env []float64, nSymbols int) []int {
+func (d *Demodulator) decodeByPeakTracking(out []int, env []float64) {
 	p := d.cfg.Params
+	nSymbols := len(out)
 	d.scratchBit = d.comparator.Quantize(d.scratchBit, env)
 	if cap(d.scratchBounds) < nSymbols+1 {
 		d.scratchBounds = make([]int, nSymbols+1) //lint:allow hotalloc amortized: runs only on scratch growth
@@ -269,7 +275,7 @@ func (d *Demodulator) decodeByPeakTracking(env []float64, nSymbols int) []int {
 		bounds[s], _ = d.symbolWindow(s, d.cfg.Oversample, len(d.scratchBit))
 	}
 	d.scratchEdges = analog.PeakEdges(d.scratchEdges, d.scratchBit, bounds)
-	out := make([]int, nSymbols) //lint:allow hotalloc the returned symbol slice is the function's contract
+	clear(out)
 	for s, e := range d.scratchEdges {
 		var frac float64
 		switch {
@@ -284,15 +290,16 @@ func (d *Demodulator) decodeByPeakTracking(env []float64, nSymbols int) []int {
 		}
 		out[s] = p.NearestSymbol(p.PositionFromPeak(frac - d.peakBias))
 	}
-	return out
 }
 
 // decodeByCorrelation implements Section 3.2: normalized cross-correlation
-// of each symbol window against the per-symbol templates.
-func (d *Demodulator) decodeByCorrelation(env []float64, nSymbols int) []int {
+// of each symbol window against the per-symbol templates, one symbol per
+// element of out.
+//
+//saiyan:hotpath
+func (d *Demodulator) decodeByCorrelation(out []int, env []float64) {
 	decim := d.cfg.Oversample / d.cfg.CorrOversample
-	out := make([]int, nSymbols)
-	for s := 0; s < nSymbols; s++ {
+	for s := range out {
 		lo, hi := d.symbolWindow(s, decim, len(env))
 		if lo >= hi {
 			out[s] = 0
@@ -300,7 +307,6 @@ func (d *Demodulator) decodeByCorrelation(env []float64, nSymbols int) []int {
 		}
 		out[s], _ = d.bestTemplate(env[lo:hi])
 	}
-	return out
 }
 
 // bestTemplate ranks every template against one symbol window and

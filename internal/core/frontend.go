@@ -26,6 +26,10 @@ type Demodulator struct {
 	// stay aligned over long frames instead of drifting by the rounding
 	// residue.
 	spbSimInt int
+	// headroom is 10^(-G/20), the ratio of U_H's height above the
+	// baseline to the envelope swing (G = Config.ThresholdGapDB): every
+	// threshold derivation reads it.
+	headroom float64
 
 	// fe is the front-end filter design, shared with every Demodulator of
 	// the same design.
@@ -92,6 +96,7 @@ func New(cfg Config) (*Demodulator, error) {
 	d.spbSim = cfg.Params.SymbolDuration() * d.fsSim
 	d.spbSimInt = cfg.Params.SamplesPerSymbol(d.fsSim)
 	d.gains = newSAWMemo(cfg, d.spbSimInt)
+	d.headroom = math.Pow(10, -cfg.ThresholdGapDB/20)
 
 	key := frontEndKey{fsSim: d.fsSim, cutoff: cfg.VideoCutoffFrac * d.fsSamp}
 	if cfg.Mode != ModeVanilla {

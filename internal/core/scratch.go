@@ -53,7 +53,7 @@ func (d *Demodulator) ProcessFrameScratch(frame *lora.Frame, rssDBm float64, rng
 		s.EnvC = d.RenderCorrEnvelope(s.EnvC[:0], s.Traj, rssDBm, rng)
 		s.Rendered += len(s.Traj)
 	}
-	return d.decodePayloadAt(s.Env, s.EnvC, payloadAt, len(frame.Payload))
+	return d.decodePayloadAt(nil, s.Env, s.EnvC, payloadAt, len(frame.Payload))
 }
 
 // Clone returns an independent demodulator with the same configuration and

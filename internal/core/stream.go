@@ -109,8 +109,17 @@ func sameConfig(a, b Config) bool {
 // via DetectFrameSync (anchored on the preamble's end, which survives a
 // degraded leading chirp) and decodes the payload with the calibrated
 // peakBias timing. It returns the decoded symbols and whether the preamble
-// was confirmed.
+// was confirmed. The symbol slice is freshly allocated, and nil when the
+// preamble was missed.
 func (d *Demodulator) DecodeStreamWindow(env, envC []float64, nSymbols int, agc AGCConfig) ([]int, bool, error) {
+	return d.DecodeStreamWindowInto(nil, env, envC, nSymbols, agc)
+}
+
+// DecodeStreamWindowInto is DecodeStreamWindow decoding into dst's
+// storage: the symbols it returns are dst[:nSymbols], and only a dst of
+// smaller capacity is replaced by a new slice. With dst large enough it
+// allocates nothing.
+func (d *Demodulator) DecodeStreamWindowInto(dst []int, env, envC []float64, nSymbols int, agc AGCConfig) ([]int, bool, error) {
 	if nSymbols < 0 {
 		nSymbols = 0
 	}
@@ -121,19 +130,25 @@ func (d *Demodulator) DecodeStreamWindow(env, envC []float64, nSymbols int, agc 
 	if !ok {
 		return nil, false, nil
 	}
-	return d.decodePayloadAt(env, envC, payloadAt, nSymbols)
+	return d.decodePayloadAt(dst, env, envC, payloadAt, nSymbols)
 }
 
 // decodePayloadAt decodes nSymbols payload symbols beginning at sampler
 // index payloadAt, from the mode-appropriate stream (the correlator-rate
-// envC in ModeFull, env otherwise). A payload start beyond the available
-// samples reports a detected but undecodable frame.
-func (d *Demodulator) decodePayloadAt(env, envC []float64, payloadAt, nSymbols int) ([]int, bool, error) {
+// envC in ModeFull, env otherwise), into dst[:nSymbols]; a nil dst, or one
+// of smaller capacity, is replaced by a new slice. A payload start beyond
+// the available samples reports a detected but undecodable frame.
+func (d *Demodulator) decodePayloadAt(dst []int, env, envC []float64, payloadAt, nSymbols int) ([]int, bool, error) {
 	if d.cfg.Mode == ModeFull {
 		env, payloadAt = envC, payloadAt*d.cfg.CorrOversample
 	}
 	if payloadAt >= len(env) {
 		return nil, true, nil
 	}
-	return d.decodePayload(env[payloadAt:], nSymbols), true, nil
+	if dst == nil || cap(dst) < nSymbols {
+		dst = make([]int, nSymbols)
+	}
+	dst = dst[:nSymbols]
+	d.decodePayload(dst, env[payloadAt:])
+	return dst, true, nil
 }

@@ -198,10 +198,12 @@ func roundDiv(a, b int64) int64 {
 // the ADC codes against the calibrated thresholds, then map each symbol
 // window's peak marker to a chirp position. The markers come from
 // analog.PeakEdges, the classifier the float decoder uses too, over this
-// decoder's own integer-exact windows; only the arithmetic differs.
+// decoder's own integer-exact windows; only the arithmetic differs. It
+// decodes len(out) symbols into out.
 //
 //saiyan:hotpath
-func (x *Decoder) DecodePeakTracking(env []Q15, nSymbols int) []int {
+func (x *Decoder) DecodePeakTracking(out []int, env []Q15) {
+	nSymbols := len(out)
 	x.scratchBit = x.comp.Quantize(x.scratchBit, env)
 	bits := x.scratchBit
 	x.ops.Load += uint64(len(env))
@@ -215,7 +217,7 @@ func (x *Decoder) DecodePeakTracking(env []Q15, nSymbols int) []int {
 		bounds[s] = x.bound(s, x.cfg.SamplerDecim, len(bits))
 	}
 	x.scratchEdges = analog.PeakEdges(x.scratchEdges, bits, bounds)
-	out := make([]int, nSymbols) //lint:allow hotalloc the returned symbol slice is the function's contract
+	clear(out)
 	for s, e := range x.scratchEdges {
 		// The edge scan reads and compares every window sample.
 		x.ops.Load += uint64(e.Len)
@@ -233,7 +235,6 @@ func (x *Decoder) DecodePeakTracking(env []Q15, nSymbols int) []int {
 		x.ops.Add += 2
 		x.ops.Div++
 	}
-	return out
 }
 
 // DecodeCorrelation is the integer Section 3.2 decoder: for each symbol
@@ -253,13 +254,13 @@ func (x *Decoder) DecodePeakTracking(env []Q15, nSymbols int) []int {
 // one-template-at-a-time loop executes: a statistics pass, then a MAC
 // pass and a compare per template, or the statistics pass alone for a
 // flat window. So the cycle count does not depend on how the host
-// groups the exact sums.
+// groups the exact sums. It decodes len(out) symbols into out.
 //
 //saiyan:hotpath
-func (x *Decoder) DecodeCorrelation(env []Q15, nSymbols int) []int {
-	out := make([]int, nSymbols) //lint:allow hotalloc the returned symbol slice is the function's contract
+func (x *Decoder) DecodeCorrelation(out []int, env []Q15) {
+	clear(out)
 	if x.bank == nil {
-		return out
+		return
 	}
 	bank := x.bank
 	count := len(bank.sum)
@@ -269,7 +270,7 @@ func (x *Decoder) DecodeCorrelation(env []Q15, nSymbols int) []int {
 	cross := x.scratchCross[:count]
 	nt := uint64(count)
 	hi := x.bound(0, x.cfg.CorrDecim, len(env))
-	for s := 0; s < nSymbols; s++ {
+	for s := range out {
 		lo := hi
 		hi = x.bound(s+1, x.cfg.CorrDecim, len(env))
 		if lo >= hi {
@@ -326,7 +327,6 @@ func (x *Decoder) DecodeCorrelation(env []Q15, nSymbols int) []int {
 		}
 		out[s] = best
 	}
-	return out
 }
 
 // templateBank holds the quantized correlation templates with the

@@ -193,7 +193,7 @@ func TestDecoderCloneSharesBankNotLedger(t *testing.T) {
 	for i := range env {
 		env[i] = Q15(i * 400)
 	}
-	c.DecodePeakTracking(env, 2)
+	c.DecodePeakTracking(make([]int, 2), env)
 	if c.ops == (OpCounts{}) {
 		t.Fatal("clone decode accumulated no ops")
 	}
@@ -234,7 +234,8 @@ func TestDecodeCorrelationAllNegativeScores(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := []Q15{30000, 20000, 10000, 0} // one 4-sample symbol window, falling
-	got := d.DecodeCorrelation(env, 1)
+	got := make([]int, 1)
+	d.DecodeCorrelation(got, env)
 	if got[0] != 1 {
 		t.Fatalf("all-negative window decoded as %d, want 1 (least anticorrelated template)", got[0])
 	}
@@ -250,9 +251,11 @@ func TestDecodeDeterminism(t *testing.T) {
 	for i := range env {
 		env[i] = Q15((i * 2654435761) % 32768)
 	}
-	first := d.DecodeCorrelation(env, 4)
+	first := make([]int, 4)
+	d.DecodeCorrelation(first, env)
 	d.TakeCycles()
-	second := d.DecodeCorrelation(env, 4)
+	second := make([]int, 4)
+	d.DecodeCorrelation(second, env)
 	c2 := d.TakeCycles()
 	for i := range first {
 		if first[i] != second[i] {
@@ -260,7 +263,8 @@ func TestDecodeDeterminism(t *testing.T) {
 		}
 	}
 	d3 := d.Clone()
-	third := d3.DecodeCorrelation(env, 4)
+	third := make([]int, 4)
+	d3.DecodeCorrelation(third, env)
 	for i := range first {
 		if first[i] != third[i] {
 			t.Fatalf("clone decode diverged: %v vs %v", first, third)

@@ -18,9 +18,10 @@ import (
 //   - interface boxing: passing a concrete non-pointer value to an
 //     interface-typed parameter heap-allocates the box
 //
-// Returning a freshly made slice is sometimes the function's contract
-// (DecodeCorrelation returns the symbol slice it decodes); such sites
-// carry //lint:allow hotalloc <reason> rather than weakening the rule.
+// Handing out freshly made memory is sometimes the function's contract
+// (a pipeline worker allocates the symbol array its delivered results
+// own); such sites carry //lint:allow hotalloc <reason> rather than
+// weakening the rule.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc:  "flags per-call allocations inside //saiyan:hotpath functions",

@@ -155,10 +155,13 @@ type Job struct {
 
 // Result is the demodulation outcome of one Job.
 type Result struct {
-	Tag      int
-	Seq      uint64 // global submission sequence number
-	Symbols  []int  // decoded payload symbols (nil if the preamble was missed)
-	Detected bool   // whether the preamble was found
+	Tag int
+	Seq uint64 // global submission sequence number
+	// Symbols are the decoded payload symbols (nil if the preamble was
+	// missed). The consumer owns them: the stream windows of one batch
+	// share one array, each capped at its own length.
+	Symbols  []int
+	Detected bool // whether the preamble was found
 	// SymbolErrs counts decoded symbols differing from Job.Want; -1 when
 	// the job carried no ground truth.
 	SymbolErrs int
@@ -206,6 +209,16 @@ type Pipeline struct {
 	// channel, so a Submit racing Drain reliably returns ErrDrained
 	// instead of panicking on a closed channel.
 	submitMu sync.Mutex
+	// spare holds the job slices workers handed back, cleared, for Submit
+	// to reuse; it never holds more than the batches in flight at once.
+	// Its own lock, because Submit holds submitMu while it blocks on a
+	// full queue. spareInit backs it at first, so that a pool that holds
+	// at most len(spareInit) batches at once, as a 2-worker pool does
+	// (two queued per worker, one in each worker, one being submitted),
+	// allocates no list: the gateway builds a pipeline every epoch.
+	spareMu   sync.Mutex
+	spare     [][]job
+	spareInit [8][]job
 
 	// The throughput clock starts at the first Submit (not construction),
 	// so optional Precalibrate warm-up is excluded from frames/sec.
@@ -285,6 +298,7 @@ func New(cfg Config) (*Pipeline, error) {
 		results:  make(chan Result, resultsPerWorker*cfg.Workers),
 		calCache: make(map[float64]*core.Demodulator),
 	}
+	p.spare = p.spareInit[:0]
 	p.met = newPipelineMetrics(cfg.Metrics, cfg.Workers)
 	p.scratch.New = func() any {
 		p.met.scratchMisses.Inc()
@@ -315,7 +329,7 @@ func (p *Pipeline) Submit(batch ...Job) error {
 		return ErrDrained
 	}
 	p.startNano.CompareAndSwap(0, time.Now().UnixNano()) //lint:allow determinism Stats.Elapsed is documented wall-clock, not snapshot state
-	jobs := make([]job, len(batch))
+	jobs := p.jobSlice(len(batch))
 	for i, j := range batch {
 		jobs[i] = job{Job: j, seq: p.seq.Add(1) - 1}
 	}
@@ -323,6 +337,31 @@ func (p *Pipeline) Submit(batch ...Job) error {
 	p.jobs <- jobs
 	p.met.queueDepth.Set(float64(len(p.jobs)))
 	return nil
+}
+
+// jobSlice returns a slice of n jobs for Submit: the last one a worker
+// handed back when it is long enough, otherwise a new one.
+func (p *Pipeline) jobSlice(n int) []job {
+	p.spareMu.Lock()
+	defer p.spareMu.Unlock()
+	if k := len(p.spare); k > 0 && cap(p.spare[k-1]) >= n {
+		jobs := p.spare[k-1][:n]
+		p.spare[k-1] = nil
+		p.spare = p.spare[:k-1]
+		return jobs
+	}
+	return make([]job, n)
+}
+
+// putJobs hands a processed batch's job slice back to Submit, cleared so
+// the spare list pins no window, frame or payload.
+//
+//saiyan:hotpath
+func (p *Pipeline) putJobs(jobs []job) {
+	clear(jobs)
+	p.spareMu.Lock()
+	p.spare = append(p.spare, jobs)
+	p.spareMu.Unlock()
 }
 
 // Precalibrate builds the shared per-distance threshold table for the
@@ -541,10 +580,12 @@ func (p *Pipeline) Stats() Stats {
 
 // workerState is one worker's private demodulator pool: a clone per
 // calibration quantum for frame jobs, plus a single AGC-driven clone for
-// stream-window jobs.
+// stream-window jobs, and the storage stream windows decode into when
+// results are discarded.
 type workerState struct {
 	demods  map[float64]*core.Demodulator
 	streamD *core.Demodulator
+	syms    []int
 }
 
 // worker owns a private clone of each calibrated master it encounters and
@@ -563,8 +604,19 @@ func (p *Pipeline) worker(w int) {
 		}
 		sc := p.scratch.Get().(*core.FrameScratch)
 		p.met.scratchGets.Inc()
+		// Delivered stream windows decode into one slab per batch, which
+		// their results own; discarded ones into the worker's storage.
+		var slab []int
+		if !p.cfg.DiscardResults {
+			slab = make([]int, streamSymbols(batch)) //lint:allow hotalloc one array per batch for the symbols its results hand over
+		}
 		for _, j := range batch {
-			p.process(ws, sc, j, w)
+			dst := ws.syms
+			if j.Env != nil && !p.cfg.DiscardResults {
+				n := max(j.NSymbols, 0)
+				dst, slab = slab[:0:n], slab[n:]
+			}
+			p.process(ws, sc, j, w, dst)
 		}
 		p.scratch.Put(sc)
 		if p.met.on {
@@ -572,7 +624,19 @@ func (p *Pipeline) worker(w int) {
 		}
 		p.met.batches.Inc()
 		p.met.frames.Add(uint64(len(batch)))
+		p.putJobs(batch)
 	}
+}
+
+// streamSymbols counts the payload symbols of a batch's stream windows.
+func streamSymbols(batch []job) int {
+	n := 0
+	for _, j := range batch {
+		if j.Env != nil {
+			n += max(j.NSymbols, 0)
+		}
+	}
+	return n
 }
 
 // errEmptyJob is the sentinel for a job carrying neither a frame nor an
@@ -580,10 +644,11 @@ func (p *Pipeline) worker(w int) {
 var errEmptyJob = errors.New("pipeline: job with neither frame nor envelope window")
 
 // process demodulates one frame and publishes its result and counters.
-// The worker index w selects the histogram write shard.
+// The worker index w selects the histogram write shard; a stream window
+// decodes into dst's storage (see core.Demodulator.DecodeStreamWindowInto).
 //
 //saiyan:hotpath
-func (p *Pipeline) process(ws *workerState, sc *core.FrameScratch, j job, w int) {
+func (p *Pipeline) process(ws *workerState, sc *core.FrameScratch, j job, w int, dst []int) {
 	res := Result{Tag: j.Tag, Seq: j.seq, SymbolErrs: -1}
 	var t0 time.Time
 	if p.met.on {
@@ -624,7 +689,10 @@ func (p *Pipeline) process(ws *workerState, sc *core.FrameScratch, j job, w int)
 			}
 			ws.streamD = m.Clone()
 		}
-		res.Symbols, res.Detected, res.Err = ws.streamD.DecodeStreamWindow(j.Env, j.EnvC, j.NSymbols, p.cfg.AGC)
+		res.Symbols, res.Detected, res.Err = ws.streamD.DecodeStreamWindowInto(dst, j.Env, j.EnvC, j.NSymbols, p.cfg.AGC)
+		if p.cfg.DiscardResults && res.Symbols != nil {
+			ws.syms = res.Symbols
+		}
 		cycles = ws.streamD.TakeFxpCycles()
 		if j.Release != nil {
 			j.Release(j.Env, j.EnvC)

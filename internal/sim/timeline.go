@@ -250,9 +250,9 @@ type Chunk struct {
 // segmenter must cope with. The chunks alias the capture's envelopes.
 func (s *Stream) Chunks(chunkSamples int) []Chunk {
 	if chunkSamples < 1 {
-		chunkSamples = len(s.Env)
+		chunkSamples = max(len(s.Env), 1)
 	}
-	var out []Chunk
+	out := make([]Chunk, 0, (len(s.Env)+chunkSamples-1)/chunkSamples)
 	for at := 0; at < len(s.Env); at += chunkSamples {
 		hi := min(at+chunkSamples, len(s.Env))
 		c := Chunk{Env: s.Env[at:hi]}

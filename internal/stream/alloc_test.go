@@ -2,6 +2,7 @@ package stream
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"saiyan/internal/core"
@@ -103,32 +104,90 @@ func TestDecodeStreamWindowAllocs(t *testing.T) {
 	}
 }
 
-// TestExtractRecycledAllocs pins window extraction at zero allocations
-// once the pipeline hands window buffers back: the emit callback releases
-// each window as a decoding worker would, and every run cuts the same
-// frame out of the carry buffers again.
-func TestExtractRecycledAllocs(t *testing.T) {
+// TestDecodeStreamWindowIntoAllocs pins the storage-taking window decode
+// on both datapaths at zero allocations, and holds it to
+// DecodeStreamWindow: storage left dirty by another window decodes to the
+// same symbols.
+func TestDecodeStreamWindowIntoAllocs(t *testing.T) {
 	capture := testCapture(t, 2, 1, sim.TimelineConfig{})
+	windows := segmentWindows(t, capture, capture.Chunks(0))
+	if len(windows) < 2 {
+		t.Fatalf("%d windows emitted, want 2", len(windows))
+	}
+	agc := core.DefaultAGCConfig()
+	for _, dp := range []core.Datapath{core.DatapathFloat, core.DatapathFixed} {
+		cfg := core.DefaultConfig()
+		cfg.Datapath = dp
+		master, _, err := core.Prewarmed(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := master.Clone()
+		for i, w := range windows {
+			want, wantOK, err := d.DecodeStreamWindow(w.Env, w.EnvC, w.NSymbols, agc)
+			if err != nil || !wantOK {
+				t.Fatalf("datapath %v window %d: detected=%v, err=%v", dp, i, wantOK, err)
+			}
+			other := windows[1-i]
+			dst, _, _ := d.DecodeStreamWindowInto(make([]int, 0, w.NSymbols), other.Env, other.EnvC, other.NSymbols, agc)
+			got, ok, err := d.DecodeStreamWindowInto(dst, w.Env, w.EnvC, w.NSymbols, agc)
+			if err != nil || !ok || !slices.Equal(got, want) || &got[0] != &dst[0] {
+				t.Errorf("datapath %v window %d: decoded %v (detected %v, err %v) into dirty storage, want %v in place", dp, i, got, ok, err, want)
+			}
+		}
+		w := windows[0]
+		dst := make([]int, w.NSymbols)
+		allocs := testing.AllocsPerRun(20, func() { d.DecodeStreamWindowInto(dst, w.Env, w.EnvC, w.NSymbols, agc) })
+		if allocs != 0 {
+			t.Errorf("datapath %v: DecodeStreamWindowInto %.1f allocations, want 0", dp, allocs)
+		}
+	}
+}
+
+// TestExtractRecycledAllocs pins window extraction at zero allocations
+// once the pipeline hands window buffers back. One frame with idle air on
+// either side is pushed over and over in chunks much shorter than the
+// frame, so each window locks in one chunk and is filled straight from
+// the chunks after it; the emit callback releases each window as a
+// decoding worker would.
+func TestExtractRecycledAllocs(t *testing.T) {
+	capture := testCapture(t, 2, 1, sim.TimelineConfig{MinGapSymbols: 200, MaxGapSymbols: 200})
 	_, scfg := testConfigs()
 	scfg.PayloadSymbols = capture.PayloadSymbols
+	windows := 0
 	seg, err := NewSegmenter(scfg, func(w Window) error {
+		windows++
 		w.Release(w.Env, w.EnvC)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	at, n, r := capture.Events[0].StartSamp, seg.frameLen, capture.CorrOversample
-	buf := seg.store[:copy(seg.store, capture.Env[at:at+n])]
-	bufC := seg.storeC[:copy(seg.storeC, capture.EnvC[at*r:(at+n)*r])]
-	extract := func() {
-		seg.buf, seg.bufC = buf, bufC
-		if err := seg.extract(0); err != nil {
-			t.Fatal(err)
+	const chunk = 61
+	if seg.frameLen < 3*chunk {
+		t.Fatalf("%d-sample frame window, want one spanning at least three %d-sample chunks", seg.frameLen, chunk)
+	}
+	margin := int(math.Ceil(20 * capture.SamplesPerSymbol))
+	lo := capture.Events[0].StartSamp - margin
+	hi := capture.Events[0].StartSamp + seg.frameLen + margin
+	r := capture.CorrOversample
+	frame := &sim.Stream{Env: capture.Env[lo:hi], EnvC: capture.EnvC[lo*r : hi*r], CorrOversample: r}
+	chunks := frame.Chunks(chunk)
+	push := func() {
+		for _, c := range chunks {
+			if err := seg.Push(c.Env, c.EnvC); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	extract()
-	if allocs := testing.AllocsPerRun(20, extract); allocs != 0 {
-		t.Errorf("extract with windows handed back: %.1f allocations, want 0", allocs)
+	push()
+	const runs = 20
+	windows = 0
+	allocs := testing.AllocsPerRun(runs, push)
+	if windows != runs+1 {
+		t.Fatalf("%d windows in %d pushes of the frame, want one each", windows, runs+1)
+	}
+	if allocs != 0 {
+		t.Errorf("lock and fill with windows handed back: %.1f allocations, want 0", allocs)
 	}
 }

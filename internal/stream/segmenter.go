@@ -17,6 +17,7 @@ package stream
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"saiyan/internal/core"
 	"saiyan/internal/dsp"
@@ -74,9 +75,11 @@ type Window struct {
 	// Start is the absolute sampler-rate index of Env[0] in the capture.
 	Start int64
 	// Env is the sampler-rate window (preamble through payload end,
-	// possibly shorter at the end of the capture). It is a copy out of the
-	// carry buffer, into a buffer the segmenter lends: it stays valid until
-	// it is handed back through Release, and for good if it never is.
+	// possibly shorter at the end of the capture), in a buffer the
+	// segmenter lends: filled from the carry buffer when the preamble
+	// locks and straight from later chunks after that, it stays valid
+	// until it is handed back through Release, and for good if it never
+	// is.
 	Env []float64
 	// EnvC is the matching correlator-rate window (ModeFull; nil otherwise),
 	// lent and handed back together with Env.
@@ -100,11 +103,18 @@ type Window struct {
 // consumed samples are dropped by moving the view's head, not by shifting
 // the samples. The live tail moves to the front of the array only when a
 // chunk does not fit behind it. The correlator-rate chunk, CorrOversample
-// times the size, is read in place while Push scans: only extract reads it, and only
-// what is still live after the scan is copied into its carry buffer, so
-// of idle air at that rate only the hunt's overlap tail is copied. Emitted windows are
-// copies into buffers from a bounded free list that the pipeline refills
-// through Window.Release, so they outlive the carry buffer.
+// times the size, is read in place while Push scans: only a preamble lock
+// reads it, and only what is still live after the scan is copied into its
+// carry buffer, so of idle air at that rate only the hunt's overlap tail
+// is copied.
+//
+// When a preamble locks, the segmenter takes a window's buffers from its
+// free list and fills them with the samples already buffered; until the
+// frame is whole, each later Push copies its share of the chunk straight
+// into the window, at both rates, and carries only the rest. So every
+// sample of a window is copied once. The free list keeps every buffer
+// handed back through Window.Release, so it never holds more windows than
+// were lent out at once.
 type Segmenter struct {
 	cfg  Config
 	d    *core.Demodulator
@@ -117,15 +127,19 @@ type Segmenter struct {
 	preambLen int     // preamble length in sampler samples
 	gate      float64 // minimum envelope excursion for a detection marker
 
-	buf     []float64 // sampler-rate samples not yet consumed: a view into store
-	bufC    []float64 // correlator-rate samples carried from earlier pushes: a view into storeC
-	chunkC  []float64 // the pushed chunk's correlator-rate samples, live after bufC (during Push only)
-	store   []float64 // backing array of buf
-	storeC  []float64 // backing array of bufC
-	base    int64     // absolute sampler index of buf[0]
-	pending int       // detected preamble start awaiting a full window (-1 = none)
+	buf    []float64 // sampler-rate samples not yet consumed: a view into store
+	bufC   []float64 // correlator-rate samples carried from earlier pushes: a view into storeC
+	chunkC []float64 // the pushed chunk's correlator-rate samples, live after bufC (during Push only)
+	store  []float64 // backing array of buf
+	storeC []float64 // backing array of bufC
+	base   int64     // absolute sampler index of buf[0]
 
-	free    *windowFree               // window buffers handed back by Release
+	// win is the locked window while locked: Env and EnvC are filled so
+	// far, out of buffers of a whole frame's capacity.
+	win    Window
+	locked bool
+
+	free    windowFree                // window buffers handed back by Release
 	release func(env, envC []float64) // free.put, bound once
 
 	samples int64 // sampler-rate samples pushed
@@ -171,7 +185,7 @@ func NewSegmenter(cfg Config, emit func(Window) error) (*Segmenter, error) {
 	})
 	d := master.Clone()
 	d.SetCalibration(cal)
-	s := &Segmenter{cfg: cfg, d: d, emit: emit, pending: -1}
+	s := &Segmenter{cfg: cfg, d: d, emit: emit}
 	s.spb = d.SamplesPerSymbol()
 	// Detection markers must rise clear of the noise floor: normalized
 	// correlation alone would lock onto noise patterns in idle air.
@@ -197,7 +211,8 @@ func NewSegmenter(cfg Config, emit func(Window) error) (*Segmenter, error) {
 		s.storeC = make([]float64, len(s.store)*s.ratio)
 		s.bufC = s.storeC[:0]
 	}
-	s.free = &windowFree{bufs: make(chan windowBufs, freeWindows), envLen: s.frameLen, envCLen: s.frameLen * s.ratio}
+	s.free.envLen, s.free.envCLen = s.frameLen, s.frameLen*s.ratio
+	s.free.bufs = s.free.init[:0]
 	s.release = s.free.put
 	s.scans = cfg.Metrics.Counter("saiyan_stream_scans_total", "carrier-sense scans over the hunt window")
 	s.emitted = cfg.Metrics.Counter("saiyan_stream_windows_emitted_total", "frame windows extracted and emitted")
@@ -219,20 +234,30 @@ func (s *Segmenter) NoiseStats() (baseline, sigma float64) {
 func (s *Segmenter) SamplesIn() int64 { return s.samples }
 
 // Push appends one delivery chunk (envC may be nil outside ModeFull) and
-// scans as far as the buffered samples allow. Frames straddling the chunk
-// boundary stay pending until the rest arrives. The sampler-rate chunk is
-// copied once, into the carry buffer; of envC only what the scan leaves
-// live is copied, and neither chunk is referenced after Push returns.
-// Push allocates only when a chunk does not fit in a carry buffer even
-// after the live tail moves to the front.
+// scans as far as the buffered samples allow. A frame straddling the chunk
+// boundary stays locked until the rest arrives. While a window is locked,
+// the chunk's share of it is copied straight into the window; the rest of
+// the sampler-rate chunk is copied once, into the carry buffer, and of
+// the rest of envC only what the scan leaves live is copied. Neither chunk
+// is referenced after Push returns. Push allocates only when a chunk does
+// not fit in a carry buffer even after the live tail moves to the front,
+// or when a preamble locks and no window has been handed back.
 //
 //saiyan:hotpath
 func (s *Segmenter) Push(env, envC []float64) error {
-	if s.pending >= 0 {
+	s.samples += int64(len(env))
+	if s.locked {
 		s.carries.Inc()
+		n, nc := s.fill(env, envC)
+		env, envC = env[n:], envC[nc:]
+		s.base += int64(n) // buf is empty while a window is locked
+		if len(s.win.Env) == s.frameLen {
+			if err := s.emitLocked(); err != nil {
+				return err
+			}
+		}
 	}
 	s.store, s.buf = carry(s.store, s.buf, env)
-	s.samples += int64(len(env))
 	if s.ratio == 0 {
 		return s.scan(false)
 	}
@@ -290,51 +315,75 @@ func (s *Segmenter) advance(n int) {
 	s.base += int64(n)
 }
 
-// extract emits the window starting at buffer offset start and consumes
-// everything through its end. The window's samples are copied into
-// buffers from the free list, so extract allocates only when no window
-// has been handed back.
+// lock takes a window's buffers for the preamble locked at buffer offset
+// start and fills them with the samples buffered from there on; the
+// window's correlator-rate span runs on from bufC into chunkC. Those
+// samples are consumed. A window that is already whole is emitted at
+// once; otherwise Push fills the rest from later chunks.
 //
 //saiyan:hotpath
-func (s *Segmenter) extract(start int) error {
-	end := min(start+s.frameLen, len(s.buf))
+func (s *Segmenter) lock(start int) error {
 	env, envC := s.free.get()
-	w := Window{
+	s.win = Window{
 		Start:    s.base + int64(start),
-		Env:      env[:copy(env, s.buf[start:end])],
+		Env:      env[:0],
 		NSymbols: s.cfg.PayloadSymbols,
 		Release:  s.release,
 	}
 	if s.ratio > 0 {
-		// The window's correlator-rate span [lo, hi) runs on from bufC into
-		// chunkC.
-		nb := len(s.bufC)
-		lo := min(start*s.ratio, nb+len(s.chunkC))
-		hi := min(end*s.ratio, nb+len(s.chunkC))
-		n := copy(envC, s.bufC[min(lo, nb):min(hi, nb)])
-		n += copy(envC[n:], s.chunkC[max(lo-nb, 0):max(hi-nb, 0)])
-		w.EnvC = envC[:n]
+		s.win.EnvC = envC[:0]
 	}
-	s.pending = -1
-	s.emitted.Inc()
-	if err := s.emit(w); err != nil {
-		return err
+	s.locked = true
+	nb, lo := len(s.bufC), start*s.ratio
+	n, _ := s.fill(s.buf[start:], s.bufC[min(lo, nb):])
+	s.fill(nil, s.chunkC[min(max(lo-nb, 0), len(s.chunkC)):])
+	s.advance(start + n)
+	if len(s.win.Env) == s.frameLen {
+		return s.emitLocked()
 	}
-	s.advance(end)
 	return nil
 }
 
-// freeWindows bounds a segmenter's free list of window buffers: enough
-// for the windows a pipeline holds queued and in decode, and at most a
-// few hundred kilobytes per segmenter at default payload lengths.
-const freeWindows = 32
+// fill copies the locked window's next samples from env and envC, up to a
+// whole frame at the sampler rate and, at the correlator rate, up to the
+// sampler-rate samples the window holds. It returns how many samples of
+// each it took.
+//
+//saiyan:hotpath
+func (s *Segmenter) fill(env, envC []float64) (n, nc int) {
+	w := &s.win
+	n = copy(w.Env[len(w.Env):s.frameLen], env)
+	w.Env = w.Env[:len(w.Env)+n]
+	if s.ratio > 0 {
+		nc = copy(w.EnvC[len(w.EnvC):len(w.Env)*s.ratio], envC)
+		w.EnvC = w.EnvC[:len(w.EnvC)+nc]
+	}
+	return n, nc
+}
 
-// windowFree is a segmenter's bounded free list of window buffers. The
-// segmenter takes from it in extract, on its own goroutine; pipeline
-// workers hand buffers back through Window.Release.
+// emitLocked hands the locked window to the emit callback and unlocks.
+//
+//saiyan:hotpath
+func (s *Segmenter) emitLocked() error {
+	w := s.win
+	s.win, s.locked = Window{}, false
+	s.emitted.Inc()
+	return s.emit(w)
+}
+
+// windowFree is a segmenter's free list of window buffers. The segmenter
+// takes from it when a preamble locks, on its own goroutine; pipeline
+// workers hand buffers back through Window.Release. It keeps every pair
+// handed back, and a pair is allocated only when the list is empty, so it
+// never holds more pairs than were lent out at once.
 type windowFree struct {
-	bufs            chan windowBufs // capacity freeWindows
-	envLen, envCLen int             // buffer capacities: one frame window at each rate
+	mu   sync.Mutex
+	bufs []windowBufs
+	// init backs bufs at first, so that a consumer that holds at most
+	// len(init) windows at once, as a gateway epoch's 2-worker pool does,
+	// grows no list: the gateway builds its segmenters every epoch.
+	init            [8]windowBufs
+	envLen, envCLen int // buffer capacities: one frame window at each rate
 }
 
 // windowBufs is one window's pair of buffers, at full capacity.
@@ -346,28 +395,30 @@ type windowBufs struct{ env, envC []float64 }
 //
 //saiyan:hotpath
 func (f *windowFree) get() (env, envC []float64) {
-	select {
-	case b := <-f.bufs:
+	f.mu.Lock()
+	if n := len(f.bufs); n > 0 {
+		b := f.bufs[n-1]
+		f.bufs[n-1] = windowBufs{}
+		f.bufs = f.bufs[:n-1]
+		f.mu.Unlock()
 		return b.env, b.envC
-	default:
 	}
-	buf := make([]float64, f.envLen+f.envCLen) //lint:allow hotalloc only until windows are handed back, and once per window for a consumer that keeps them
+	f.mu.Unlock()
+	buf := make([]float64, f.envLen+f.envCLen) //lint:allow hotalloc only while every pair is lent out, and once per window for a consumer that keeps them
 	return buf[:f.envLen:f.envLen], buf[f.envLen:]
 }
 
 // put takes a window's buffers back for reuse. Buffers of another shape
-// are ignored, and so is the pair once the list is full: the garbage
-// collector takes those.
+// are ignored: the garbage collector takes those.
 //
 //saiyan:hotpath
 func (f *windowFree) put(env, envC []float64) {
 	if cap(env) != f.envLen || cap(envC) != f.envCLen {
 		return
 	}
-	select {
-	case f.bufs <- windowBufs{env[:cap(env)], envC[:cap(envC)]}:
-	default:
-	}
+	f.mu.Lock()
+	f.bufs = append(f.bufs, windowBufs{env[:cap(env)], envC[:cap(envC)]})
+	f.mu.Unlock()
 }
 
 // scan is the hunt loop: carrier-sense gate over the leading hunt window,
@@ -377,23 +428,19 @@ func (f *windowFree) put(env, envC []float64) {
 //saiyan:hotpath
 func (s *Segmenter) scan(flush bool) error {
 	for {
-		if s.pending >= 0 {
-			// A preamble is locked; wait for the full window.
-			if len(s.buf) >= s.pending+s.frameLen {
-				if err := s.extract(s.pending); err != nil {
-					return err
-				}
-				continue
-			}
+		if s.locked {
+			// A preamble is locked and its window is short of a frame:
+			// every buffered sample is in it; wait for the rest.
 			if !flush {
 				return nil
 			}
 			// Capture ended mid-frame: emit what exists if at least the
 			// preamble and sync made it, else drop the tail.
-			if len(s.buf)-s.pending >= int(math.Ceil((lora.PreambleUpchirps+lora.SyncSymbols)*s.spb)) {
-				return s.extract(s.pending)
+			if len(s.win.Env) >= int(math.Ceil((lora.PreambleUpchirps+lora.SyncSymbols)*s.spb)) {
+				return s.emitLocked()
 			}
-			s.advance(len(s.buf))
+			s.free.put(s.win.Env, s.win.EnvC)
+			s.win, s.locked = Window{}, false
 			return nil
 		}
 		if len(s.buf) == 0 || len(s.buf) < s.huntLen && !flush {
@@ -404,7 +451,9 @@ func (s *Segmenter) scan(flush bool) error {
 		if s.d.CarrierSense(s.buf[:hunt]) {
 			start, ok := s.d.DetectPreambleGated(s.buf[:hunt], s.gate)
 			if ok {
-				s.pending = start
+				if err := s.lock(start); err != nil {
+					return err
+				}
 				continue
 			}
 			// Carrier but no preamble start inside the window: mid-frame

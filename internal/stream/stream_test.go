@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"fmt"
+	"io"
 	"math"
 	"slices"
 	"strings"
@@ -387,16 +388,14 @@ func TestSegmenterConfigValidation(t *testing.T) {
 // TestRecycledWindowsDecodeAsOwnedCopies runs the window hand-off under
 // load: four pipeline workers decode windows and hand their buffers back
 // while the segmenter keeps cutting new windows into the recycled ones.
-// Every window must decode exactly as its never-recycled copy does, so no
-// buffer was reused while a worker still read it; under -race the test
-// also checks the hand-off's synchronization.
+// The segmenter must have cut fewer buffers than windows, so buffers were
+// recycled, and every window must decode exactly as its never-recycled
+// copy does, so no buffer was reused while a worker still read it; under
+// -race the test also checks the hand-off's synchronization.
 func TestRecycledWindowsDecodeAsOwnedCopies(t *testing.T) {
 	capture := testCapture(t, 8, 8, sim.TimelineConfig{OverlapEvery: 4})
 	chunks := capture.Chunks(97)
 	owned := segmentWindows(t, capture, chunks)
-	if len(owned) <= freeWindows {
-		t.Fatalf("%d windows, want more than the %d-buffer free list", len(owned), freeWindows)
-	}
 	master, err := core.New(core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -428,8 +427,10 @@ func TestRecycledWindowsDecodeAsOwnedCopies(t *testing.T) {
 	got := make([]outcome, len(owned))
 	n := 0
 	var released atomic.Int64
+	buffers := make(map[*float64]bool) // each window's Env array, by its first element
 	_, err = p.Collect(func() error {
 		seg, err := NewSegmenter(scfg, func(w Window) error {
+			buffers[&w.Env[:1][0]] = true
 			return p.Submit(pipeline.Job{Tag: -1, Env: w.Env, EnvC: w.EnvC, NSymbols: w.NSymbols,
 				Release: func(env, envC []float64) {
 					released.Add(1)
@@ -463,10 +464,87 @@ func TestRecycledWindowsDecodeAsOwnedCopies(t *testing.T) {
 	if n := released.Load(); n != int64(len(owned)) {
 		t.Errorf("%d windows handed back, want %d", n, len(owned))
 	}
+	if len(buffers) >= len(owned) {
+		t.Errorf("%d windows in %d distinct buffers: none was recycled", len(owned), len(buffers))
+	}
 	for i := range want {
 		if got[i].detected != want[i].detected || !slices.Equal(got[i].syms, want[i].syms) {
 			t.Errorf("window %d: decoded %v (detected %v) from a recycled buffer, want %v (detected %v)",
 				i, got[i].syms, got[i].detected, want[i].syms, want[i].detected)
+		}
+	}
+}
+
+// TestDeliveredSymbolsStayOwned keeps every Result.Symbols a consumer
+// receives from four workers, appending to each as a consumer may, and
+// checks them all against their reference decodes only after every later
+// window has decoded. The Source's jobs go in batches of 1 to 8, so
+// windows share a batch's symbol array; a symbol overwritten by a later
+// decode, or by an append running into a neighbour's symbols, shows as a
+// mismatch, and under -race as a race.
+func TestDeliveredSymbolsStayOwned(t *testing.T) {
+	capture := testCapture(t, 8, 8, sim.TimelineConfig{OverlapEvery: 4})
+	const chunk = 97
+	owned := segmentWindows(t, capture, capture.Chunks(chunk))
+	master, err := core.New(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	master.PrewarmAuto()
+	d := master.Clone()
+	want := make([][]int, len(owned))
+	for i, w := range owned {
+		if want[i], _, err = d.DecodeStreamWindow(w.Env, w.EnvC, w.NSymbols, core.DefaultAGCConfig()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	pcfg, scfg := testConfigs()
+	pcfg.Workers = 4
+	pcfg.DiscardResults = false
+	src, err := NewSource(scfg, capture, chunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := pipeline.New(pcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([][]int, len(owned))
+	_, err = p.Collect(func() error {
+		batch := make([]pipeline.Job, 0, 8)
+		for size := 1; ; size = size%8 + 1 {
+			batch = batch[:0]
+			for len(batch) < size {
+				j, err := src.Next()
+				if err == io.EOF {
+					return p.Submit(batch...)
+				}
+				if err != nil {
+					return err
+				}
+				batch = append(batch, j)
+			}
+			if err := p.Submit(batch...); err != nil {
+				return err
+			}
+		}
+	}, func(res pipeline.Result) {
+		if res.Err != nil || int(res.Seq) >= len(got) {
+			t.Errorf("result %d: err %v, want one of %d windows", res.Seq, res.Err, len(got))
+			return
+		}
+		if res.Symbols != nil {
+			_ = append(res.Symbols, -1)
+		}
+		got[res.Seq] = res.Symbols
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if !slices.Equal(got[i], want[i]) {
+			t.Errorf("window %d: kept symbols %v, want %v", i, got[i], want[i])
 		}
 	}
 }
