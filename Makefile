@@ -59,18 +59,19 @@ pins:
 fuzz:
 	$(GO) test -run FuzzTraceRoundTrip -fuzz FuzzTraceRoundTrip -fuzztime 30s ./internal/trace
 
-# Scheduled CI fuzz sweep: ~11 minutes split across the eleven codec,
-# datapath, render, detection and segmentation fuzzers (go test allows one
-# -fuzz target per invocation). FuzzChunkRead covers the framing shared by
-# traces, the wire and flight dumps; the trace and wire fuzzers cover their
-# payload codecs. FuzzADCQuantize holds the batch ADC quantizer to its
-# per-sample Code. FuzzFIRApply holds the interleaved FIR kernel bit-exact
-# to the one-output-at-a-time reference loop, FuzzFusedIF holds the fused
-# IF filter to the two-stage chain, FuzzFirstPeriodicRun checks the
-# preamble hunt's periodic-run search, FuzzCorrelationRun holds the
-# early-exit correlation run to the full correlation's peaks, and
-# FuzzSegmenterChunking holds the stream segmenter's windows invariant to
-# how the capture is chunked.
+# Scheduled CI fuzz sweep: ~12 minutes split across the twelve codec,
+# datapath, render, detection, decode and segmentation fuzzers (go test
+# allows one -fuzz target per invocation). FuzzChunkRead covers the
+# framing shared by traces, the wire and flight dumps; the trace and wire
+# fuzzers cover their payload codecs. FuzzADCQuantize holds the batch ADC
+# quantizer to its per-sample Code. FuzzFIRApply holds the interleaved FIR
+# kernel bit-exact to the one-output-at-a-time reference loop, FuzzFusedIF
+# holds the fused IF filter to the two-stage chain, FuzzFirstPeriodicRun
+# checks the preamble hunt's periodic-run search, FuzzCorrelationRun holds
+# the early-exit correlation run to the full correlation's peaks,
+# FuzzCorrelationDecode holds the batched payload correlation decoder to
+# the per-symbol loop, and FuzzSegmenterChunking holds the stream
+# segmenter's windows invariant to how the capture is chunked.
 FUZZ_TIME ?= 60s
 fuzz-sweep:
 	$(GO) test -run FuzzChunkRead -fuzz FuzzChunkRead -fuzztime $(FUZZ_TIME) ./internal/chunk
@@ -83,6 +84,7 @@ fuzz-sweep:
 	$(GO) test -run FuzzFusedIF -fuzz FuzzFusedIF -fuzztime $(FUZZ_TIME) ./internal/core
 	$(GO) test -run FuzzFirstPeriodicRun -fuzz FuzzFirstPeriodicRun -fuzztime $(FUZZ_TIME) ./internal/core
 	$(GO) test -run FuzzCorrelationRun -fuzz FuzzCorrelationRun -fuzztime $(FUZZ_TIME) ./internal/core
+	$(GO) test -run FuzzCorrelationDecode -fuzz FuzzCorrelationDecode -fuzztime $(FUZZ_TIME) ./internal/core
 	$(GO) test -run FuzzSegmenterChunking -fuzz FuzzSegmenterChunking -fuzztime $(FUZZ_TIME) ./internal/stream
 
 fmt:

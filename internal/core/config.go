@@ -138,6 +138,33 @@ func DefaultConfig() Config {
 	}
 }
 
+// Defaulted returns c with its zero fields defaulted, or the error New
+// would return for it, without building a demodulator. The front-end
+// filter design it checks is the shared one New renders through.
+func (c Config) Defaulted() (Config, error) {
+	c, err := c.withDefaults()
+	if err != nil {
+		return c, err
+	}
+	_, err = frontEndFor(c.frontEndKey())
+	return c, err
+}
+
+// frontEndKey names the shared front-end design a defaulted c renders
+// through.
+func (c Config) frontEndKey() frontEndKey {
+	fsSim := c.SimRateHz()
+	k := frontEndKey{fsSim: fsSim, cutoff: c.VideoCutoffFrac * c.SamplerRateHz()}
+	if c.Mode != ModeVanilla {
+		// The MCU clock runs at fsSim/8; squaring the mixed signal lands
+		// the IF at twice the clock, fsSim/4 (see frontEnd).
+		k.ifHz = fsSim / 4
+		k.phaseErr = c.ClockPhaseError
+		k.gainDB = c.IFAmp.GainDB
+	}
+	return k
+}
+
 // withDefaults fills zero fields and validates.
 func (c Config) withDefaults() (Config, error) {
 	if err := c.Params.Validate(); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -264,6 +265,58 @@ func TestConfigValidation(t *testing.T) {
 	bad.VideoCutoffFrac = 5
 	if _, err := New(bad); err == nil {
 		t.Error("absurd video cutoff accepted")
+	}
+}
+
+// TestDefaultedMatchesNew holds Config.Defaulted to New: the same error,
+// or the same defaulted config, on valid configs of every mode and
+// datapath and on each invalid one TestConfigValidation rejects, plus one
+// whose video cutoff only the front-end filter design rejects. On a
+// defaulted config it allocates nothing.
+func TestDefaultedMatchesNew(t *testing.T) {
+	var cfgs []Config
+	for _, mode := range []Mode{ModeVanilla, ModeFreqShift, ModeFull} {
+		for _, dp := range []Datapath{DatapathFloat, DatapathFixed} {
+			c := DefaultConfig()
+			c.Mode, c.Datapath = mode, dp
+			cfgs = append(cfgs, c, Config{Params: c.Params, Mode: mode, Datapath: dp})
+		}
+	}
+	for _, bad := range []func(*Config){
+		func(c *Config) { c.Oversample = 1 },
+		func(c *Config) { c.CorrOversample = 5 },
+		func(c *Config) { c.SampleRateMultiplier = 0.1 },
+		func(c *Config) { c.Params.SF = 1 },
+		func(c *Config) { c.VideoCutoffFrac = 5 },
+		func(c *Config) { c.Oversample, c.CorrOversample, c.VideoCutoffFrac = 2, 1, 1.5 },
+		func(c *Config) { c.ADCBits = 16 },
+		func(c *Config) { c.Datapath = 7 },
+	} {
+		c := DefaultConfig()
+		bad(&c)
+		cfgs = append(cfgs, c)
+	}
+	rejected := 0
+	for i, c := range cfgs {
+		got, err := c.Defaulted()
+		d, newErr := New(c)
+		if fmt.Sprint(err) != fmt.Sprint(newErr) {
+			t.Fatalf("config %d: Defaulted error %v, New error %v", i, err, newErr)
+		}
+		if err != nil {
+			rejected++
+			continue
+		}
+		if !sameConfig(got, d.Config()) {
+			t.Errorf("config %d: Defaulted %+v, New %+v", i, got, d.Config())
+		}
+	}
+	if rejected != 8 {
+		t.Errorf("%d configs rejected, want the 8 invalid ones", rejected)
+	}
+	def, _ := DefaultConfig().Defaulted()
+	if allocs := testing.AllocsPerRun(20, func() { def.Defaulted() }); allocs != 0 {
+		t.Errorf("Defaulted: %.1f allocations, want 0", allocs)
 	}
 }
 

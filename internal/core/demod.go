@@ -241,19 +241,17 @@ func (d *Demodulator) decodePayload(out []int, env []float64) {
 }
 
 // symbolWindow returns the [lo, hi) sampler-rate indices of payload symbol
-// s, derived from the integer per-symbol sample count the trajectory
-// generators use so boundaries never drift.
+// s: its start and the next symbol's.
 func (d *Demodulator) symbolWindow(s, decim, n int) (int, int) {
+	return d.symbolStart(s, decim, n), d.symbolStart(s+1, decim, n)
+}
+
+// symbolStart returns the first sampler-rate index of payload symbol s,
+// capped at n, derived from the integer per-symbol sample count the
+// trajectory generators use so boundaries never drift.
+func (d *Demodulator) symbolStart(s, decim, n int) int {
 	ratio := float64(d.spbSimInt) / float64(decim)
-	lo := int(math.Round(float64(s) * ratio))
-	hi := int(math.Round(float64(s+1) * ratio))
-	if lo > n {
-		lo = n
-	}
-	if hi > n {
-		hi = n
-	}
-	return lo, hi
+	return min(int(math.Round(float64(s)*ratio)), n)
 }
 
 // decodeByPeakTracking implements the Section 2.2 decoder: quantize the
@@ -294,36 +292,78 @@ func (d *Demodulator) decodeByPeakTracking(out []int, env []float64) {
 
 // decodeByCorrelation implements Section 3.2: normalized cross-correlation
 // of each symbol window against the per-symbol templates, one symbol per
-// element of out.
+// element of out. Each window bound is computed once, since a symbol ends
+// where the next begins. Four consecutive full-length windows share one
+// pass for their means (windowMeans4) before each is ranked; the rest go
+// through bestTemplate. Either way every score, and so every symbol, is
+// bestTemplate's bit for bit.
 //
 //saiyan:hotpath
 func (d *Demodulator) decodeByCorrelation(out []int, env []float64) {
 	decim := d.cfg.Oversample / d.cfg.CorrOversample
-	for s := range out {
-		lo, hi := d.symbolWindow(s, decim, len(env))
-		if lo >= hi {
-			out[s] = 0
+	n := 0 // full window length; 0 sends every window to bestTemplate
+	if d.tmplStats != nil {
+		n = len(d.tmplStats[0].centered)
+	}
+	var lo [5]int // symbol starts of a group of up to four, and its end
+	next := d.symbolStart(0, decim, len(env))
+	for s := 0; s < len(out); s += 4 {
+		g := min(4, len(out)-s)
+		lo[0] = next
+		full := n > 0 && g == 4
+		for k := 1; k <= g; k++ {
+			lo[k] = d.symbolStart(s+k, decim, len(env))
+			full = full && lo[k]-lo[k-1] >= n
+		}
+		next = lo[g]
+		if !full {
+			for k := range g {
+				out[s+k] = 0
+				if lo[k] < lo[k+1] {
+					out[s+k], _ = d.bestTemplate(env[lo[k]:lo[k+1]])
+				}
+			}
 			continue
 		}
-		out[s], _ = d.bestTemplate(env[lo:hi])
+		mw := windowMeans4(env, lo[:4], n)
+		for k, m := range mw {
+			out[s+k], _ = d.rankWindow(env[lo[k]:lo[k]+n], m)
+		}
 	}
 }
 
+// windowMeans4 returns the means of the four n-sample windows of env that
+// start at lo[0..3], summed in one pass, each in its own accumulator and in
+// index order, as bestTemplate sums one.
+//
+//saiyan:hotpath
+func windowMeans4(env []float64, lo []int, n int) [4]float64 {
+	w0 := env[lo[0] : lo[0]+n]
+	w1 := env[lo[1] : lo[1]+n][:len(w0)]
+	w2 := env[lo[2] : lo[2]+n][:len(w0)]
+	w3 := env[lo[3] : lo[3]+n][:len(w0)]
+	var m0, m1, m2, m3 float64
+	for i := range w0 {
+		m0 += w0[i]
+		m1 += w1[i]
+		m2 += w2[i]
+		m3 += w3[i]
+	}
+	fn := float64(n)
+	return [4]float64{m0 / fn, m1 / fn, m2 / fn, m3 / fn}
+}
+
 // bestTemplate ranks every template against one symbol window and
-// returns the first best symbol with its score. Full-length windows take
-// the fast path: one pass for the window's mean, then one pass per group
-// of up to four templates that carries the window's zero-mean energy and
-// each template's dot product in separate accumulators, against the
-// templates centered by buildTemplates. Every accumulator sums in the
-// order windowCorrelation does, so the scores — and therefore the decode
-// — are bit-identical to it. Truncated edge windows (shorter than the
-// template) take windowCorrelation itself.
+// returns the first best symbol with its score. A full-length window
+// (cut to the template length) takes the fast path: one pass for its
+// mean, then rankWindow. A truncated edge window, shorter than the
+// template, takes windowCorrelation itself.
 //
 //saiyan:hotpath
 func (d *Demodulator) bestTemplate(win []float64) (int, float64) {
-	best, bestScore := 0, math.Inf(-1)
 	st := d.tmplStats
 	if st == nil || len(win) < len(d.templates[0]) {
+		best, bestScore := 0, math.Inf(-1)
 		for sym, tmpl := range d.templates {
 			if score := windowCorrelation(win, tmpl); score > bestScore {
 				best, bestScore = sym, score
@@ -336,16 +376,27 @@ func (d *Demodulator) bestTemplate(win []float64) (int, float64) {
 	for _, v := range win {
 		mw += v
 	}
-	mw /= float64(len(win))
+	return d.rankWindow(win, mw/float64(len(win)))
+}
+
+// rankWindow scores a full-length window of mean mw against every
+// template and returns the first best symbol with its score. It makes one
+// pass per pair of templates (an odd count pairs the last with itself)
+// that carries the window's zero-mean energy and both dot products in
+// separate accumulators, against the templates centered by
+// buildTemplates. Every accumulator sums in the order windowCorrelation
+// does, so the scores are bit-identical to it.
+//
+//saiyan:hotpath
+func (d *Demodulator) rankWindow(win []float64, mw float64) (int, float64) {
+	st := d.tmplStats
+	best, bestScore := 0, math.Inf(-1)
 	last := len(st) - 1
-	for g := 0; g <= last; g += 4 {
-		// A short last group repeats its final template; the repeats are
-		// not ranked.
+	for g := 0; g <= last; g += 2 {
+		var dots [2]float64
 		var ew float64
-		var dots [4]float64
-		ew, dots[0], dots[1], dots[2], dots[3] = dotGroup(win, mw, st[g].centered, st[min(g+1, last)].centered,
-			st[min(g+2, last)].centered, st[min(g+3, last)].centered)
-		for k, dot := range dots[:min(4, len(st)-g)] {
+		ew, dots[0], dots[1] = dotPair(win, mw, st[g].centered, st[min(g+1, last)].centered)
+		for k, dot := range dots[:min(2, len(st)-g)] {
 			score := 0.0
 			if et := st[g+k].energy; ew != 0 && et != 0 {
 				score = dot / math.Sqrt(ew*et)
@@ -358,22 +409,19 @@ func (d *Demodulator) bestTemplate(win []float64) (int, float64) {
 	return best, bestScore
 }
 
-// dotGroup makes one pass over a window: with a = win[i]-mw it sums a² and
-// a·c[i] for four centered templates, each in its own accumulator.
+// dotPair makes one pass over a window: with a = win[i]-mw it sums a² and
+// a·c[i] for two centered templates, each in its own accumulator.
 //
 //saiyan:hotpath
-func dotGroup(win []float64, mw float64, c0, c1, c2, c3 []float64) (ew, d0, d1, d2, d3 float64) {
-	n := len(win)
-	c0, c1, c2, c3 = c0[:n], c1[:n], c2[:n], c3[:n]
+func dotPair(win []float64, mw float64, c0, c1 []float64) (ew, d0, d1 float64) {
+	c0, c1 = c0[:len(win)], c1[:len(win)]
 	for i, v := range win {
 		a := v - mw
 		ew += a * a
 		d0 += a * c0[i]
 		d1 += a * c1[i]
-		d2 += a * c2[i]
-		d3 += a * c3[i]
 	}
-	return ew, d0, d1, d2, d3
+	return ew, d0, d1
 }
 
 // windowCorrelation computes the zero-mean cosine similarity between a

@@ -460,6 +460,15 @@ func FuzzCorrelationRun(f *testing.F) {
 	f.Add([]byte{8, 65, 8, 65, 8, 65, 8, 65, 8, 67, 8}, byte(0), true)
 	f.Add([]byte{8, 64, 8, 255, 8, 64, 8, 64, 8, 254}, byte(0), false)
 	f.Add([]byte{8, 64, 8}, byte(0), false)
+	// Non-finite and flat envelopes. A -Inf sample right after a run's
+	// fifth copy makes the next lag NaN while its dot product is -Inf, so
+	// that peak must fail: a stepper that read such a lag as 0 (as a
+	// sign-of-dot shortcut would) completes the run.
+	f.Add([]byte{8, 64, 8, 64, 8, 64, 8, 64, 8, 253}, byte(0), false)
+	f.Add([]byte{254, 8, 64, 8, 64, 8, 64, 8, 64, 8, 64, 8}, byte(0), false)
+	f.Add([]byte{253, 8, 64, 8, 64, 8, 64, 8, 64, 8, 64, 8}, byte(0), true)
+	f.Add([]byte{8, 64, 8, 64, 8, 255, 8, 64, 8, 64, 8, 64, 8}, byte(0), false)
+	f.Add([]byte{200, 200, 200, 200, 200, 200, 200, 200, 8, 64, 8, 64, 8, 64, 8, 64, 8, 200, 200, 200}, byte(70), false)
 	f.Fuzz(func(t *testing.T, ops []byte, gate byte, period10 bool) {
 		d := base.Clone()
 		if period10 {

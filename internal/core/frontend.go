@@ -49,8 +49,8 @@ type Demodulator struct {
 	cachedBias float64
 	templates  [][]float64
 	// tmplStats holds each template centered, with its zero-mean energy,
-	// so the correlation decoder's hot loop makes one pass per group of
-	// four templates; nil when template lengths are not uniform (exact
+	// so the correlation decoder's hot loop makes one pass per pair of
+	// templates; nil when template lengths are not uniform (exact
 	// fallback).
 	tmplStats []templateStat
 	// detTmpl is the one-symbol detection template, centered once by
@@ -98,15 +98,7 @@ func New(cfg Config) (*Demodulator, error) {
 	d.gains = newSAWMemo(cfg, d.spbSimInt)
 	d.headroom = math.Pow(10, -cfg.ThresholdGapDB/20)
 
-	key := frontEndKey{fsSim: d.fsSim, cutoff: cfg.VideoCutoffFrac * d.fsSamp}
-	if cfg.Mode != ModeVanilla {
-		// The MCU clock runs at fsSim/8; squaring the mixed signal lands
-		// the IF at twice the clock, fsSim/4 (see frontEnd).
-		key.ifHz = d.fsSim / 4
-		key.phaseErr = cfg.ClockPhaseError
-		key.gainDB = cfg.IFAmp.GainDB
-	}
-	if d.fe, err = frontEndFor(key); err != nil {
+	if d.fe, err = frontEndFor(cfg.frontEndKey()); err != nil {
 		return nil, err
 	}
 	if cfg.Datapath == DatapathFixed {

@@ -96,17 +96,21 @@ func TestBestTemplateMatchesWindowCorrelation(t *testing.T) {
 }
 
 // BenchmarkBestTemplate times one symbol decision of the correlation
-// decoder at K=1 on a full-length window.
+// decoder on a full-length window at K = 1..4 (two to sixteen templates).
 func BenchmarkBestTemplate(b *testing.B) {
-	d := templateDemod(b, 1)
-	rng := dsp.NewRand(28, 2)
-	win := make([]float64, len(d.templates[0]))
-	for i := range win {
-		win[i] = rng.NormFloat64()
-	}
-	b.ReportAllocs()
-	for b.Loop() {
-		d.bestTemplate(win)
+	for k := 1; k <= 4; k++ {
+		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
+			d := templateDemod(b, k)
+			rng := dsp.NewRand(28, 2)
+			win := make([]float64, len(d.templates[0]))
+			for i := range win {
+				win[i] = rng.NormFloat64()
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				d.bestTemplate(win)
+			}
+		})
 	}
 }
 

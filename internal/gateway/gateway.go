@@ -321,7 +321,7 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	// Validate the demodulator once at every rate the adapter may command.
 	for k := adapter.MinK; k <= adapter.MaxK; k++ {
-		if _, err := core.New(cfg.demod(k)); err != nil {
+		if _, err := cfg.demod(k).Defaulted(); err != nil {
 			return nil, fmt.Errorf("gateway: demodulator invalid at K=%d: %w", k, err)
 		}
 	}

@@ -286,11 +286,9 @@ func New(cfg Config) (*Pipeline, error) {
 	}
 	// Validate the demodulator configuration once, up front, so workers
 	// never have to surface construction errors asynchronously.
-	probe, err := core.New(cfg.Demod)
-	if err != nil {
+	if cfg.Demod, err = cfg.Demod.Defaulted(); err != nil {
 		return nil, err
 	}
-	cfg.Demod = probe.Config()
 
 	p := &Pipeline{
 		cfg:      cfg,

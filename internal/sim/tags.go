@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand/v2"
 
-	"saiyan/internal/dsp"
 	"saiyan/internal/lora"
 	"saiyan/internal/radio"
 )
@@ -98,19 +98,33 @@ func (ts *TagSet) Frame(tag int, seq uint64) (*lora.Frame, []int, error) {
 	if ts.TagByID(tag) == nil {
 		return nil, nil, fmt.Errorf("sim: no tag with ID %d in the set", tag)
 	}
-	rng := dsp.NewRand(tagStreamSeed(ts.Seed, tag), seq)
-	payload := make([]int, lora.DefaultPayloadSymbols)
-	for i := range payload {
-		// ChirpCount is a power of two, so IntN consumes exactly one PCG
-		// step per symbol regardless of K: the data-word stream is
-		// rate-independent.
-		payload[i] = rng.IntN(ts.Params.ChirpCount()) >> (ts.Params.SF - ts.Params.K)
-	}
-	f, err := lora.NewFrame(ts.Params, payload)
-	if err != nil {
+	if err := ts.Params.Validate(); err != nil {
 		return nil, nil, err
 	}
-	return f, payload, nil
+	// The frame keeps its own copy of the payload, as lora.NewFrame's
+	// does; one array backs both.
+	n := lora.DefaultPayloadSymbols
+	buf := make([]int, 2*n)
+	want := buf[:n:n]
+	ts.payload(want, tag, seq)
+	f := &lora.Frame{Params: ts.Params, Payload: buf[n:]}
+	copy(f.Payload, want)
+	return f, want, nil
+}
+
+// payload fills dst with the data Frame documents for frame seq of tag.
+// ts.Params must be valid.
+func (ts *TagSet) payload(dst []int, tag int, seq uint64) {
+	// dsp.NewRand's generator, seeded the same way, without its
+	// allocation.
+	pcg := rand.NewPCG(tagStreamSeed(ts.Seed, tag), seq)
+	mask := uint64(ts.Params.ChirpCount() - 1)
+	for i := range dst {
+		// ChirpCount is a power of two, so this is rand.Rand.IntN's draw:
+		// the low bits of exactly one PCG step per symbol regardless of K,
+		// so the data-word stream is rate-independent.
+		dst[i] = int(pcg.Uint64()&mask) >> (ts.Params.SF - ts.Params.K)
+	}
 }
 
 // Traffic is a pull-based round-robin schedule over a TagSet: frame 0 from

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"saiyan/internal/dsp"
@@ -83,5 +84,45 @@ func TestFrameDeterministic(t *testing.T) {
 				t.Fatalf("payload %d diverged between identical builds", i)
 			}
 		}
+	}
+}
+
+// TestFrameMatchesIntNDraws holds Frame's payload to the draws it was
+// first written with, a dsp.NewRand generator's IntN over the full
+// alphabet, at several spreading factors and every rate. The frame carries
+// an equal payload that is its own copy, and Frame allocates twice: the
+// frame and one array for both payloads.
+func TestFrameMatchesIntNDraws(t *testing.T) {
+	for _, sf := range []int{7, 9, 12} {
+		for k := 1; k <= sf; k++ {
+			p := lora.DefaultParams()
+			p.SF, p.K = sf, k
+			ts := &TagSet{Params: p, Seed: 7, Tags: []SimTag{{ID: 0}, {ID: 5}}}
+			for _, tag := range []int{0, 5} {
+				for seq := range uint64(3) {
+					f, want, err := ts.Frame(tag, seq)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rng := dsp.NewRand(tagStreamSeed(ts.Seed, tag), seq)
+					for i, w := range want {
+						if ref := rng.IntN(p.ChirpCount()) >> (sf - k); w != ref {
+							t.Fatalf("SF%d K=%d tag %d seq %d symbol %d: %d, IntN draw %d", sf, k, tag, seq, i, w, ref)
+						}
+					}
+					if !slices.Equal(f.Payload, want) {
+						t.Fatalf("SF%d K=%d: frame payload %v, want %v", sf, k, f.Payload, want)
+					}
+					want[0]++
+					if f.Payload[0] == want[0] {
+						t.Fatalf("SF%d K=%d: frame payload aliases the returned one", sf, k)
+					}
+				}
+			}
+		}
+	}
+	ts := testTagSet(t, 2)
+	if allocs := testing.AllocsPerRun(20, func() { ts.Frame(1, 3) }); allocs > 2 {
+		t.Errorf("Frame: %.1f allocations, want 2", allocs)
 	}
 }

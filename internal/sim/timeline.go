@@ -155,7 +155,12 @@ func (ts *TagSet) RenderTimeline(cfg core.Config, tl TimelineConfig) (*Stream, e
 	regular := len(ts.Tags) * tl.FramesPerTag
 	total := regular + len(tl.Retransmits)
 	events := make([]StreamFrame, 0, total)
-	frames := make([]*lora.Frame, 0, total)
+	// Every payload lives in one array: each event's Want is its capped
+	// piece, and the frame composed from it shares it, since frames are
+	// only read here.
+	nSym := lora.DefaultPayloadSymbols
+	wants := make([]int, total*nSym)
+	frames := make([]lora.Frame, 0, total)
 	at := symSamples(leadSymbols)
 	prevEnd := at
 	for i := 0; i < total; i++ {
@@ -175,10 +180,9 @@ func (ts *TagSet) RenderTimeline(cfg core.Config, tl TimelineConfig) (*Stream, e
 			}
 			tag, seq = *t, rt.Seq
 		}
-		frame, want, err := ts.Frame(tag.ID, seq)
-		if err != nil {
-			return nil, err
-		}
+		want := wants[i*nSym : (i+1)*nSym : (i+1)*nSym]
+		ts.payload(want, tag.ID, seq)
+		frame := lora.Frame{Params: ts.Params, Payload: want}
 		// The trajectory itself is generated at compose time, one frame at
 		// a time, into a reused buffer.
 		trajLen := frame.TrajectoryLen(fsSim)
