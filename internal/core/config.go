@@ -139,15 +139,25 @@ func DefaultConfig() Config {
 }
 
 // Defaulted returns c with its zero fields defaulted, or the error New
-// would return for it, without building a demodulator. The front-end
-// filter design it checks is the shared one New renders through.
+// would return for it, without building a demodulator. New validates
+// through it, so the two cannot disagree.
 func (c Config) Defaulted() (Config, error) {
+	c, _, err := c.defaulted()
+	return c, err
+}
+
+// defaulted fills c's zero fields, validates it and returns the shared
+// front-end design it renders through. The fixed-point decoder's own
+// checks (valid params, at least one sample per symbol, decimations of at
+// least 1, an ADC depth in [2, 15]) follow from withDefaults' bounds, so
+// New's fxp.NewDecoder cannot reject a config that passes here.
+func (c Config) defaulted() (Config, *frontEnd, error) {
 	c, err := c.withDefaults()
 	if err != nil {
-		return c, err
+		return c, nil, err
 	}
-	_, err = frontEndFor(c.frontEndKey())
-	return c, err
+	fe, err := frontEndFor(c.frontEndKey())
+	return c, fe, err
 }
 
 // frontEndKey names the shared front-end design a defaulted c renders

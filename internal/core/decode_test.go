@@ -215,35 +215,39 @@ func captureWindows(t testing.TB, d *Demodulator, frames int, rng *rand.Rand) []
 
 // BenchmarkDecodeStreamWindow times DecodeStreamWindowInto, the window
 // decode a stream worker runs, on capture-shaped windows (captureWindows)
-// on both datapaths, and reports ns/window.
+// on both datapaths at K = 1, 2 and 3, the rates the gateway's rate
+// adapter assigns, and reports ns/window.
 func BenchmarkDecodeStreamWindow(b *testing.B) {
 	for _, dp := range []Datapath{DatapathFloat, DatapathFixed} {
-		b.Run(dp.String(), func(b *testing.B) {
-			cfg := DefaultConfig()
-			cfg.Datapath = dp
-			master, err := New(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			master.PrewarmAuto()
-			d := master.Clone()
-			windows := captureWindows(b, d, 16, dsp.NewRand(34, 3))
-			dst := make([]int, lora.DefaultPayloadSymbols)
-			agc := DefaultAGCConfig()
-			for i, w := range windows {
-				if _, ok, err := d.DecodeStreamWindowInto(dst, w.env, w.envC, len(dst), agc); err != nil || !ok {
-					b.Fatalf("window %d: detected %v, err %v", i, ok, err)
+		for k := 1; k <= 3; k++ {
+			b.Run(fmt.Sprintf("%s/K=%d", dp, k), func(b *testing.B) {
+				cfg := DefaultConfig()
+				cfg.Datapath = dp
+				cfg.Params.K = k
+				master, err := New(cfg)
+				if err != nil {
+					b.Fatal(err)
 				}
-			}
-			b.ReportAllocs()
-			for b.Loop() {
-				for _, w := range windows {
-					if _, _, err := d.DecodeStreamWindowInto(dst, w.env, w.envC, len(dst), agc); err != nil {
-						b.Fatal(err)
+				master.PrewarmAuto()
+				d := master.Clone()
+				windows := captureWindows(b, d, 16, dsp.NewRand(34, 3))
+				dst := make([]int, lora.DefaultPayloadSymbols)
+				agc := DefaultAGCConfig()
+				for i, w := range windows {
+					if _, ok, err := d.DecodeStreamWindowInto(dst, w.env, w.envC, len(dst), agc); err != nil || !ok {
+						b.Fatalf("window %d: detected %v, err %v", i, ok, err)
 					}
 				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(windows)), "ns/window")
-		})
+				b.ReportAllocs()
+				for b.Loop() {
+					for _, w := range windows {
+						if _, _, err := d.DecodeStreamWindowInto(dst, w.env, w.envC, len(dst), agc); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(windows)), "ns/window")
+			})
+		}
 	}
 }

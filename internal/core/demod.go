@@ -381,22 +381,31 @@ func (d *Demodulator) bestTemplate(win []float64) (int, float64) {
 
 // rankWindow scores a full-length window of mean mw against every
 // template and returns the first best symbol with its score. It makes one
-// pass per pair of templates (an odd count pairs the last with itself)
-// that carries the window's zero-mean energy and both dot products in
-// separate accumulators, against the templates centered by
-// buildTemplates. Every accumulator sums in the order windowCorrelation
-// does, so the scores are bit-identical to it.
+// pass per group of up to four templates that carries the window's
+// zero-mean energy and each template's dot product in separate
+// accumulators, against the templates centered by buildTemplates: a group
+// of one or two templates (the whole bank at K = 1) takes dotPair, a
+// larger one dotGroup, since each kernel is the faster at its width (see
+// BenchmarkBestTemplate). A short group repeats its last template; the
+// repeats are not ranked. Every accumulator sums in the order
+// windowCorrelation does, so the scores are bit-identical to it.
 //
 //saiyan:hotpath
 func (d *Demodulator) rankWindow(win []float64, mw float64) (int, float64) {
 	st := d.tmplStats
 	best, bestScore := 0, math.Inf(-1)
 	last := len(st) - 1
-	for g := 0; g <= last; g += 2 {
-		var dots [2]float64
+	for g := 0; g <= last; g += 4 {
+		n := min(4, len(st)-g)
 		var ew float64
-		ew, dots[0], dots[1] = dotPair(win, mw, st[g].centered, st[min(g+1, last)].centered)
-		for k, dot := range dots[:min(2, len(st)-g)] {
+		var dots [4]float64
+		if n <= 2 {
+			ew, dots[0], dots[1] = dotPair(win, mw, st[g].centered, st[min(g+1, last)].centered)
+		} else {
+			ew, dots[0], dots[1], dots[2], dots[3] = dotGroup(win, mw, st[g].centered, st[g+1].centered,
+				st[g+2].centered, st[min(g+3, last)].centered)
+		}
+		for k, dot := range dots[:n] {
 			score := 0.0
 			if et := st[g+k].energy; ew != 0 && et != 0 {
 				score = dot / math.Sqrt(ew*et)
@@ -422,6 +431,23 @@ func dotPair(win []float64, mw float64, c0, c1 []float64) (ew, d0, d1 float64) {
 		d1 += a * c1[i]
 	}
 	return ew, d0, d1
+}
+
+// dotGroup is dotPair for four centered templates.
+//
+//saiyan:hotpath
+func dotGroup(win []float64, mw float64, c0, c1, c2, c3 []float64) (ew, d0, d1, d2, d3 float64) {
+	n := len(win)
+	c0, c1, c2, c3 = c0[:n], c1[:n], c2[:n], c3[:n]
+	for i, v := range win {
+		a := v - mw
+		ew += a * a
+		d0 += a * c0[i]
+		d1 += a * c1[i]
+		d2 += a * c2[i]
+		d3 += a * c3[i]
+	}
+	return ew, d0, d1, d2, d3
 }
 
 // windowCorrelation computes the zero-mean cosine similarity between a

@@ -85,11 +85,11 @@ type Demodulator struct {
 
 // New builds a demodulator from cfg, applying defaults and validating.
 func New(cfg Config) (*Demodulator, error) {
-	cfg, err := cfg.withDefaults()
+	cfg, fe, err := cfg.defaulted()
 	if err != nil {
 		return nil, err
 	}
-	d := &Demodulator{cfg: cfg}
+	d := &Demodulator{cfg: cfg, fe: fe}
 	d.fsSamp = cfg.SamplerRateHz()
 	d.fsSim = cfg.SimRateHz()
 	d.spbSamp = cfg.Params.SymbolDuration() * d.fsSamp
@@ -98,9 +98,6 @@ func New(cfg Config) (*Demodulator, error) {
 	d.gains = newSAWMemo(cfg, d.spbSimInt)
 	d.headroom = math.Pow(10, -cfg.ThresholdGapDB/20)
 
-	if d.fe, err = frontEndFor(cfg.frontEndKey()); err != nil {
-		return nil, err
-	}
 	if cfg.Datapath == DatapathFixed {
 		d.fx, err = fxp.NewDecoder(fxp.Config{
 			Params:              cfg.Params,

@@ -160,7 +160,6 @@ func (ts *TagSet) RenderTimeline(cfg core.Config, tl TimelineConfig) (*Stream, e
 	// only read here.
 	nSym := lora.DefaultPayloadSymbols
 	wants := make([]int, total*nSym)
-	frames := make([]lora.Frame, 0, total)
 	at := symSamples(leadSymbols)
 	prevEnd := at
 	for i := 0; i < total; i++ {
@@ -205,7 +204,6 @@ func (ts *TagSet) RenderTimeline(cfg core.Config, tl TimelineConfig) (*Stream, e
 			Collides:      collides,
 			Retransmitted: retx,
 		})
-		frames = append(frames, frame)
 		if end := start + trajLen; end > prevEnd {
 			prevEnd = end
 		}
@@ -215,8 +213,9 @@ func (ts *TagSet) RenderTimeline(cfg core.Config, tl TimelineConfig) (*Stream, e
 	// through the chain once.
 	x := make([]complex128, prevEnd+symSamples(leadSymbols))
 	var traj []float64
-	for i, ev := range events {
-		traj = frames[i].FreqTrajectory(traj[:0], fsSim)
+	for _, ev := range events {
+		frame := lora.Frame{Params: ts.Params, Payload: ev.Want}
+		traj = frame.FreqTrajectory(traj[:0], fsSim)
 		d.ComposeSignal(x, ev.StartSim, traj, ev.RSSDBm)
 	}
 	env, envC := d.RenderStream(x, dsp.NewRand(tagStreamSeed(ts.Seed, noiseStream), 0))
